@@ -42,17 +42,14 @@ from .probabilistic import (  # noqa: F401
     FieldObservations,
     TruncatedNormalPrior,
     log_likelihood,
-    prior_log_density,
     sigma_from_snr,
     sobol_standard_normal,
     synthesize_observations,
 )
 from .sweep import (  # noqa: F401
-    CouplingSweepSpec,
-    ObservationPlan,
+    FieldSpec,
     SweepResult,
     SweepSpec,
     export_sweep_csv,
-    run_coupling_sweep,
     run_riig_sweep,
 )

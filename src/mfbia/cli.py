@@ -45,13 +45,7 @@ from .probabilistic import (
     synthesize_observations,
     write_empty_observations_csv,
 )
-from .sweep import (
-    export_coupling_sweep_csv,
-    export_sweep_csv,
-    run_coupling_sweep,
-    run_riig_sweep,
-    write_run_manifest,
-)
+from .sweep import export_sweep_csv, run_riig_sweep, write_run_manifest
 
 #: Reference values the reproduction bundles compare against.
 REFERENCE_RIIG = {
@@ -99,13 +93,9 @@ def _provenance(config: RunConfig, observations) -> dict:
     }
 
 
-def _field_coordinates(spec) -> np.ndarray:
-    return np.linspace(spec.coord_range[0], spec.coord_range[1], spec.count)
-
-
 def _synthesize_field(config: RunConfig, model, spec) -> FieldObservations:
     return synthesize_observations(model, np.array(config.truth),
-                                   spec.field_id, _field_coordinates(spec),
+                                   spec.field_id, spec.coordinates(),
                                    spec.snr)
 
 
@@ -120,10 +110,6 @@ def _posterior_bundle(config: RunConfig, observations, grid_shape,
         lambda nodes: log_likelihood(model, nodes, selected),
         axes, axis_names=model.param_names)
     gain = information_gain(grid, config.prior)
-    if grid.boundary_warning:
-        print(f"warning: {100 * grid.boundary_mass:.1f}% of posterior mass "
-              f"in the outermost grid shell ({tag}); grid likely too small",
-              file=sys.stderr)
     csv_path = out_dir / f"posterior_{tag}.csv"
     json_path = out_dir / f"posterior_{tag}.json"
     posterior_to_csv(grid, csv_path)
@@ -228,22 +214,14 @@ def _progress_printer(label: str):
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    if config.sweep is None:
-        raise ConfigError("configuration has no sweep section")
+    spec = config.sweep_spec(full=args.full)
     workers = args.workers or config.workers
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    if config.sweep.kind == "coupling":
-        spec = config.coupling_sweep_spec()
-        results = run_coupling_sweep(spec, workers=workers,
-                                     progress=_progress_printer("sweep"))
-        export_coupling_sweep_csv(results, out_dir / "sweep.csv")
-    else:
-        spec = config.riig_sweep_spec(full=args.full)
-        results = run_riig_sweep(spec, workers=workers,
-                                 progress=_progress_printer("sweep"))
-        export_sweep_csv(results, out_dir / "sweep.csv")
+    results = run_riig_sweep(spec, workers=workers,
+                             progress=_progress_printer("sweep"))
+    export_sweep_csv(results, out_dir / "sweep.csv")
     runtime = time.perf_counter() - started
     write_run_manifest(out_dir / "sweep_manifest.json", spec, results,
                        workers=workers, runtime_seconds=runtime)
@@ -316,7 +294,7 @@ def _reproduce_fig9(out_dir: Path, workers: int) -> int:
 
 def _reproduce_fig10(out_dir: Path, full: bool, workers: int) -> int:
     config = default_config()
-    spec = config.riig_sweep_spec(full=full)
+    spec = config.sweep_spec(full=full)
     started = time.perf_counter()
     results = run_riig_sweep(spec, workers=workers,
                              progress=_progress_printer("fig10"))
@@ -325,14 +303,12 @@ def _reproduce_fig10(out_dir: Path, full: bool, workers: int) -> int:
     write_run_manifest(out_dir / "sweep_manifest.json", spec, results,
                        workers=workers, runtime_seconds=runtime)
 
-    by_cell = {(r.n_obs2, r.snr2): r for r in results}
+    by_cell = {(r.point["n_obs2"], r.point["snr2"]): r for r in results}
+    counts, snrs = spec.axes["n_obs2"], spec.axes["snr2"]
     anchors = [
-        ("point1", spec.n_obs2_axis[0], spec.snr2_axis[-1],
-         REFERENCE_RIIG["fig9_middle"]),
-        ("point2", spec.n_obs2_axis[-1], spec.snr2_axis[0],
-         REFERENCE_RIIG["fig9_right"]),
-        ("point3", spec.n_obs2_axis[-1], spec.snr2_axis[-1],
-         REFERENCE_RIIG["fig10_point3"]),
+        ("point1", counts[0], snrs[-1], REFERENCE_RIIG["fig9_middle"]),
+        ("point2", counts[-1], snrs[0], REFERENCE_RIIG["fig9_right"]),
+        ("point3", counts[-1], snrs[-1], REFERENCE_RIIG["fig10_point3"]),
     ]
     rows = []
     for name, n_obs2, snr2, reference in anchors:
@@ -406,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="YAML run configuration")
     p.add_argument("--out", help="output directory")
     p.add_argument("--full", action="store_true",
-                   help="use the full 50x12 sweep resolution")
+                   help="resize the n_obs2 and snr2 axes to sweep.full_num")
     p.add_argument("--workers", type=int, help="parallel worker count")
     p.set_defaults(func=cmd_sweep)
 

@@ -8,15 +8,16 @@ numbers are taken as SI already.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .models import registered_models
+from .models import build_model, registered_models
 from .probabilistic import TruncatedNormalPrior
-from .sweep import CouplingSweepSpec, ObservationPlan, SweepSpec
+from .sweep import FIELD_AXES, FieldSpec, SweepSpec
 
 
 class ConfigError(ValueError):
@@ -73,21 +74,6 @@ def _quantity_list(values, where: str) -> list[float]:
 
 
 @dataclass(frozen=True)
-class FieldSpec:
-    """Observation configuration of one field."""
-
-    field_id: int
-    count: int
-    snr: float
-    coord_range: tuple[float, float]
-
-    def plan(self) -> ObservationPlan:
-        return ObservationPlan(count=self.count, snr=self.snr,
-                               coord_min=self.coord_range[0],
-                               coord_max=self.coord_range[1])
-
-
-@dataclass(frozen=True)
 class AxisSpec:
     """Explicit values or a generated linear/log axis."""
 
@@ -116,11 +102,9 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    kind: str = "riig"
-    n_obs2: AxisSpec = field(default_factory=AxisSpec)
-    snr2: AxisSpec = field(default_factory=AxisSpec)
-    snr1: AxisSpec | None = None
-    coupling: AxisSpec | None = None
+    """The ``sweep:`` section: axes by name, in config order."""
+
+    axes: dict
     full_num: tuple[int, int] = (50, 12)
 
 
@@ -148,6 +132,23 @@ class RunConfig:
         ids = [f.field_id for f in self.fields]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"fields: duplicate field ids {ids}")
+        if len(self.truth) != self.prior.dim:
+            raise ConfigError(f"truth: {len(self.truth)} values for a "
+                              f"{self.prior.dim}-parameter prior")
+        accepted = set(inspect.signature(type(build_model(self.model)))
+                       .parameters)
+        unknown = set(self.constants) - accepted
+        if unknown:
+            raise ConfigError(
+                f"constants: unknown names {sorted(unknown, key=str)}; "
+                f"model {self.model!r} accepts {sorted(accepted)}")
+        if self.sweep is not None:
+            unknown = set(self.sweep.axes) - accepted - set(FIELD_AXES)
+            if unknown:
+                raise ConfigError(
+                    f"sweep: unknown keys {sorted(unknown, key=str)}; an "
+                    f"axis is one of {', '.join(FIELD_AXES)} or a constant "
+                    f"of model {self.model!r}: {', '.join(sorted(accepted))}")
 
     def field_spec(self, field_id: int) -> FieldSpec:
         for spec in self.fields:
@@ -155,40 +156,44 @@ class RunConfig:
                 return spec
         raise ConfigError(f"no field {field_id} configured")
 
-    def riig_sweep_spec(self, full: bool = False) -> SweepSpec:
+    def sweep_spec(self, full: bool = False) -> SweepSpec:
+        """The configured sweep; ``full`` resizes the field-2 axes to
+        ``sweep.full_num``."""
         if self.sweep is None:
             raise ConfigError("this configuration has no sweep section")
+        if full and "n_obs2" not in self.sweep.axes:
+            raise ConfigError(
+                "sweep.full_num: --full sets the point counts of the n_obs2 "
+                "and snr2 axes, but this sweep has no n_obs2 axis")
+        sizes = dict(zip(("n_obs2", "snr2"), self.sweep.full_num)) \
+            if full else {}
+        axes = {}
+        for name, axis in self.sweep.axes.items():
+            try:
+                axes[name] = axis.resolve(sizes.get(name))
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{name}: {exc}") from exc
         first = self.field_spec(1)
+        second = next((f for f in self.fields if f.field_id == 2),
+                      FieldSpec(field_id=2, count=0, snr=math.nan,
+                                coord_range=first.coord_range))
         try:
-            second_range = self.field_spec(2).coord_range
-        except ConfigError:
-            second_range = first.coord_range
-        n_override = self.sweep.full_num[0] if full else None
-        s_override = self.sweep.full_num[1] if full else None
-        return SweepSpec(
-            model_name=self.model, model_constants=dict(self.constants),
-            truth=self.truth, prior=self.prior, first_field=first.plan(),
-            n_obs2_axis=self.sweep.n_obs2.resolve(n_override),
-            snr2_axis=self.sweep.snr2.resolve(s_override),
-            grid_shape=self.grid_shape, second_field_range=second_range)
+            return SweepSpec(
+                model_name=self.model, model_constants=dict(self.constants),
+                truth=self.truth, prior=self.prior, first_field=first,
+                second_field=second, axes=axes, grid_shape=self.grid_shape)
+        except ValueError as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
 
-    def coupling_sweep_spec(self) -> CouplingSweepSpec:
-        if self.sweep is None or self.sweep.kind != "coupling":
-            raise ConfigError("this configuration has no coupling sweep")
-        if self.sweep.snr1 is None or self.sweep.coupling is None:
-            raise ConfigError("a coupling sweep needs snr1 and coupling axes")
-        first = self.field_spec(1)
-        second = self.field_spec(2)
-        return CouplingSweepSpec(
-            model_name=self.model, model_constants=dict(self.constants),
-            truth=self.truth, prior=self.prior,
-            n_obs1=first.count, n_obs2=second.count,
-            first_field_range=first.coord_range,
-            second_field_range=second.coord_range,
-            snr1_axis=self.sweep.snr1.resolve(),
-            snr2_axis=self.sweep.snr2.resolve(),
-            coupling_axis=self.sweep.coupling.resolve(),
-            grid_shape=self.grid_shape)
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: expected an integer, got a boolean")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{where}: expected an integer, got {value!r}") from None
 
 
 def _parse_axis(section, where: str) -> AxisSpec:
@@ -200,13 +205,34 @@ def _parse_axis(section, where: str) -> AxisSpec:
         unknown = set(section) - known
         if unknown:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        for key in ("start", "stop", "num"):
+            if key not in section:
+                raise ConfigError(f"{where}.{key}: missing")
         return AxisSpec(
             start=parse_quantity(section["start"], f"{where}.start"),
             stop=parse_quantity(section["stop"], f"{where}.stop"),
-            num=int(section["num"]),
+            num=_integer(section["num"], f"{where}.num"),
             spacing=section.get("spacing", "log"),
             integer=bool(section.get("integer", False)))
     raise ConfigError(f"{where}: expected a list or start/stop/num mapping")
+
+
+def _parse_sweep(section) -> SweepConfig:
+    if not isinstance(section, dict):
+        raise ConfigError("sweep: expected a mapping")
+    axes = dict(section)
+    # ``kind`` is still accepted so that older configs parse; the axes
+    # alone define the sweep
+    if axes.pop("kind", "riig") not in ("riig", "coupling"):
+        raise ConfigError(f"sweep.kind: unknown kind {section['kind']!r}")
+    full_num = axes.pop("full_num", (50, 12))
+    if not isinstance(full_num, (list, tuple)) or len(full_num) != 2:
+        raise ConfigError("sweep.full_num: expected two point counts")
+    return SweepConfig(
+        axes={name: _parse_axis(axis, f"sweep.{name}")
+              for name, axis in axes.items()},
+        full_num=tuple(_integer(n, f"sweep.full_num[{i}]")
+                       for i, n in enumerate(full_num)))
 
 
 def _parse_prior(section) -> TruncatedNormalPrior:
@@ -232,20 +258,19 @@ def _parse_field(section, index: int) -> FieldSpec:
     where = f"fields[{index}]"
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping")
+    for key in ("id", "count", "snr"):
+        if key not in section:
+            raise ConfigError(f"{where}.{key}: missing")
+    field_id = _integer(section["id"], f"{where}.id")
+    count = _integer(section["count"], f"{where}.count")
+    snr = parse_quantity(section["snr"], f"{where}.snr")
+    lo, hi = _quantity_list(section.get("range", [0.0, 1.0]),
+                            f"{where}.range")
     try:
-        field_id = int(section["id"])
-        count = int(section["count"])
-        snr = parse_quantity(section["snr"], f"{where}.snr")
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing key {exc}") from exc
-    coord_range = section.get("range", [0.0, 1.0])
-    lo, hi = _quantity_list(coord_range, f"{where}.range")
-    if count < 0:
-        raise ConfigError(f"{where}.count: must be >= 0")
-    if count > 0 and not snr > 0:
-        raise ConfigError(f"{where}.snr: must be > 0")
-    return FieldSpec(field_id=field_id, count=count, snr=snr,
-                     coord_range=(lo, hi))
+        return FieldSpec(field_id=field_id, count=count, snr=snr,
+                         coord_range=(lo, hi))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -260,40 +285,29 @@ def parse_config(data: dict) -> RunConfig:
         if key not in data:
             raise ConfigError(f"{key}: missing")
 
-    constants = {
-        name: parse_quantity(value, f"constants.{name}")
-        for name, value in (data.get("constants") or {}).items()
-    }
+    constants = data.get("constants") or {}
+    if not isinstance(constants, dict):
+        raise ConfigError("constants: expected a mapping")
+    constants = {name: parse_quantity(value, f"constants.{name}")
+                 for name, value in constants.items()}
     truth = tuple(_quantity_list(data["truth"], "truth"))
     prior = _parse_prior(data["prior"])
+    if not isinstance(data["fields"], list):
+        raise ConfigError("fields: expected a list")
     fields = tuple(_parse_field(f, i) for i, f in enumerate(data["fields"]))
     grid = data.get("grid", [100] * prior.dim)
     if isinstance(grid, int):
         grid = [grid] * prior.dim
-    grid_shape = tuple(int(n) for n in grid)
-
-    sweep_cfg = None
-    if "sweep" in data and data["sweep"] is not None:
-        section = data["sweep"]
-        kind = section.get("kind", "riig")
-        if kind not in ("riig", "coupling"):
-            raise ConfigError(f"sweep.kind: unknown kind {kind!r}")
-        full_num = tuple(int(n) for n in section.get("full_num", (50, 12)))
-        sweep_cfg = SweepConfig(
-            kind=kind,
-            n_obs2=_parse_axis(section["n_obs2"], "sweep.n_obs2")
-            if "n_obs2" in section else AxisSpec(),
-            snr2=_parse_axis(section["snr2"], "sweep.snr2"),
-            snr1=_parse_axis(section["snr1"], "sweep.snr1")
-            if "snr1" in section else None,
-            coupling=_parse_axis(section["coupling"], "sweep.coupling")
-            if "coupling" in section else None,
-            full_num=full_num)
+    if not isinstance(grid, list) or len(grid) not in (1, prior.dim):
+        raise ConfigError(f"grid: expected N or a list of {prior.dim} counts")
+    grid_shape = tuple(_integer(n, f"grid[{i}]") for i, n in enumerate(grid))
+    sweep = data.get("sweep")
 
     try:
         return RunConfig(model=data["model"], constants=constants,
                          truth=truth, prior=prior, fields=fields,
-                         grid_shape=grid_shape, sweep=sweep_cfg,
+                         grid_shape=grid_shape,
+                         sweep=None if sweep is None else _parse_sweep(sweep),
                          output_dir=str(data.get("output_dir", "out")),
                          workers=int(data.get("workers", 1)))
     except ValueError as exc:
@@ -325,12 +339,10 @@ def default_config() -> RunConfig:
                 FieldSpec(field_id=2, count=2, snr=1.2e4,
                           coord_range=(0.0, 0.4))),
         grid_shape=(100, 100),
-        sweep=SweepConfig(
-            kind="riig",
-            n_obs2=AxisSpec(start=2, stop=256, num=10, spacing="log",
-                            integer=True),
-            snr2=AxisSpec(start=80.0, stop=1.2e4, num=6, spacing="log"),
-            full_num=(50, 12)),
+        sweep=SweepConfig(axes={
+            "n_obs2": AxisSpec(start=2, stop=256, num=10, spacing="log",
+                               integer=True),
+            "snr2": AxisSpec(start=80.0, stop=1.2e4, num=6, spacing="log")}),
         output_dir="out",
         workers=1)
 

@@ -112,11 +112,6 @@ class TruncatedNormalPrior:
         return np.clip((ndtr(z) - lo) / (hi - lo), 0.0, 1.0)
 
 
-def prior_log_density(prior: TruncatedNormalPrior, x) -> np.ndarray:
-    """Log prior density at parameter vectors ``x`` of shape (..., dim)."""
-    return prior.log_density(x)
-
-
 @dataclass(frozen=True)
 class FieldObservations:
     """Observed outputs of one physical field at scalar coordinates.
@@ -163,16 +158,9 @@ def sigma_from_snr(truth_outputs, snr: float) -> float:
     """
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr}")
-    truth = np.asarray(truth_outputs, dtype=float)
-    if truth.size == 0:
+    if np.size(truth_outputs) == 0:
         raise ValueError("truth_outputs must be non-empty")
-    if truth.ndim == 1:
-        dim = 1
-        norms_sq = truth * truth
-    else:
-        dim = truth.shape[-1]
-        norms_sq = np.sum(truth * truth, axis=-1)
-    mean_power = float(np.mean(norms_sq))
+    mean_power, dim = _mean_power(truth_outputs)
     if mean_power == 0.0:
         raise DegenerateSignalError(
             "all truth outputs are zero; the SNR does not define a noise "
@@ -182,14 +170,16 @@ def sigma_from_snr(truth_outputs, snr: float) -> float:
 
 def snr_from_sigma(truth_outputs, noise_variance: float) -> float:
     """Inverse of :func:`sigma_from_snr`, for round-trip checks."""
+    mean_power, dim = _mean_power(truth_outputs)
+    return mean_power / (dim * noise_variance)
+
+
+def _mean_power(truth_outputs) -> tuple[float, int]:
+    """Mean squared norm per observation, and components per observation."""
     truth = np.asarray(truth_outputs, dtype=float)
     if truth.ndim == 1:
-        dim = 1
-        norms_sq = truth * truth
-    else:
-        dim = truth.shape[-1]
-        norms_sq = np.sum(truth * truth, axis=-1)
-    return float(np.mean(norms_sq)) / (dim * noise_variance)
+        return float(np.mean(truth * truth)), 1
+    return float(np.mean(np.sum(truth * truth, axis=-1))), truth.shape[-1]
 
 
 def sobol_standard_normal(n: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Parameter studies over observation configurations.
 
-The main study fixes the first-field observations and scans the second
-field's observation count and SNR, computing one relative-increase-in-
-information-gain value per cell.  Because the first field never changes,
-its information gain is computed once per sweep and shared by all cells.
+A sweep fixes two field observation plans and lists several values for some
+of their settings, or for model constants, on named axes.  Each cell of the
+axis grid compares the single-field information gain of field 1 with the
+two-field gain, and reports their relative increase (RIIG).  Cells run in one
+fixed order: ``n_obs1``, ``snr1``, ``n_obs2``, ``snr2``, then the model
+constants, the first axis varying slowest.
 
 Cells are pure functions of the sweep specification, so they can run on any
 number of workers without changing a single bit of the output; failures are
@@ -13,11 +15,11 @@ recorded per cell and never abort the sweep.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,78 +37,86 @@ from .probabilistic import (
     synthesize_observations,
 )
 
-SWEEP_CSV_HEADER = ("n_obs2", "snr2", "ig_single", "ig_multi", "riig",
-                    "boundary_mass", "status")
-COUPLING_SWEEP_CSV_HEADER = ("snr1", "snr2", "coupling", "ig_single",
-                             "ig_multi", "riig", "boundary_mass", "status")
+#: Axis names that set an observation plan; any other axis names a model
+#: constant.  Cells iterate in this order, then the constants.
+FIELD_AXES = ("n_obs1", "snr1", "n_obs2", "snr2")
+SWEEP_METRICS = ("ig_single", "ig_multi", "riig", "boundary_mass", "status")
 
 
 @dataclass(frozen=True)
-class ObservationPlan:
-    """Count, SNR, and coordinate range for one field's observations."""
+class FieldSpec:
+    """Count, SNR, and coordinate range of one field's observations."""
 
+    field_id: int
     count: int
     snr: float
-    coord_min: float
-    coord_max: float
+    coord_range: tuple[float, float]
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
-        if not self.snr > 0:
+        if self.count > 0 and not self.snr > 0:
             raise ValueError(f"snr must be > 0, got {self.snr}")
-        if not self.coord_max >= self.coord_min:
-            raise ValueError("coord_max must be >= coord_min")
+        if not self.coord_range[1] >= self.coord_range[0]:
+            raise ValueError("range must be increasing")
 
     def coordinates(self) -> np.ndarray:
-        return np.linspace(self.coord_min, self.coord_max, self.count)
-
-
-def _strictly_increasing(axis) -> bool:
-    arr = np.asarray(axis, dtype=float)
-    return arr.size > 0 and bool(np.all(np.diff(arr) > 0))
+        return np.linspace(self.coord_range[0], self.coord_range[1],
+                           self.count)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Specification of one (observation count x SNR) study of field 2."""
+    """Two fixed field plans and the named axes that vary them.
+
+    ``axes`` maps an axis name from :data:`FIELD_AXES`, or a model
+    constructor argument, to its values; it is stored in cell order.
+    """
 
     model_name: str
     truth: tuple[float, ...]
     prior: TruncatedNormalPrior
-    first_field: ObservationPlan
-    n_obs2_axis: tuple[int, ...]
-    snr2_axis: tuple[float, ...]
+    first_field: FieldSpec
+    second_field: FieldSpec
+    axes: dict
     grid_shape: tuple[int, ...]
-    second_field_range: tuple[float, float]
     model_constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "truth", tuple(float(v) for v in self.truth))
-        object.__setattr__(self, "n_obs2_axis",
-                           tuple(int(n) for n in self.n_obs2_axis))
-        object.__setattr__(self, "snr2_axis",
-                           tuple(float(s) for s in self.snr2_axis))
         object.__setattr__(self, "grid_shape",
                            tuple(int(n) for n in self.grid_shape))
-        if not self.n_obs2_axis or not self.snr2_axis:
-            raise ValueError("sweep axes must be non-empty")
-        if any(n < 1 for n in self.n_obs2_axis):
-            raise ValueError("observation counts must be >= 1")
-        if not _strictly_increasing(self.n_obs2_axis):
-            raise ValueError("n_obs2_axis must be strictly increasing")
-        if not _strictly_increasing(self.snr2_axis):
-            raise ValueError("snr2_axis must be strictly increasing")
-        if self.first_field.count < 1:
-            raise ValueError("the fixed first field needs >= 1 observation")
+        if not self.axes:
+            raise ValueError("a sweep needs at least one axis")
+        names = [n for n in FIELD_AXES if n in self.axes]
+        names += [n for n in self.axes if n not in FIELD_AXES]
+        axes = {}
+        for name in names:
+            cast = int if name.startswith("n_obs") else float
+            values = tuple(cast(v) for v in self.axes[name])
+            if not values or not all(np.diff(values) > 0):
+                raise ValueError(f"{name}: axis must be non-empty and "
+                                 f"strictly increasing, got {list(values)}")
+            axes[name] = values
+        object.__setattr__(self, "axes", axes)
+        for k, plan in enumerate((self.first_field, self.second_field), 1):
+            counts = axes.get(f"n_obs{k}", (plan.count,))
+            if min(counts) < 1:
+                raise ValueError(f"n_obs{k}: observation counts must be "
+                                 f">= 1, got {min(counts)}")
+            snrs = axes.get(f"snr{k}", (plan.snr,))
+            if not min(snrs) > 0:
+                raise ValueError(f"snr{k}: must be > 0, got {min(snrs)}")
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One cell of the study; numeric fields are None when status != ok."""
+    """One cell of the study; numeric fields are None when status != ok.
 
-    n_obs2: int
-    snr2: float
+    ``point`` maps each axis name to the cell's value on that axis.
+    """
+
+    point: dict
     ig_single: float | None
     ig_multi: float | None
     riig: float | None
@@ -118,222 +128,133 @@ class SweepResult:
         return self.status == "ok"
 
 
-@dataclass(frozen=True)
-class _CellContext:
-    """Everything a worker needs to evaluate one cell, all picklable."""
+class _CellEvaluator:
+    """Evaluates the cells of one sweep in one process.
 
-    model_name: str
-    model_constants: dict
-    truth: tuple[float, ...]
-    prior: TruncatedNormalPrior
-    axes: tuple[np.ndarray, ...]
-    log_lik_first: np.ndarray
-    ig_single: float
-    second_field_range: tuple[float, float]
+    Keeps only the most recent field-1 analysis (likelihood grid and
+    single-field gain) and reuses it while the model constants, ``n_obs1``
+    and ``snr1`` stay the same, which is every cell of a sweep that varies
+    only field 2.
+    """
 
+    def __init__(self, spec: SweepSpec):
+        self.spec = spec
+        self.grid = cdf_spaced_grid(spec.prior, spec.grid_shape)
+        self.nodes = np.stack(np.meshgrid(*self.grid, indexing="ij"), axis=-1)
+        self.field1 = None      # (key, log-likelihood grid, ig_single)
 
-def _grid_nodes(axes) -> np.ndarray:
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    def _log_likelihood(self, model, plan: FieldSpec, k: int, point):
+        plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
+                       snr=point.get(f"snr{k}", plan.snr))
+        obs = synthesize_observations(model, np.array(self.spec.truth),
+                                      plan.field_id, plan.coordinates(),
+                                      plan.snr)
+        return log_likelihood(model, self.nodes, [obs])
 
-
-def _single_field_analysis(spec: SweepSpec):
-    """Shared first-field work: observations, likelihood grid, IG."""
-    model = build_model(spec.model_name, spec.model_constants)
-    axes = cdf_spaced_grid(spec.prior, spec.grid_shape)
-    obs1 = synthesize_observations(model, np.array(spec.truth), 1,
-                                   spec.first_field.coordinates(),
-                                   spec.first_field.snr)
-    nodes = _grid_nodes(axes)
-    ll1 = log_likelihood(model, nodes, [obs1])
-    posterior1 = evaluate_posterior(spec.prior, lambda _: ll1, axes)
-    ig1 = information_gain(posterior1, spec.prior)
-    return _CellContext(model_name=spec.model_name,
-                        model_constants=dict(spec.model_constants),
-                        truth=spec.truth, prior=spec.prior, axes=axes,
-                        log_lik_first=ll1, ig_single=ig1,
-                        second_field_range=spec.second_field_range), obs1
-
-
-def _evaluate_riig_cell(context: _CellContext,
-                        cell: tuple[int, float]) -> SweepResult:
-    n_obs2, snr2 = cell
-    try:
-        model = build_model(context.model_name, context.model_constants)
-        coords2 = np.linspace(context.second_field_range[0],
-                              context.second_field_range[1], n_obs2)
-        obs2 = synthesize_observations(model, np.array(context.truth), 2,
-                                       coords2, snr2)
-        nodes = _grid_nodes(context.axes)
-        ll2 = log_likelihood(model, nodes, [obs2])
-        posterior = evaluate_posterior(
-            context.prior, lambda _: context.log_lik_first + ll2, context.axes)
-        ig_multi = information_gain(posterior, context.prior)
-        return SweepResult(n_obs2=n_obs2, snr2=snr2,
-                           ig_single=context.ig_single, ig_multi=ig_multi,
-                           riig=riig(context.ig_single, ig_multi),
-                           boundary_mass=posterior.boundary_mass)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        return SweepResult(n_obs2=n_obs2, snr2=snr2, ig_single=None,
-                           ig_multi=None, riig=None, boundary_mass=None,
-                           status=f"failed:{exc}")
+    def __call__(self, values: tuple) -> SweepResult:
+        spec = self.spec
+        point = dict(zip(spec.axes, values))
+        try:
+            constants = dict(spec.model_constants)
+            constants.update((name, value) for name, value in point.items()
+                             if name not in FIELD_AXES)
+            model = build_model(spec.model_name, constants)
+            key = tuple(value for name, value in point.items()
+                        if name not in ("n_obs2", "snr2"))
+            if self.field1 is None or self.field1[0] != key:
+                ll1 = self._log_likelihood(model, spec.first_field, 1, point)
+                posterior1 = evaluate_posterior(spec.prior, lambda _: ll1,
+                                                self.grid)
+                self.field1 = (key, ll1,
+                               information_gain(posterior1, spec.prior))
+            _, ll1, ig_single = self.field1
+            ll2 = self._log_likelihood(model, spec.second_field, 2, point)
+            posterior = evaluate_posterior(spec.prior, lambda _: ll1 + ll2,
+                                           self.grid)
+            ig_multi = information_gain(posterior, spec.prior)
+            return SweepResult(point=point, ig_single=ig_single,
+                               ig_multi=ig_multi,
+                               riig=riig(ig_single, ig_multi),
+                               boundary_mass=posterior.boundary_mass)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            return SweepResult(point=point, ig_single=None, ig_multi=None,
+                               riig=None, boundary_mass=None,
+                               status=f"failed:{exc}")
 
 
-def _run_cells(worker, cells, workers: int, progress=None) -> list:
-    results = []
-    if workers <= 1:
-        for index, cell in enumerate(cells):
-            results.append(worker(cell))
-            if progress is not None:
-                progress(index + 1, len(cells))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, result in enumerate(pool.map(worker, cells)):
-                results.append(result)
-                if progress is not None:
-                    progress(index + 1, len(cells))
-    return results
+#: The sweep context of this process, set once by :func:`_install`.
+_evaluator: _CellEvaluator | None = None
+
+
+def _install(spec: SweepSpec) -> None:
+    """Set this process's sweep context; the pool initializer, and the
+    serial path's set-up."""
+    global _evaluator
+    _evaluator = _CellEvaluator(spec)
+
+
+def _evaluate_cell(values: tuple) -> SweepResult:
+    return _evaluator(values)
+
+
+def _collect(results, total: int, progress) -> list[SweepResult]:
+    collected = []
+    for result in results:
+        collected.append(result)
+        if progress is not None:
+            progress(len(collected), total)
+    return collected
 
 
 def run_riig_sweep(spec: SweepSpec, workers: int = 1,
                    progress=None) -> list[SweepResult]:
-    """Evaluate the relative information-gain increase on the cell grid.
+    """Evaluate the relative information-gain increase on every cell.
 
-    Results come back axis-major: the observation-count axis varies
-    slowest.  Identical for any worker count.
+    Results come back in cell order, the first axis varying slowest.
+    Identical for any worker count.
     """
-    context, _ = _single_field_analysis(spec)
-    cells = [(n_obs2, snr2) for n_obs2 in spec.n_obs2_axis
-             for snr2 in spec.snr2_axis]
-    worker = partial(_evaluate_riig_cell, context)
-    return _run_cells(worker, cells, workers, progress)
+    cells = list(itertools.product(*spec.axes.values()))
+    if workers <= 1:
+        _install(spec)
+        return _collect(map(_evaluate_cell, cells), len(cells), progress)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_install,
+                             initargs=(spec,)) as pool:
+        return _collect(pool.map(_evaluate_cell, cells), len(cells), progress)
 
 
-@dataclass(frozen=True)
-class CouplingSweepSpec:
-    """Three-axis study: first-field SNR x second-field SNR x coupling.
-
-    Works for any registered model whose constructor accepts the named
-    coupling constant; each cell rebuilds the model at its coupling value,
-    so the single-field gain is recomputed per cell as well.
-    """
-
-    model_name: str
-    truth: tuple[float, ...]
-    prior: TruncatedNormalPrior
-    n_obs1: int
-    n_obs2: int
-    first_field_range: tuple[float, float]
-    second_field_range: tuple[float, float]
-    snr1_axis: tuple[float, ...]
-    snr2_axis: tuple[float, ...]
-    coupling_axis: tuple[float, ...]
-    grid_shape: tuple[int, ...]
-    model_constants: dict = field(default_factory=dict)
-    coupling_constant: str = "coupling"
-
-    def __post_init__(self):
-        for name in ("snr1_axis", "snr2_axis", "coupling_axis"):
-            axis = tuple(float(v) for v in getattr(self, name))
-            object.__setattr__(self, name, axis)
-            if not axis:
-                raise ValueError(f"{name} must be non-empty")
-        if self.n_obs1 < 1 or self.n_obs2 < 1:
-            raise ValueError("observation counts must be >= 1")
-
-
-@dataclass(frozen=True)
-class CouplingSweepResult:
-    snr1: float
-    snr2: float
-    coupling: float
-    ig_single: float | None
-    ig_multi: float | None
-    riig: float | None
-    boundary_mass: float | None
-    status: str = "ok"
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-def _evaluate_coupling_cell(spec: CouplingSweepSpec,
-                            cell: tuple[float, float, float]
-                            ) -> CouplingSweepResult:
-    snr1, snr2, coupling = cell
-    try:
-        constants = dict(spec.model_constants)
-        constants[spec.coupling_constant] = coupling
-        model = build_model(spec.model_name, constants)
-        truth = np.array(spec.truth)
-        axes = cdf_spaced_grid(spec.prior, spec.grid_shape)
-        nodes = _grid_nodes(axes)
-        coords1 = np.linspace(*spec.first_field_range, spec.n_obs1)
-        coords2 = np.linspace(*spec.second_field_range, spec.n_obs2)
-        obs1 = synthesize_observations(model, truth, 1, coords1, snr1)
-        obs2 = synthesize_observations(model, truth, 2, coords2, snr2)
-        ll1 = log_likelihood(model, nodes, [obs1])
-        ll2 = log_likelihood(model, nodes, [obs2])
-        posterior1 = evaluate_posterior(spec.prior, lambda _: ll1, axes)
-        ig_single = information_gain(posterior1, spec.prior)
-        posterior = evaluate_posterior(spec.prior, lambda _: ll1 + ll2, axes)
-        ig_multi = information_gain(posterior, spec.prior)
-        return CouplingSweepResult(snr1=snr1, snr2=snr2, coupling=coupling,
-                                   ig_single=ig_single, ig_multi=ig_multi,
-                                   riig=riig(ig_single, ig_multi),
-                                   boundary_mass=posterior.boundary_mass)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        return CouplingSweepResult(snr1=snr1, snr2=snr2, coupling=coupling,
-                                   ig_single=None, ig_multi=None, riig=None,
-                                   boundary_mass=None, status=f"failed:{exc}")
-
-
-def run_coupling_sweep(spec: CouplingSweepSpec, workers: int = 1,
-                       progress=None) -> list[CouplingSweepResult]:
-    """Evaluate the three-axis study, snr1 outermost, coupling innermost."""
-    cells = [(snr1, snr2, coupling)
-             for snr1 in spec.snr1_axis
-             for snr2 in spec.snr2_axis
-             for coupling in spec.coupling_axis]
-    worker = partial(_evaluate_coupling_cell, spec)
-    return _run_cells(worker, cells, workers, progress)
+def run_coupling_sweep(spec: SweepSpec, workers: int = 1,
+                       progress=None) -> list[SweepResult]:
+    """Same as :func:`run_riig_sweep`; a separate function, not an alias,
+    because ``bench/layertrace.py`` wraps both names."""
+    return run_riig_sweep(spec, workers, progress)
 
 
 def _format(value) -> str:
-    return "" if value is None else repr(float(value))
+    if value is None:
+        return ""
+    return repr(value if isinstance(value, int) else float(value))
 
 
 def export_sweep_csv(results, path) -> None:
-    """Axis-major CSV of the cell results; byte-stable across runs."""
+    """CSV of the cell results in cell order; byte-stable across runs.
+
+    The header is the axis names followed by :data:`SWEEP_METRICS`.
+    """
     results = list(results)
     if not results:
         raise ValueError("results must be non-empty")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
+        writer.writerow([*results[0].point, *SWEEP_METRICS])
         for res in results:
-            writer.writerow([res.n_obs2, _format(res.snr2),
+            writer.writerow([*map(_format, res.point.values()),
                              _format(res.ig_single), _format(res.ig_multi),
                              _format(res.riig), _format(res.boundary_mass),
                              res.status])
 
 
-def export_coupling_sweep_csv(results, path) -> None:
-    results = list(results)
-    if not results:
-        raise ValueError("results must be non-empty")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COUPLING_SWEEP_CSV_HEADER)
-        for res in results:
-            writer.writerow([_format(res.snr1), _format(res.snr2),
-                             _format(res.coupling), _format(res.ig_single),
-                             _format(res.ig_multi), _format(res.riig),
-                             _format(res.boundary_mass), res.status])
-
-
-def _spec_payload(spec) -> dict:
-    payload = {
+def _spec_payload(spec: SweepSpec) -> dict:
+    return {
         "model": spec.model_name,
         "model_constants": dict(spec.model_constants),
         "truth": list(spec.truth),
@@ -345,28 +266,11 @@ def _spec_payload(spec) -> dict:
                       for v in spec.prior.upper.tolist()],
         },
         "grid_shape": list(spec.grid_shape),
+        "fields": [{"id": plan.field_id, "count": plan.count,
+                    "snr": plan.snr, "range": list(plan.coord_range)}
+                   for plan in (spec.first_field, spec.second_field)],
+        "axes": {name: list(values) for name, values in spec.axes.items()},
     }
-    if isinstance(spec, SweepSpec):
-        payload.update({
-            "first_field": {
-                "count": spec.first_field.count, "snr": spec.first_field.snr,
-                "coord_min": spec.first_field.coord_min,
-                "coord_max": spec.first_field.coord_max,
-            },
-            "n_obs2_axis": list(spec.n_obs2_axis),
-            "snr2_axis": list(spec.snr2_axis),
-            "second_field_range": list(spec.second_field_range),
-        })
-    else:
-        payload.update({
-            "n_obs1": spec.n_obs1, "n_obs2": spec.n_obs2,
-            "first_field_range": list(spec.first_field_range),
-            "second_field_range": list(spec.second_field_range),
-            "snr1_axis": list(spec.snr1_axis),
-            "snr2_axis": list(spec.snr2_axis),
-            "coupling_axis": list(spec.coupling_axis),
-        })
-    return payload
 
 
 def write_run_manifest(path, spec, results, *, workers: int,

@@ -94,13 +94,13 @@ def fig9():
 
 @pytest.fixture(scope="module")
 def sweep_serial():
-    spec = default_config().riig_sweep_spec()
+    spec = default_config().sweep_spec()
     return spec, run_riig_sweep(spec, workers=1)
 
 
 @pytest.fixture(scope="module")
 def sweep_parallel():
-    spec = default_config().riig_sweep_spec()
+    spec = default_config().sweep_spec()
     return run_riig_sweep(spec, workers=8)
 
 
@@ -151,10 +151,11 @@ def test_criterion_03_concentrated_corner(sweep_serial):
     """Fig. 10 point 3: (N2=256, SNR2=1.2e4) gives RIIG = 3.65 +/- 0.4."""
     spec, results = sweep_serial
     cell = next(r for r in results
-                if r.n_obs2 == spec.n_obs2_axis[-1]
-                and r.snr2 == spec.snr2_axis[-1])
+                if r.point["n_obs2"] == spec.axes["n_obs2"][-1]
+                and r.point["snr2"] == spec.axes["snr2"][-1])
     assert cell.ok
-    assert cell.n_obs2 == 256 and cell.snr2 == pytest.approx(1.2e4)
+    assert cell.point["n_obs2"] == 256 \
+        and cell.point["snr2"] == pytest.approx(1.2e4)
     assert abs(cell.riig - RIIG_POINT3_TARGET) <= 0.4, \
         f"RIIG {cell.riig:.4f} outside {RIIG_POINT3_TARGET} +/- 0.4"
     _announce(3, f"corner RIIG {cell.riig:.4f} "
@@ -164,7 +165,7 @@ def test_criterion_03_concentrated_corner(sweep_serial):
 def test_criterion_04_sweep_trend(sweep_serial):
     """RIIG non-decreasing in SNR2 per row and in N2 per column (slack 0.02)."""
     spec, results = sweep_serial
-    n_rows, n_cols = len(spec.n_obs2_axis), len(spec.snr2_axis)
+    n_rows, n_cols = len(spec.axes["n_obs2"]), len(spec.axes["snr2"])
     assert len(results) == n_rows * n_cols == 60
     assert all(r.ok for r in results)
     table = np.array([r.riig for r in results]).reshape(n_rows, n_cols)
@@ -283,7 +284,8 @@ def test_criterion_08_normalization_and_gibbs(fig9, sweep_serial):
             if -1e-6 < gain < 0.0:
                 artifacts += 1
                 print(f"[acceptance]   note: IG {gain:.2e} in (-1e-6, 0) "
-                      f"at cell ({cell.n_obs2}, {cell.snr2:g}); "
+                      f"at cell ({cell.point['n_obs2']}, "
+                      f"{cell.point['snr2']:g}); "
                       f"quadrature artifact, legal")
     _announce(8, f"all densities normalized to 1 +/- 1e-9; "
                  f"IG >= -1e-6 across 60 sweep cells "

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,19 +129,19 @@ class TestConfigParsing:
         assert config.truth == builtin.truth
         assert config.fields == builtin.fields
         assert config.grid_shape == builtin.grid_shape
-        spec = config.riig_sweep_spec()
-        assert spec.n_obs2_axis == builtin.riig_sweep_spec().n_obs2_axis
+        spec = config.sweep_spec()
+        assert spec.axes == builtin.sweep_spec().axes
 
     def test_sweep_spec_full_resolution(self):
         # 50 requested log-spaced counts on [2, 256] collide when rounded
         # to integers; the axis keeps the 42 unique values
-        spec = default_config().riig_sweep_spec(full=True)
-        assert len(spec.snr2_axis) == 12
-        assert spec.snr2_axis[0] == 80.0 and spec.snr2_axis[-1] == 1.2e4
-        assert len(spec.n_obs2_axis) == 42
-        assert spec.n_obs2_axis[0] == 2 and spec.n_obs2_axis[-1] == 256
-        assert all(b > a for a, b in
-                   zip(spec.n_obs2_axis, spec.n_obs2_axis[1:]))
+        spec = default_config().sweep_spec(full=True)
+        counts, snrs = spec.axes["n_obs2"], spec.axes["snr2"]
+        assert len(snrs) == 12
+        assert snrs[0] == 80.0 and snrs[-1] == 1.2e4
+        assert len(counts) == 42
+        assert counts[0] == 2 and counts[-1] == 256
+        assert all(b > a for a, b in zip(counts, counts[1:]))
 
 
 class TestCliSynthesize:
@@ -231,6 +235,20 @@ class TestCliPosterior:
         assert main(["posterior", "--obs", str(observation_files[0]),
                      "--fields", "1,2", "--out", str(tmp_path)]) == 2
 
+    def test_boundary_warning_printed_once(self, tmp_path, observation_files):
+        # a subprocess, because pytest's log capture hides the logger line
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfbia.cli", "posterior",
+             "--obs", str(observation_files[0]), "--fields", "1",
+             "--grid", "4", "--out", str(tmp_path / "post")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        warnings = [line for line in proc.stderr.splitlines()
+                    if "outermost grid shell" in line]
+        assert len(warnings) == 1, proc.stderr
+
 
 class TestCliRiig:
     def make_runs(self, tmp_path):
@@ -279,7 +297,63 @@ class TestCliRiig:
         assert "not comparable" in capsys.readouterr().err
 
 
+TOY_CONFIG = (
+    "model: toy-full\n"
+    "truth: [1.2, 0.7]\n"
+    "prior:\n"
+    "  mean: [1.0, 0.6]\n  sd: [0.5, 0.5]\n"
+    "  lower: [0.0, 0.0]\n  upper: [inf, inf]\n"
+    "fields:\n"
+    "  - {id: 1, count: 5, snr: 30, range: [0.1, 1.0]}\n"
+    "  - {id: 2, count: 3, snr: 50, range: [0.1, 1.0]}\n"
+    "grid: [20, 20]\n")
+
+
 class TestCliSweep:
+    @pytest.mark.parametrize("edit,sweep,flags,key", [
+        ({}, "[1, 2]", [], "sweep"),
+        ({}, "{snr2: [5.0], bogus: 1}", [], "sweep.bogus"),
+        ({}, "{snr_2: [5.0, 50.0]}", [], "snr_2"),
+        ({}, "{snr1: {start: 1, stop: 9, num: 0}}", [], "snr1"),
+        ({"count: 5": "count: sixteen"}, "{snr2: [5.0]}", [],
+         "fields[0].count"),
+        ({"grid:": "constants: {coupling13: 0.5}\ngrid:"}, "{snr2: [5.0]}",
+         [], "coupling13"),
+        ({}, "{stiffness: [1.0, 2.0]}", [], "stiffness"),
+        ({"truth: [1.2, 0.7]": "truth: [1.2, 0.7, 0.1]"}, "{snr2: [5.0]}",
+         [], "truth"),
+        ({}, "{snr2: [5.0, 50.0]}", ["--full"], "sweep.full_num"),
+        ({"grid: [20, 20]": "grid: [20, twenty]"}, "{snr2: [5.0]}", [],
+         "grid[1]"),
+        ({"grid: [20, 20]": "grid: [20, 20, 20]"}, "{snr2: [5.0]}", [],
+         "grid"),
+        ({"fields:\n": "fields: 5\n", "  - {id": "#  - {id"},
+         "{snr2: [5.0]}", [], "fields"),
+    ])
+    def test_malformed_sweep_exits_2(self, tmp_path, capsys, edit, sweep,
+                                     flags, key):
+        text = TOY_CONFIG + f"sweep: {sweep}\n"
+        for old, new in edit.items():
+            text = text.replace(old, new)
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_single_axis_sweep_keeps_field_plans(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text(TOY_CONFIG + "sweep: {snr2: [5.0, 50.0]}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "snr2,ig_single,ig_multi,riig,boundary_mass,status"
+        assert len(lines) == 3 and all(line.endswith(",ok")
+                                       for line in lines[1:])
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert manifest["spec"]["fields"][1]["count"] == 3
+
     def test_small_sweep_artifacts(self, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(

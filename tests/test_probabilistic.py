@@ -19,7 +19,6 @@ from mfbia.probabilistic import (
     log_likelihood,
     observations_from_csv,
     observations_to_csv,
-    prior_log_density,
     sigma_from_snr,
     snr_from_sigma,
     sobol_standard_normal,
@@ -215,10 +214,8 @@ class TestLogLikelihood:
 
 class TestPrior:
     def test_outside_bounds(self, material_prior):
-        assert prior_log_density(material_prior,
-                                 np.array([-1.0, 0.2])) == -np.inf
-        assert prior_log_density(material_prior,
-                                 np.array([1e4, 0.6])) == -np.inf
+        assert material_prior.log_density(np.array([-1.0, 0.2])) == -np.inf
+        assert material_prior.log_density(np.array([1e4, 0.6])) == -np.inf
 
     def test_untruncated_limit_matches_normal(self):
         prior = TruncatedNormalPrior(mean=[1.5], variance=[4.0],

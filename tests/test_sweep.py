@@ -14,12 +14,9 @@ from mfbia.probabilistic import (
     synthesize_observations,
 )
 from mfbia.sweep import (
-    CouplingSweepSpec,
-    ObservationPlan,
+    FieldSpec,
     SweepSpec,
-    export_coupling_sweep_csv,
     export_sweep_csv,
-    run_coupling_sweep,
     run_riig_sweep,
     write_run_manifest,
 )
@@ -32,34 +29,35 @@ def toy_prior() -> TruncatedNormalPrior:
                                 upper=np.array([np.inf, np.inf]))
 
 
-def toy_sweep_spec(**overrides) -> SweepSpec:
+def toy_sweep_spec(n_obs2_axis=(2, 4, 8), snr2_axis=(5.0, 50.0, 500.0),
+                   second_field_range=(0.0, 1.0), **overrides) -> SweepSpec:
     base = dict(
         model_name="toy-full",
         model_constants={"coupling12": 0.5, "coupling21": 0.25},
         truth=(1.2, 0.7),
         prior=toy_prior(),
-        first_field=ObservationPlan(count=6, snr=30.0,
-                                    coord_min=0.0, coord_max=1.0),
-        n_obs2_axis=(2, 4, 8),
-        snr2_axis=(5.0, 50.0, 500.0),
-        grid_shape=(40, 40),
-        second_field_range=(0.0, 1.0))
+        first_field=FieldSpec(field_id=1, count=6, snr=30.0,
+                              coord_range=(0.0, 1.0)),
+        second_field=FieldSpec(field_id=2, count=1, snr=1.0,
+                               coord_range=second_field_range),
+        axes={"n_obs2": n_obs2_axis, "snr2": snr2_axis},
+        grid_shape=(40, 40))
     base.update(overrides)
     return SweepSpec(**base)
 
 
 class TestSpecValidation:
     def test_plan_coordinates(self):
-        plan = ObservationPlan(count=3, snr=10.0, coord_min=0.0, coord_max=1.0)
+        plan = FieldSpec(field_id=1, count=3, snr=10.0, coord_range=(0.0, 1.0))
         np.testing.assert_allclose(plan.coordinates(), [0.0, 0.5, 1.0])
 
     def test_plan_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ObservationPlan(count=-1, snr=10.0, coord_min=0.0, coord_max=1.0)
+            FieldSpec(field_id=1, count=-1, snr=10.0, coord_range=(0.0, 1.0))
         with pytest.raises(ValueError):
-            ObservationPlan(count=1, snr=0.0, coord_min=0.0, coord_max=1.0)
+            FieldSpec(field_id=1, count=1, snr=0.0, coord_range=(0.0, 1.0))
         with pytest.raises(ValueError):
-            ObservationPlan(count=1, snr=1.0, coord_min=1.0, coord_max=0.0)
+            FieldSpec(field_id=1, count=1, snr=1.0, coord_range=(1.0, 0.0))
 
     def test_axes_must_be_increasing_and_nonempty(self):
         with pytest.raises(ValueError):
@@ -99,8 +97,8 @@ class TestRiigSweep:
     def test_axis_major_order_and_shared_single_gain(self):
         spec = toy_sweep_spec()
         results = run_riig_sweep(spec)
-        assert [(r.n_obs2, r.snr2) for r in results] == \
-            [(n, s) for n in spec.n_obs2_axis for s in spec.snr2_axis]
+        assert [(r.point["n_obs2"], r.point["snr2"]) for r in results] == \
+            [(n, s) for n in spec.axes["n_obs2"] for s in spec.axes["snr2"]]
         singles = {r.ig_single for r in results}
         assert len(singles) == 1
 
@@ -108,7 +106,7 @@ class TestRiigSweep:
         results = run_riig_sweep(toy_sweep_spec())
         table = {}
         for r in results:
-            table.setdefault(r.n_obs2, []).append(r.riig)
+            table.setdefault(r.point["n_obs2"], []).append(r.riig)
         for row in table.values():
             assert all(b >= a - 0.02 for a, b in zip(row, row[1:]))
 
@@ -122,10 +120,11 @@ class TestRiigSweep:
         spec = SweepSpec(
             model_name="electromech", truth=(11e3, 0.35),
             prior=material_prior,
-            first_field=ObservationPlan(count=16, snr=50.0,
-                                        coord_min=0.0, coord_max=0.4),
-            n_obs2_axis=(2,), snr2_axis=(1e-9,), grid_shape=(50, 50),
-            second_field_range=(0.0, 0.4))
+            first_field=FieldSpec(field_id=1, count=16, snr=50.0,
+                                  coord_range=(0.0, 0.4)),
+            second_field=FieldSpec(field_id=2, count=2, snr=1.0,
+                                   coord_range=(0.0, 0.4)),
+            axes={"snr2": (1e-9,)}, grid_shape=(50, 50))
         (cell,) = run_riig_sweep(spec)
         assert cell.ok
         assert abs(cell.riig) <= 0.02
@@ -148,6 +147,17 @@ class TestRiigSweep:
         assert cell.status.startswith("failed:")
         assert cell.ig_multi is None and cell.riig is None
 
+    def test_failed_first_field_fails_each_cell(self):
+        spec = toy_sweep_spec(model_constants={"coupling12": 0.0,
+                                               "coupling21": 0.0},
+                              first_field=FieldSpec(field_id=1, count=6,
+                                                    snr=30.0,
+                                                    coord_range=(0.0, 0.0)))
+        results = run_riig_sweep(spec, workers=2)
+        assert len(results) == 9
+        assert all(r.status.startswith("failed:") and r.ig_single is None
+                   for r in results)
+
     def test_progress_callback(self):
         seen = []
         run_riig_sweep(toy_sweep_spec(n_obs2_axis=(2,), snr2_axis=(5.0, 50.0)),
@@ -156,42 +166,69 @@ class TestRiigSweep:
 
 
 class TestCouplingSweep:
-    def spec(self) -> CouplingSweepSpec:
-        return CouplingSweepSpec(
+    def spec(self, **axes) -> SweepSpec:
+        return SweepSpec(
             model_name="toy-full",
             truth=(1.2, 0.7),
             prior=toy_prior(),
-            n_obs1=5, n_obs2=4,
-            first_field_range=(0.1, 1.0),
-            second_field_range=(0.1, 1.0),
-            snr1_axis=(5.0, 50.0),
-            snr2_axis=(10.0, 1000.0),
-            coupling_axis=(0.1, 0.4, 0.7),
+            first_field=FieldSpec(field_id=1, count=5, snr=30.0,
+                                  coord_range=(0.1, 1.0)),
+            second_field=FieldSpec(field_id=2, count=4, snr=30.0,
+                                   coord_range=(0.1, 1.0)),
+            axes=axes or {"coupling": (0.1, 0.4, 0.7),
+                          "snr1": (5.0, 50.0), "snr2": (10.0, 1000.0)},
             grid_shape=(30, 30))
 
     def test_axis_major_cells_all_ok(self):
         spec = self.spec()
-        results = run_coupling_sweep(spec)
+        results = run_riig_sweep(spec)
         assert len(results) == 2 * 2 * 3
         assert all(r.ok for r in results)
-        assert [(r.snr1, r.snr2, r.coupling) for r in results] == \
-            [(a, b, c) for a in spec.snr1_axis for b in spec.snr2_axis
-             for c in spec.coupling_axis]
+        assert list(spec.axes) == ["snr1", "snr2", "coupling"]
+        assert [tuple(r.point.values()) for r in results] == \
+            [(a, b, c) for a in spec.axes["snr1"] for b in spec.axes["snr2"]
+             for c in spec.axes["coupling"]]
+
+    def test_cell_sharing_field1_matches_manual_composition(self):
+        # the later cells reuse the field-1 analysis of the first one
+        spec = self.spec(snr2=(10.0, 100.0, 1000.0), coupling=(0.4,))
+        results = run_riig_sweep(spec)
+        assert len({r.ig_single for r in results}) == 1
+        cell = results[-1]
+        assert cell.ok and cell.point == {"snr2": 1000.0, "coupling": 0.4}
+
+        model = build_model("toy-full", {"coupling": 0.4})
+        truth = np.array(spec.truth)
+        axes = cdf_spaced_grid(spec.prior, spec.grid_shape)
+        obs1 = synthesize_observations(model, truth, 1,
+                                       np.linspace(0.1, 1.0, 5), 30.0)
+        obs2 = synthesize_observations(model, truth, 2,
+                                       np.linspace(0.1, 1.0, 4), 1000.0)
+        post1 = evaluate_posterior(
+            spec.prior, lambda n: log_likelihood(model, n, [obs1]), axes)
+        postm = evaluate_posterior(
+            spec.prior, lambda n: log_likelihood(model, n, [obs1, obs2]), axes)
+        ig1 = information_gain(post1, spec.prior)
+        igm = information_gain(postm, spec.prior)
+        assert cell.ig_single == ig1
+        assert cell.ig_multi == igm
+        assert cell.riig == riig(ig1, igm)
+        assert cell.boundary_mass == postm.boundary_mass
 
     def test_gains_positive_and_second_field_helps(self):
-        results = run_coupling_sweep(self.spec())
+        results = run_riig_sweep(self.spec())
         for r in results:
             assert r.ig_single > 0
             assert r.ig_multi >= -1e-6
 
     def test_worker_determinism(self):
         spec = self.spec()
-        assert run_coupling_sweep(spec, workers=2) == run_coupling_sweep(spec)
+        assert run_riig_sweep(spec, workers=2) == run_riig_sweep(spec)
 
     def test_export(self, tmp_path):
-        results = run_coupling_sweep(self.spec())
+        results = run_riig_sweep(self.spec())
         path = tmp_path / "coupling.csv"
-        export_coupling_sweep_csv(results, path)
+        export_sweep_csv(results, path)
         lines = path.read_text().splitlines()
         assert lines[0] == \
             "snr1,snr2,coupling,ig_single,ig_multi,riig,boundary_mass,status"
@@ -249,4 +286,4 @@ class TestExportAndManifest:
         assert data["cells"] == 1
         assert data["failed_cells"] == 0
         assert data["spec"]["model"] == "toy-full"
-        assert data["spec"]["n_obs2_axis"] == [2]
+        assert data["spec"]["axes"] == {"n_obs2": [2], "snr2": [5.0]}

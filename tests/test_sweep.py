@@ -17,6 +17,7 @@ from mfbia.sweep import (
     FieldSpec,
     SweepSpec,
     export_sweep_csv,
+    run_coupling_sweep,
     run_riig_sweep,
     write_run_manifest,
 )
@@ -223,7 +224,7 @@ class TestCouplingSweep:
 
     def test_worker_determinism(self):
         spec = self.spec()
-        assert run_riig_sweep(spec, workers=2) == run_riig_sweep(spec)
+        assert run_coupling_sweep(spec, workers=2) == run_riig_sweep(spec)
 
     def test_export(self, tmp_path):
         results = run_riig_sweep(self.spec())

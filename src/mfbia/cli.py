@@ -165,7 +165,7 @@ def cmd_posterior(args) -> int:
     if missing:
         raise ConfigError(f"--fields requests field(s) {sorted(missing)} "
                           f"but no observation file provides them")
-    grid_shape = _parse_grid(args.grid) or config.grid_shape
+    grid_shape = _parse_grid(args.grid, config.prior.dim) or config.grid_shape
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = "f" + ("-".join(str(f) for f in selection) if selection else "none")
@@ -325,15 +325,20 @@ def _reproduce_fig10(out_dir: Path, full: bool, workers: int) -> int:
     return 0
 
 
-def _parse_grid(text) -> tuple[int, ...] | None:
+def _parse_grid(text, dim: int) -> tuple[int, ...] | None:
+    """Point counts of ``--grid``: one for every dimension, or one each."""
     if not text:
         return None
+    usage = (f"--grid: expected N or {dim} comma-separated counts, each "
+             f">= 2, got {text!r}")
     try:
         parts = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise ConfigError(f"--grid: expected N or N,N, got {text!r}") from None
+        raise ConfigError(usage) from None
     if not parts:
         return None
+    if len(parts) not in (1, dim) or min(parts) < 2:
+        raise ConfigError(usage)
     return tuple(parts)
 
 

@@ -135,6 +135,12 @@ class RunConfig:
         if len(self.truth) != self.prior.dim:
             raise ConfigError(f"truth: {len(self.truth)} values for a "
                               f"{self.prior.dim}-parameter prior")
+        for k, (value, lower, upper) in enumerate(
+                zip(self.truth, self.prior.lower, self.prior.upper)):
+            if not lower <= value <= upper:
+                raise ConfigError(
+                    f"truth[{k}]: {value!r} lies outside the prior support "
+                    f"[{lower:g}, {upper:g}]")
         accepted = set(inspect.signature(type(build_model(self.model)))
                        .parameters)
         unknown = set(self.constants) - accepted

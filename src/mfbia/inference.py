@@ -39,7 +39,8 @@ class PosteriorGrid:
     ``density`` integrates to one over the grid by construction (trapezoidal
     rule on the stored axes).  ``normalization`` is the evidence estimate;
     ``log_normalization`` is always finite and should be preferred when the
-    likelihood spans many orders of magnitude.
+    likelihood spans many orders of magnitude.  ``log_prior`` is the
+    log-density of ``prior`` on the nodes.
     """
 
     axes: tuple[np.ndarray, ...]
@@ -48,6 +49,8 @@ class PosteriorGrid:
     density: np.ndarray
     log_normalization: float
     boundary_mass: float
+    prior: TruncatedNormalPrior
+    log_prior: np.ndarray
 
     @property
     def normalization(self) -> float:
@@ -162,7 +165,8 @@ def evaluate_posterior(prior: TruncatedNormalPrior, log_likelihood_fn,
     return PosteriorGrid(axes=axes, axis_names=axis_names,
                          log_unnormalized=log_unnormalized, density=density,
                          log_normalization=math.log(scaled_norm) + shift,
-                         boundary_mass=boundary_mass)
+                         boundary_mass=boundary_mass, prior=prior,
+                         log_prior=log_prior)
 
 
 def information_gain(posterior: PosteriorGrid, prior: TruncatedNormalPrior) -> float:
@@ -173,7 +177,10 @@ def information_gain(posterior: PosteriorGrid, prior: TruncatedNormalPrior) -> f
     prior and posterior give exactly zero.  The integrand is defined as zero
     wherever the posterior density vanishes.
     """
-    log_prior = prior.log_density(posterior.nodes())
+    if prior is posterior.prior:
+        log_prior = posterior.log_prior
+    else:
+        log_prior = prior.log_density(posterior.nodes())
     post = posterior.density
     alive = post > 0
     if np.any(alive & ~np.isfinite(log_prior)):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 logger = logging.getLogger(__name__)
 
@@ -191,13 +190,29 @@ def sobol_standard_normal(n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return np.zeros(0)
-    # draw a power-of-two block so the generator never has to balance a
-    # partial block, then drop the leading zero
-    bits = max(1, math.ceil(math.log2(n + 1)))
-    uniforms = qmc.Sobol(d=1, scramble=False).random_base2(bits).ravel()
-    return ndtri(uniforms[1:n + 1])
+    return ndtri(_sobol_1d(n))
+
+
+#: (shift, mask) pairs that swap adjacent bit groups of doubling width;
+#: applied in turn they reverse the bits of a 64-bit word.
+_BIT_SWAPS = tuple((np.uint64(width), np.uint64(mask)) for width, mask in (
+    (1, 0x5555555555555555), (2, 0x3333333333333333),
+    (4, 0x0F0F0F0F0F0F0F0F), (8, 0x00FF00FF00FF00FF),
+    (16, 0x0000FFFF0000FFFF), (32, 0x00000000FFFFFFFF)))
+
+
+def _sobol_1d(n: int) -> np.ndarray:
+    """Points 1..n of the unscrambled 1-D Sobol' sequence.
+
+    In one dimension Sobol' is the base-2 van der Corput sequence in Gray
+    code order (Antonov & Saleev 1979): point i is the bit reversal of
+    i ^ (i >> 1), read as a binary fraction.
+    """
+    bits = np.arange(1, n + 1, dtype=np.uint64)
+    bits ^= bits >> np.uint64(1)
+    for width, mask in _BIT_SWAPS:
+        bits = ((bits >> width) & mask) | ((bits & mask) << width)
+    return bits / 2.0 ** 64
 
 
 def synthesize_observations(model, x_true, field_id: int, coordinates,

@@ -7,9 +7,12 @@ two-field gain, and reports their relative increase (RIIG).  Cells run in one
 fixed order: ``n_obs1``, ``snr1``, ``n_obs2``, ``snr2``, then the model
 constants, the first axis varying slowest.
 
-Cells are pure functions of the sweep specification, so they can run on any
-number of workers without changing a single bit of the output; failures are
-recorded per cell and never abort the sweep.
+Cells are pure functions of the sweep specification.  They run in tasks:
+runs of consecutive cells that share ``n_obs1``, ``snr1`` and ``n_obs2``, in
+which the field-1 analysis and the forward outputs on the posterior grid are
+computed once and reused.  Tasks can run on any number of workers without
+changing a single bit of the output; failures are recorded per cell and
+never abort the sweep.
 """
 
 from __future__ import annotations
@@ -128,47 +131,104 @@ class SweepResult:
         return self.status == "ok"
 
 
-class _CellEvaluator:
-    """Evaluates the cells of one sweep in one process.
+#: Axes whose values every cell of a task shares; they lead the cell order.
+TASK_AXES = ("n_obs1", "snr1", "n_obs2")
 
-    Keeps only the most recent field-1 analysis (likelihood grid and
-    single-field gain) and reuses it while the model constants, ``n_obs1``
-    and ``snr1`` stay the same, which is every cell of a sweep that varies
-    only field 2.
+
+def sweep_tasks(spec: SweepSpec, workers: int = 1) -> list[list[tuple]]:
+    """The cells of a sweep, as axis-value tuples grouped into tasks.
+
+    A task is a maximal run of consecutive cells that share their
+    ``n_obs1``, ``snr1`` and ``n_obs2`` values.  When there are fewer tasks
+    than workers, each task is split into contiguous pieces so that every
+    worker has work; the split depends only on the spec and ``workers``.
+    """
+    shared = sum(1 for name in spec.axes if name in TASK_AXES)
+    cells = itertools.product(*spec.axes.values())
+    tasks = [list(group) for _, group in
+             itertools.groupby(cells, key=lambda values: values[:shared])]
+    if len(tasks) >= workers:
+        return tasks
+    pieces = -(-workers // len(tasks))
+    split = []
+    for task in tasks:
+        bounds = [k * len(task) // pieces for k in range(pieces + 1)]
+        split += [task[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    return split
+
+
+class _GridOutputs:
+    """Stands in for a model in :func:`log_likelihood` on the node grid.
+
+    ``memo`` holds at most one entry: the outputs of one (constants, field,
+    coordinates) key.  It is dropped before the outputs of another key are
+    computed, so a task never holds more than one grid-sized output array.
+    """
+
+    def __init__(self, model, constants: tuple, memo: dict):
+        self.model = model
+        self.constants = constants
+        self.memo = memo
+
+    def outputs(self, x, field_id: int, coords) -> np.ndarray:
+        key = (self.constants, field_id,
+               np.asarray(coords, dtype=float).tobytes())
+        if key not in self.memo:
+            self.memo.clear()
+            self.memo[key] = self.model.outputs(x, field_id, coords)
+        return self.memo[key]
+
+
+class _TaskEvaluator:
+    """Evaluates the tasks of one sweep in one process.
+
+    Within a task, the field-1 analysis (likelihood grid and single-field
+    gain) is computed once per model-constant combination, and the forward
+    outputs on the node grid once per run of cells with the same constants,
+    field and coordinates.  Both memos are cleared at the start of each
+    task, so the work a task does depends only on its cells, never on which
+    worker ran it.
     """
 
     def __init__(self, spec: SweepSpec):
         self.spec = spec
         self.grid = cdf_spaced_grid(spec.prior, spec.grid_shape)
         self.nodes = np.stack(np.meshgrid(*self.grid, indexing="ij"), axis=-1)
-        self.field1 = None      # (key, log-likelihood grid, ig_single)
 
-    def _log_likelihood(self, model, plan: FieldSpec, k: int, point):
+    def __call__(self, cells: list[tuple]) -> list[SweepResult]:
+        field1 = {}         # constants -> (log-likelihood grid, ig_single)
+        outputs = {}        # the one forward-output entry of _GridOutputs
+        return [self._cell(values, field1, outputs) for values in cells]
+
+    def _log_likelihood(self, model, plan: FieldSpec, k: int, point,
+                        grid_outputs: _GridOutputs):
         plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
                        snr=point.get(f"snr{k}", plan.snr))
         obs = synthesize_observations(model, np.array(self.spec.truth),
                                       plan.field_id, plan.coordinates(),
                                       plan.snr)
-        return log_likelihood(model, self.nodes, [obs])
+        return log_likelihood(grid_outputs, self.nodes, [obs])
 
-    def __call__(self, values: tuple) -> SweepResult:
+    def _cell(self, values: tuple, field1: dict, outputs: dict) -> SweepResult:
         spec = self.spec
         point = dict(zip(spec.axes, values))
         try:
-            constants = dict(spec.model_constants)
-            constants.update((name, value) for name, value in point.items()
-                             if name not in FIELD_AXES)
-            model = build_model(spec.model_name, constants)
-            key = tuple(value for name, value in point.items()
-                        if name not in ("n_obs2", "snr2"))
-            if self.field1 is None or self.field1[0] != key:
-                ll1 = self._log_likelihood(model, spec.first_field, 1, point)
+            varied = {name: value for name, value in point.items()
+                      if name not in FIELD_AXES}
+            constants = tuple(varied.values())
+            model = build_model(spec.model_name,
+                                {**spec.model_constants, **varied})
+            grid_outputs = _GridOutputs(model, constants, outputs)
+            if constants not in field1:
+                ll1 = self._log_likelihood(model, spec.first_field, 1, point,
+                                           grid_outputs)
                 posterior1 = evaluate_posterior(spec.prior, lambda _: ll1,
                                                 self.grid)
-                self.field1 = (key, ll1,
-                               information_gain(posterior1, spec.prior))
-            _, ll1, ig_single = self.field1
-            ll2 = self._log_likelihood(model, spec.second_field, 2, point)
+                field1[constants] = (ll1,
+                                     information_gain(posterior1, spec.prior))
+            ll1, ig_single = field1[constants]
+            ll2 = self._log_likelihood(model, spec.second_field, 2, point,
+                                       grid_outputs)
             posterior = evaluate_posterior(spec.prior, lambda _: ll1 + ll2,
                                            self.grid)
             ig_multi = information_gain(posterior, spec.prior)
@@ -183,26 +243,27 @@ class _CellEvaluator:
 
 
 #: The sweep context of this process, set once by :func:`_install`.
-_evaluator: _CellEvaluator | None = None
+_evaluator: _TaskEvaluator | None = None
 
 
 def _install(spec: SweepSpec) -> None:
     """Set this process's sweep context; the pool initializer, and the
     serial path's set-up."""
     global _evaluator
-    _evaluator = _CellEvaluator(spec)
+    _evaluator = _TaskEvaluator(spec)
 
 
-def _evaluate_cell(values: tuple) -> SweepResult:
-    return _evaluator(values)
+def _evaluate_task(cells: list[tuple]) -> list[SweepResult]:
+    return _evaluator(cells)
 
 
-def _collect(results, total: int, progress) -> list[SweepResult]:
+def _collect(task_results, total: int, progress) -> list[SweepResult]:
     collected = []
-    for result in results:
-        collected.append(result)
-        if progress is not None:
-            progress(len(collected), total)
+    for results in task_results:
+        for result in results:
+            collected.append(result)
+            if progress is not None:
+                progress(len(collected), total)
     return collected
 
 
@@ -210,16 +271,18 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
                    progress=None) -> list[SweepResult]:
     """Evaluate the relative information-gain increase on every cell.
 
-    Results come back in cell order, the first axis varying slowest.
-    Identical for any worker count.
+    Workers run whole tasks (see :func:`sweep_tasks`).  Results come back
+    in cell order, the first axis varying slowest, and are identical for
+    any worker count.
     """
-    cells = list(itertools.product(*spec.axes.values()))
+    tasks = sweep_tasks(spec, workers)
+    total = sum(len(task) for task in tasks)
     if workers <= 1:
         _install(spec)
-        return _collect(map(_evaluate_cell, cells), len(cells), progress)
+        return _collect(map(_evaluate_task, tasks), total, progress)
     with ProcessPoolExecutor(max_workers=workers, initializer=_install,
                              initargs=(spec,)) as pool:
-        return _collect(pool.map(_evaluate_cell, cells), len(cells), progress)
+        return _collect(pool.map(_evaluate_task, tasks), total, progress)
 
 
 def run_coupling_sweep(spec: SweepSpec, workers: int = 1,

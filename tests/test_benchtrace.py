@@ -4,6 +4,13 @@
 entry point makes it refuse to run, and an alias makes it wrap one function
 twice and count every cell twice; either would otherwise only show when the
 benchmark runs.
+
+The forward-model call count is pinned too.  The benchmark refuses a trace
+whose counts differ between runs, so the count must follow from the tasks
+alone, never from which worker ran which task.  Each task makes two calls
+for its field-1 analysis per model-constant combination, one per cell to
+synthesize field 2, and one field-2 likelihood call per run of cells with
+the same constants.
 """
 
 import json
@@ -28,11 +35,19 @@ TOY_CONFIG = (
     "grid: [20, 20]\n")
 
 
-@pytest.mark.parametrize("sweep,workers,cells", [
-    ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4),
-    ("{snr1: [5.0, 50.0], snr2: [10.0], coupling: [0.1, 0.4, 0.7]}", "2", 6),
+@pytest.mark.parametrize("sweep,workers,cells,outputs", [
+    # 2 tasks of 2 cells: 2 x (2 + 2 + 1)
+    ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4, 10),
+    # 2 tasks of 3 cells, each cell with its own coupling: 2 x 3 x (2 + 1 + 1)
+    ("{snr1: [5.0, 50.0], snr2: [10.0], coupling: [0.1, 0.4, 0.7]}", "2", 6,
+     24),
+    # 2 tasks of 3 cells that share one field-2 output array: 2 x (2 + 3 + 1)
+    ("{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}", "2", 6, 12),
+    # 1 task split into pieces of 1 and 2 cells: (2 + 1 + 1) + (2 + 2 + 1)
+    ("{snr2: [5.0, 50.0, 500.0]}", "2", 3, 9),
 ])
-def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells):
+def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells,
+                                            outputs):
     config = tmp_path / "config.yaml"
     config.write_text(TOY_CONFIG + f"sweep: {sweep}\n")
     result, trace = tmp_path / "result.json", tmp_path / "trace.json"
@@ -48,3 +63,4 @@ def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells):
     assert data["spans"]["sweep.run"][0] == 1
     assert data["counts"]["sweep.cells"] == cells
     assert data["counts"]["sweep.failed_cells"] == 0
+    assert data["spans"]["models.outputs"][0] == outputs

@@ -329,6 +329,8 @@ class TestCliSweep:
          "grid"),
         ({"fields:\n": "fields: 5\n", "  - {id": "#  - {id"},
          "{snr2: [5.0]}", [], "fields"),
+        ({"truth: [1.2, 0.7]": "truth: [-1.0, 0.7]"}, "{snr2: [5.0]}",
+         [], "truth"),
     ])
     def test_malformed_sweep_exits_2(self, tmp_path, capsys, edit, sweep,
                                      flags, key):
@@ -415,10 +417,12 @@ class TestCliSweep:
 
 
 class TestGridFlag:
-    def test_bad_grid_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("grid", ["abc", "4,4,4", "1"])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
         obs = tmp_path / "obs"
         main(["synthesize", "--out", str(obs)])
         assert main(["posterior",
                      "--obs", str(obs / "observations_field1.csv"),
-                     "--fields", "1", "--grid", "abc",
+                     "--fields", "1", "--grid", grid,
                      "--out", str(tmp_path)]) == 2
+        assert "--grid" in capsys.readouterr().err

@@ -81,6 +81,13 @@ class TestSobol:
             reference = ndtri(engine.random(37).ravel())
         np.testing.assert_array_equal(sobol_standard_normal(37), reference)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 256, 5000, 70000])
+    def test_matches_scipy_power_of_two_block(self, n):
+        bits = max(1, math.ceil(math.log2(n + 1)))
+        block = qmc.Sobol(d=1, scramble=False).random_base2(bits).ravel()
+        np.testing.assert_array_equal(sobol_standard_normal(n),
+                                      ndtri(block[1:n + 1]))
+
     def test_moments_converge(self):
         z = sobol_standard_normal(1024)
         assert abs(z.mean()) < 0.02

@@ -19,6 +19,7 @@ from mfbia.sweep import (
     export_sweep_csv,
     run_coupling_sweep,
     run_riig_sweep,
+    sweep_tasks,
     write_run_manifest,
 )
 
@@ -45,6 +46,18 @@ def toy_sweep_spec(n_obs2_axis=(2, 4, 8), snr2_axis=(5.0, 50.0, 500.0),
         grid_shape=(40, 40))
     base.update(overrides)
     return SweepSpec(**base)
+
+
+def manual_gains(spec: SweepSpec, model, obs1, obs2):
+    """Single- and two-field gains composed by hand, and the two-field
+    posterior."""
+    axes = cdf_spaced_grid(spec.prior, spec.grid_shape)
+    post1 = evaluate_posterior(
+        spec.prior, lambda n: log_likelihood(model, n, [obs1]), axes)
+    postm = evaluate_posterior(
+        spec.prior, lambda n: log_likelihood(model, n, [obs1, obs2]), axes)
+    return (information_gain(post1, spec.prior),
+            information_gain(postm, spec.prior), postm)
 
 
 class TestSpecValidation:
@@ -79,21 +92,41 @@ class TestRiigSweep:
 
         model = build_model(spec.model_name, spec.model_constants)
         truth = np.array(spec.truth)
-        axes = cdf_spaced_grid(spec.prior, spec.grid_shape)
         obs1 = synthesize_observations(model, truth, 1,
                                        spec.first_field.coordinates(), 30.0)
         obs2 = synthesize_observations(model, truth, 2,
                                        np.linspace(0.0, 1.0, 4), 50.0)
-        post1 = evaluate_posterior(
-            spec.prior, lambda n: log_likelihood(model, n, [obs1]), axes)
-        postm = evaluate_posterior(
-            spec.prior, lambda n: log_likelihood(model, n, [obs1, obs2]), axes)
-        ig1 = information_gain(post1, spec.prior)
-        igm = information_gain(postm, spec.prior)
+        ig1, igm, _ = manual_gains(spec, model, obs1, obs2)
         assert cell.ig_single == ig1
         assert cell.ig_multi == igm
         assert cell.riig == riig(ig1, igm)
         assert cell.riig == (cell.ig_multi - cell.ig_single) / cell.ig_single
+
+        # the last cell of each task reuses the task's field-1 analysis and
+        # its field-2 forward outputs on the grid
+        spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0, 50.0, 500.0))
+        results = run_riig_sweep(spec)
+        for cell in (results[2], results[5]):
+            assert cell.ok and cell.point["snr2"] == 500.0
+            obs2 = synthesize_observations(
+                model, truth, 2, np.linspace(0.0, 1.0, cell.point["n_obs2"]),
+                500.0)
+            ig1, igm, postm = manual_gains(spec, model, obs1, obs2)
+            assert cell.ig_single == ig1
+            assert cell.ig_multi == igm
+            assert cell.riig == riig(ig1, igm)
+            assert cell.boundary_mass == postm.boundary_mass
+
+    def test_tasks_share_leading_axes(self):
+        spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0, 50.0, 500.0))
+        assert [[values[0] for values in task]
+                for task in sweep_tasks(spec)] == [[2, 2, 2], [4, 4, 4]]
+        assert sweep_tasks(spec, workers=2) == sweep_tasks(spec)
+        one_task = toy_sweep_spec(n_obs2_axis=(2,))
+        assert [len(task) for task in sweep_tasks(one_task, workers=2)] == \
+            [1, 2]
+        assert [len(task) for task in sweep_tasks(one_task, workers=5)] == \
+            [1, 1, 1]
 
     def test_axis_major_order_and_shared_single_gain(self):
         spec = toy_sweep_spec()
@@ -200,17 +233,11 @@ class TestCouplingSweep:
 
         model = build_model("toy-full", {"coupling": 0.4})
         truth = np.array(spec.truth)
-        axes = cdf_spaced_grid(spec.prior, spec.grid_shape)
         obs1 = synthesize_observations(model, truth, 1,
                                        np.linspace(0.1, 1.0, 5), 30.0)
         obs2 = synthesize_observations(model, truth, 2,
                                        np.linspace(0.1, 1.0, 4), 1000.0)
-        post1 = evaluate_posterior(
-            spec.prior, lambda n: log_likelihood(model, n, [obs1]), axes)
-        postm = evaluate_posterior(
-            spec.prior, lambda n: log_likelihood(model, n, [obs1, obs2]), axes)
-        ig1 = information_gain(post1, spec.prior)
-        igm = information_gain(postm, spec.prior)
+        ig1, igm, postm = manual_gains(spec, model, obs1, obs2)
         assert cell.ig_single == ig1
         assert cell.ig_multi == igm
         assert cell.riig == riig(ig1, igm)
@@ -225,6 +252,13 @@ class TestCouplingSweep:
     def test_worker_determinism(self):
         spec = self.spec()
         assert run_coupling_sweep(spec, workers=2) == run_riig_sweep(spec)
+
+    def test_split_task_matches_serial(self):
+        # no n_obs1, snr1 or n_obs2 axis: one task, split over two workers
+        spec = self.spec(snr2=(10.0, 100.0, 1000.0), coupling=(0.1, 0.4))
+        assert len(sweep_tasks(spec)) == 1
+        assert len(sweep_tasks(spec, workers=2)) == 2
+        assert run_riig_sweep(spec, workers=2) == run_riig_sweep(spec)
 
     def test_export(self, tmp_path):
         results = run_riig_sweep(self.spec())

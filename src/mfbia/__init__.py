@@ -1,6 +1,8 @@
 """Multi-field Bayesian inverse analysis toolkit.
 
-Couples nonlinear forward models (solved with a monolithic Newton method),
+Couples multi-field forward models, evaluated in vectorized passes over
+posterior grids (the coupled systems and monolithic Newton solver of
+``mfbia.coupled`` are the reference that the tests check them against),
 deterministic quasi-random observation synthesis, grid-based posterior
 evaluation, and information-gain post-processing, including the relative
 increase in information gain from adding a second observed field.
@@ -24,7 +26,6 @@ from .coupled import (  # noqa: F401
 from .electromech import (  # noqa: F401
     AdmissibilityError,
     ElectromechParams,
-    ElectromechState,
 )
 from .inference import (  # noqa: F401
     InferenceError,

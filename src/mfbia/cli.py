@@ -247,12 +247,12 @@ def cmd_reproduce(args) -> int:
     out_dir = Path(args.out) / args.figure
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.figure == "fig9":
-        return _reproduce_fig9(out_dir, workers=args.workers or 1)
+        return _reproduce_fig9(out_dir)
     return _reproduce_fig10(out_dir, full=args.full,
                             workers=args.workers or 1)
 
 
-def _reproduce_fig9(out_dir: Path, workers: int) -> int:
+def _reproduce_fig9(out_dir: Path) -> int:
     config_middle = default_config()
     config_right = high_noise_second_field_config()
     model = build_model(config_middle.model, config_middle.constants)
@@ -342,6 +342,14 @@ def _parse_grid(text, dim: int) -> tuple[int, ...] | None:
     return tuple(parts)
 
 
+def _workers(text: str) -> int:
+    """``--workers`` value: an integer >= 1 (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _resolve_config(args) -> RunConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
@@ -388,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--full", action="store_true",
                    help="resize the n_obs2 and snr2 axes to sweep.full_num")
-    p.add_argument("--workers", type=int, help="parallel worker count")
+    p.add_argument("--workers", type=_workers, help="parallel worker count")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce",
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--full", action="store_true",
                    help="fig10 at full 50x12 resolution")
-    p.add_argument("--workers", type=int, help="parallel worker count")
+    p.add_argument("--workers", type=_workers, help="parallel worker count")
     p.set_defaults(func=cmd_reproduce)
     return parser
 

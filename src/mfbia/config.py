@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from .electromech import DomainError
 from .models import build_model, registered_models
 from .probabilistic import TruncatedNormalPrior
 from .sweep import FIELD_AXES, FieldSpec, SweepSpec
@@ -141,6 +142,9 @@ class RunConfig:
                 raise ConfigError(
                     f"truth[{k}]: {value!r} lies outside the prior support "
                     f"[{lower:g}, {upper:g}]")
+        if min(self.grid_shape) < 2:
+            raise ConfigError(f"grid: each count must be >= 2, "
+                              f"got {list(self.grid_shape)}")
         accepted = set(inspect.signature(type(build_model(self.model)))
                        .parameters)
         unknown = set(self.constants) - accepted
@@ -148,6 +152,22 @@ class RunConfig:
             raise ConfigError(
                 f"constants: unknown names {sorted(unknown, key=str)}; "
                 f"model {self.model!r} accepts {sorted(accepted)}")
+        try:
+            model = build_model(self.model, self.constants)
+        except ValueError as exc:
+            raise ConfigError(f"constants: {exc}") from None
+        try:
+            model.check_params(self.truth)
+        except DomainError as exc:
+            names = model.param_names
+            key = (f"truth[{names.index(exc.name)}]" if exc.name in names
+                   else f"constants.{exc.name}")
+            raise ConfigError(f"{key}: {exc}") from None
+        for i, spec in enumerate(self.fields):
+            try:
+                model.check_coords(spec.coord_range)
+            except DomainError as exc:
+                raise ConfigError(f"fields[{i}].range: {exc}") from None
         if self.sweep is not None:
             unknown = set(self.sweep.axes) - accepted - set(FIELD_AXES)
             if unknown:
@@ -315,7 +335,7 @@ def parse_config(data: dict) -> RunConfig:
                          grid_shape=grid_shape,
                          sweep=None if sweep is None else _parse_sweep(sweep),
                          output_dir=str(data.get("output_dir", "out")),
-                         workers=int(data.get("workers", 1)))
+                         workers=_integer(data.get("workers", 1), "workers"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

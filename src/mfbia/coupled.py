@@ -92,15 +92,6 @@ class CoupledSystem:
     def total_dim(self) -> int:
         return sum(self.field_dims)
 
-    def split_state(self, state: np.ndarray) -> list[np.ndarray]:
-        """Per-field slices of a full state vector."""
-        state = np.asarray(state, dtype=float)
-        if state.shape != (self.total_dim,):
-            raise StructureError(
-                f"state has shape {state.shape}, expected ({self.total_dim},)")
-        bounds = np.cumsum((0,) + self.field_dims)
-        return [state[bounds[i]:bounds[i + 1]] for i in range(self.n_fields)]
-
     def stacked_residual(self, state: np.ndarray) -> np.ndarray:
         """Residual vectors of all fields concatenated, with shape checks."""
         parts = self.residual(np.asarray(state, dtype=float))

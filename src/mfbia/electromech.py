@@ -16,26 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import (
-    CoupledSystem,
-    CouplingType,
-    NewtonSettings,
-    newton_solve,
-)
+from .coupled import CoupledSystem, CouplingType
 
 DEFAULT_SIDE_LENGTH = 0.01   # m
 DEFAULT_VOLTAGE = 10.0       # V
 DEFAULT_RESISTIVITY = 1.0    # Ohm m
 
-#: Default absolute tolerance on the stacked residual norm for model
-#: evaluations.  Tight enough that sequential and monolithic solves agree
-#: to ~1e-12 in state norm.
-DEFAULT_TOLERANCE = 1e-15
-DEFAULT_MAX_ITERATIONS = 50
-
 
 class AdmissibilityError(ValueError):
     """State outside the physically admissible range (vanishing cross-section)."""
+
+
+class DomainError(ValueError):
+    """A parameter or load outside the model's domain; ``name`` names it."""
+
+    def __init__(self, name: str, requirement: str, value):
+        super().__init__(f"{name} {requirement}, got {value}")
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -50,30 +47,19 @@ class ElectromechParams:
 
     def __post_init__(self):
         if not self.youngs_modulus > 0:
-            raise ValueError(f"youngs_modulus must be > 0, got {self.youngs_modulus}")
+            raise DomainError("youngs_modulus", "must be > 0", self.youngs_modulus)
         if not 0 <= self.poisson_ratio < 0.5:
-            raise ValueError(
-                f"poisson_ratio must lie in [0, 0.5), got {self.poisson_ratio}")
+            raise DomainError(
+                "poisson_ratio", "must lie in [0, 0.5)", self.poisson_ratio)
         if not self.side_length > 0:
-            raise ValueError(f"side_length must be > 0, got {self.side_length}")
+            raise DomainError("side_length", "must be > 0", self.side_length)
         if not self.resistivity > 0:
-            raise ValueError(f"resistivity must be > 0, got {self.resistivity}")
+            raise DomainError("resistivity", "must be > 0", self.resistivity)
 
     @property
     def rest_current(self) -> float:
         """Current through the undeformed cube, U*l0/rho."""
         return self.voltage * self.side_length / self.resistivity
-
-
-@dataclass(frozen=True)
-class ElectromechState:
-    """Displacement of the loaded face (m) and electric current (A)."""
-
-    displacement: float
-    current: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.displacement, self.current])
 
 
 def cross_section_radicand(d, params: ElectromechParams):
@@ -123,8 +109,8 @@ def residual_elec(d, current, params: ElectromechParams):
             - params.voltage * l0 * np.sqrt(radicand))
 
 
-def jacobian(state: ElectromechState, params: ElectromechParams, force) -> np.ndarray:
-    """Analytic 2x2 system matrix at (d, I).
+def jacobian(state, params: ElectromechParams, force) -> np.ndarray:
+    """Analytic 2x2 system matrix at the state ``[d, I]``.
 
     [[2*l0^2 + 6*l0*d + 3*d^2,  0],
      [rho*I + U*l0*(nu/(1-nu))*(l0+d)/sqrt(radicand),  rho*(l0 + d)]]
@@ -132,8 +118,8 @@ def jacobian(state: ElectromechState, params: ElectromechParams, force) -> np.nd
     The upper-right entry is exactly zero: the mechanics do not depend on
     the current.
     """
-    d = float(_check_displacement(state.displacement, params))
-    current = state.current
+    d, current = state
+    d = float(_check_displacement(d, params))
     radicand = cross_section_radicand(d, params)
     if radicand <= 0:
         raise AdmissibilityError(
@@ -156,7 +142,7 @@ def coupled_system(params: ElectromechParams, force: float) -> CoupledSystem:
                 np.array([residual_elec(d, current, params)]))
 
     def _jacobian(state):
-        mat = jacobian(ElectromechState(state[0], state[1]), params, force)
+        mat = jacobian(state, params, force)
         return ((mat[0:1, 0:1], mat[0:1, 1:2]),
                 (mat[1:2, 0:1], mat[1:2, 1:2]))
 
@@ -165,105 +151,14 @@ def coupled_system(params: ElectromechParams, force: float) -> CoupledSystem:
                          declared_coupling=CouplingType.ONE_WAY)
 
 
-def mechanical_system(params: ElectromechParams, force: float) -> CoupledSystem:
-    """The mechanical field alone, for the sequential solve of f1."""
-
-    def _residual(state):
-        return (np.array([residual_mech(state[0], params, force)]),)
-
-    def _jacobian(state):
-        d = state[0]
-        l0 = params.side_length
-        return ((np.array([[2.0 * l0**2 + 6.0 * l0 * d + 3.0 * d * d]]),),)
-
-    return CoupledSystem(field_dims=(1,), residual=_residual, jacobian=_jacobian,
-                         declared_coupling=CouplingType.UNCOUPLED)
-
-
-def current_from_displacement(d: float, params: ElectromechParams) -> float:
-    """Exact current at a given displacement; f2 is linear in I."""
-    radicand = cross_section_radicand(d, params)
-    if radicand < 0:
-        raise AdmissibilityError(
-            f"displacement {d} exceeds the admissibility limit")
-    l0 = params.side_length
-    return float(params.voltage * l0 * np.sqrt(radicand)
-                 / (params.resistivity * (l0 + d)))
-
-
-def evaluate(params: ElectromechParams, force: float, *,
-             method: str = "sequential",
-             residual_tolerance: float = DEFAULT_TOLERANCE,
-             max_iterations: int = DEFAULT_MAX_ITERATIONS,
-             initial_state: ElectromechState | None = None) -> ElectromechState:
-    """Solve both fields for (d, I) at a given force.
-
-    The default exploits the one-way coupling: solve the mechanical field
-    alone, then the (linear) electrical field with the displacement fixed.
-    ``method="monolithic"`` solves the stacked two-field system instead;
-    both agree to within the solver tolerance.
-    """
-    if force < 0:
-        raise ValueError(f"force must be >= 0, got {force}")
-    if initial_state is None:
-        initial_state = ElectromechState(0.0, params.rest_current)
-
-    if method == "monolithic":
-        result = newton_solve(
-            coupled_system(params, force),
-            NewtonSettings(initial_state=initial_state.as_vector(),
-                           residual_tolerance=residual_tolerance,
-                           max_iterations=max_iterations))
-        return ElectromechState(float(result.state[0]), float(result.state[1]))
-    if method == "sequential":
-        mech = newton_solve(
-            mechanical_system(params, force),
-            NewtonSettings(initial_state=np.array([initial_state.displacement]),
-                           residual_tolerance=residual_tolerance,
-                           max_iterations=max_iterations))
-        d = float(mech.state[0])
-        return ElectromechState(d, current_from_displacement(d, params))
-    raise ValueError(f"unknown method {method!r}; "
-                     f"use 'sequential' or 'monolithic'")
-
-
-def evaluate_sweep(params: ElectromechParams, forces, *,
-                   method: str = "sequential",
-                   warm_start: bool = True,
-                   residual_tolerance: float = DEFAULT_TOLERANCE,
-                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                   ) -> list[ElectromechState]:
-    """Evaluate the model at each force in order.
-
-    With ``warm_start`` each solve starts from the previous solution, which
-    saves iterations on a dense sweep without affecting converged values.
-    """
-    states: list[ElectromechState] = []
-    guess: ElectromechState | None = None
-    for index, force in enumerate(forces):
-        try:
-            state = evaluate(params, float(force), method=method,
-                             residual_tolerance=residual_tolerance,
-                             max_iterations=max_iterations,
-                             initial_state=guess if warm_start else None)
-        except (ValueError, RuntimeError) as exc:
-            raise type(exc)(
-                f"sweep failed at index {index} (force {force}): {exc}") from exc
-        states.append(state)
-        if warm_start:
-            guess = state
-    return states
-
-
 def displacement_batch(youngs_modulus, poisson_ratio, force, *,
-                       side_length: float = DEFAULT_SIDE_LENGTH,
-                       max_iterations: int = 60) -> np.ndarray:
+                       side_length: float = DEFAULT_SIDE_LENGTH) -> np.ndarray:
     """Vectorized Newton solve of the mechanical cubic over broadcast inputs.
 
-    Returns the displacement array; entries that fail to converge (which
-    does not happen for finite positive inputs) come back as NaN.  This is
-    the fast path for posterior grids and matches :func:`evaluate` to
-    solver precision.
+    Each entry starts from d = 0 and takes at most 60 steps; entries that
+    fail to converge (none do for finite positive inputs) come back as NaN.
+    The tests check this path against the monolithic Newton solve of
+    :func:`coupled_system`.
     """
     youngs_modulus, poisson_ratio, force = np.broadcast_arrays(
         np.asarray(youngs_modulus, dtype=float),
@@ -276,7 +171,7 @@ def displacement_batch(youngs_modulus, poisson_ratio, force, *,
     # scale-aware in the load
     tol = 1e-20 + 1e-14 * np.abs(load)
     residual = 2.0 * l0**2 * d + 3.0 * l0 * d * d + d**3 - load
-    for _ in range(max_iterations):
+    for _ in range(60):
         active = np.abs(residual) > tol
         if not active.any():
             break

@@ -38,15 +38,18 @@ class ElectromechModel:
         return {"side_length": self.side_length, "voltage": self.voltage,
                 "resistivity": self.resistivity}
 
-    def params_for(self, x) -> electromech.ElectromechParams:
-        x = np.asarray(x, dtype=float)
-        return electromech.ElectromechParams(
+    def check_params(self, x) -> None:
+        """Raise :class:`~mfbia.electromech.DomainError` if ``x`` or a
+        constant lies outside the bounds that ``ElectromechParams`` enforces."""
+        electromech.ElectromechParams(
             youngs_modulus=float(x[0]), poisson_ratio=float(x[1]),
             side_length=self.side_length, voltage=self.voltage,
             resistivity=self.resistivity)
 
-    def coupled_system(self, x, coord: float) -> CoupledSystem:
-        return electromech.coupled_system(self.params_for(x), float(coord))
+    def check_coords(self, coords) -> None:
+        """Raise DomainError if a force in ``coords`` is compressive."""
+        if min(coords) < 0:
+            raise electromech.DomainError("force", "must be >= 0", min(coords))
 
     def outputs(self, x, field_id: int, coords) -> np.ndarray:
         """Field outputs at each coordinate, batched over parameter vectors.
@@ -101,6 +104,12 @@ class ToyFullModel:
     @property
     def constants(self) -> dict[str, float]:
         return {"coupling12": self.coupling12, "coupling21": self.coupling21}
+
+    def check_params(self, x) -> None:
+        """Every parameter vector lies in the domain."""
+
+    def check_coords(self, coords) -> None:
+        """Every coordinate lies in the domain."""
 
     def coupled_system(self, x, coord: float) -> CoupledSystem:
         x = np.asarray(x, dtype=float)

@@ -104,12 +104,6 @@ class TruncatedNormalPrior:
         lo, hi = ndtr(a[dim]), ndtr(b[dim])
         return self.mean[dim] + self.sd[dim] * ndtri(lo + q * (hi - lo))
 
-    def marginal_cdf(self, dim: int, x) -> np.ndarray:
-        a, b = self._bounds_z()
-        lo, hi = ndtr(a[dim]), ndtr(b[dim])
-        z = (np.asarray(x, dtype=float) - self.mean[dim]) / self.sd[dim]
-        return np.clip((ndtr(z) - lo) / (hi - lo), 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class FieldObservations:

@@ -18,7 +18,8 @@ from mfbia.coupled import NewtonSettings, newton_solve
 from mfbia.electromech import (
     ElectromechParams,
     coupled_system,
-    evaluate,
+    current_batch,
+    displacement_batch,
     jacobian,
     residual_elec,
     residual_mech,
@@ -218,24 +219,26 @@ def test_criterion_05_analytic_jacobian():
 
 
 def test_criterion_06_newton_correctness(fig9):
-    """Zero-force exactness, sequential/monolithic agreement, iteration cap."""
+    """Zero-force exactness, grid-path/monolithic agreement, iteration cap."""
     params = ElectromechParams(youngs_modulus=11e3, poisson_ratio=0.35)
-    rest = evaluate(params, 0.0)
-    assert abs(rest.displacement - 0.0) <= 1e-12
-    assert abs(rest.current - 0.1) <= 1e-12
+    rest_d = displacement_batch(params.youngs_modulus, params.poisson_ratio,
+                                0.0)
+    assert abs(rest_d - 0.0) <= 1e-12
+    assert abs(current_batch(params.poisson_ratio, rest_d) - 0.1) <= 1e-12
 
     forces = np.linspace(0.0, 0.4, 16)
+    batch_d = displacement_batch(params.youngs_modulus, params.poisson_ratio,
+                                 forces)
+    batch_i = current_batch(params.poisson_ratio, batch_d)
     worst_gap, worst_iters = 0.0, 0
-    for force in forces:
-        seq = evaluate(params, force, method="sequential")
-        mono = evaluate(params, force, method="monolithic")
-        gap = float(np.linalg.norm(seq.as_vector() - mono.as_vector()))
-        worst_gap = max(worst_gap, gap)
-        assert gap <= 1e-10, f"solvers disagree by {gap:.2e} at F={force}"
+    for k, force in enumerate(forces):
         result = newton_solve(
             coupled_system(params, force),
             NewtonSettings(initial_state=np.array([0.0, params.rest_current]),
                            residual_tolerance=1e-15))
+        gap = float(np.linalg.norm([batch_d[k], batch_i[k]] - result.state))
+        worst_gap = max(worst_gap, gap)
+        assert gap <= 1e-10, f"solvers disagree by {gap:.2e} at F={force}"
         worst_iters = max(worst_iters, result.iterations)
         assert result.iterations <= 10
     _announce(6, f"zero-force exact; 16-point solver agreement "

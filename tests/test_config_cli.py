@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfbia.cli import main
 from mfbia.config import (
@@ -426,3 +432,67 @@ class TestGridFlag:
                      "--fields", "1", "--grid", grid,
                      "--out", str(tmp_path)]) == 2
         assert "--grid" in capsys.readouterr().err
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ANY_MODEL = {"electromech", "toy-full"}
+
+#: (models the value is bad for, key path, bad value, key the error names)
+BAD_VALUES = [
+    ({"electromech"}, ("truth", 0), "0 Pa", "truth[0]"),
+    ({"electromech"}, ("truth", 1), 0.5, "truth[1]"),
+    ({"electromech"}, ("fields", 0, "range"), ["-0.1 N", "0.4 N"],
+     "fields[0].range"),
+    ({"electromech"}, ("fields", 1, "range"), ["-0.4 N", "0.4 N"],
+     "fields[1].range"),
+    ({"electromech"}, ("constants", "side_length"), "0 m",
+     "constants.side_length"),
+    ({"toy-full"}, ("constants", "coupling"), 1.0, "constants"),
+    (ANY_MODEL, ("workers",), "abc", "workers"),
+    (ANY_MODEL, ("workers",), -3, "workers"),
+    (ANY_MODEL, ("fields", 0, "count"), -1, "count"),
+    (ANY_MODEL, ("grid",), 1, "grid"),
+    (ANY_MODEL, ("constants", "bogus"), 1.0, "constants"),
+]
+
+MUTATIONS = [
+    (path.name, path_, value, key)
+    for path in sorted(CONFIG_DIR.glob("*.yaml"))
+    for models, path_, value, key in BAD_VALUES
+    if yaml.safe_load(path.read_text())["model"] in models]
+
+
+class TestConfigMutation:
+    @given(st.sampled_from(MUTATIONS))
+    def test_bad_value_exits_2_naming_the_key(self, mutation):
+        name, path, value, key = mutation
+        data = yaml.safe_load((CONFIG_DIR / name).read_text())
+        target = data
+        for step in path[:-1]:
+            target = (target.setdefault(step, {}) if isinstance(step, str)
+                      else target[step])
+        target[path[-1]] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.yaml"
+            config.write_text(yaml.safe_dump(data))
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["synthesize", "--config", str(config),
+                             "--out", tmp])
+        assert code == 2
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error:")]
+        assert errors and key in errors[-1]
+        assert "Traceback" not in err.getvalue()
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command,workers", [
+        (["sweep"], "-3"), (["sweep"], "0"), (["reproduce", "fig10"], "0")])
+    def test_bad_workers_exits_2(self, tmp_path, capsys, command, workers):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--workers", workers, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

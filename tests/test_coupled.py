@@ -260,18 +260,23 @@ class TestIterationInvariants:
         assert checked >= 2
 
     def test_one_way_sequential_matches_monolithic(self, truth_params):
-        from mfbia.electromech import evaluate
+        from mfbia.electromech import current_batch, displacement_batch
 
-        # a residual of size tol maps to a displacement error of roughly
-        # tol / (2*l0^2), the smallest residual slope in the system
+        # the grid path solves the mechanics first, then the linear
+        # electrical field; a residual of size tol maps to a displacement
+        # error of roughly tol / (2*l0^2), the smallest residual slope
         tol = 1e-15
         sensitivity = 1.0 / (2.0 * truth_params.side_length**2)
         for force in (0.1, 0.25, 0.4):
-            seq = evaluate(truth_params, force, method="sequential",
-                           residual_tolerance=tol)
-            mono = evaluate(truth_params, force, method="monolithic",
-                            residual_tolerance=tol)
-            gap = np.linalg.norm(seq.as_vector() - mono.as_vector())
+            d = displacement_batch(truth_params.youngs_modulus,
+                                   truth_params.poisson_ratio, force)
+            seq = [d, current_batch(truth_params.poisson_ratio, d)]
+            mono = newton_solve(
+                coupled_system(truth_params, force),
+                NewtonSettings(initial_state=np.array(
+                    [0.0, truth_params.rest_current]),
+                    residual_tolerance=tol)).state
+            gap = np.linalg.norm(np.subtract(seq, mono))
             assert gap <= 10 * tol * sensitivity
             assert gap <= 1e-10
 

@@ -3,20 +3,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mfbia.coupled import NewtonSettings, newton_solve
 from mfbia.electromech import (
     AdmissibilityError,
     DEFAULT_SIDE_LENGTH,
     ElectromechParams,
-    ElectromechState,
+    coupled_system,
+    cross_section_radicand,
     current_batch,
-    current_from_displacement,
     displacement_batch,
-    evaluate,
-    evaluate_sweep,
     jacobian,
     residual_elec,
     residual_mech,
 )
+from mfbia.models import ElectromechModel
 
 L0 = DEFAULT_SIDE_LENGTH
 
@@ -42,6 +42,25 @@ def bisect_mech_root(params: ElectromechParams, force: float,
     return 0.5 * (lo + hi)
 
 
+def batch_state(params: ElectromechParams, force) -> tuple:
+    """(d, I) from the grid forward path."""
+    d = displacement_batch(params.youngs_modulus, params.poisson_ratio,
+                           force, side_length=params.side_length)
+    current = current_batch(params.poisson_ratio, d,
+                            side_length=params.side_length,
+                            voltage=params.voltage,
+                            resistivity=params.resistivity)
+    return d, current
+
+
+def monolithic_state(params: ElectromechParams, force: float) -> np.ndarray:
+    """[d, I] from the monolithic Newton solve of the coupled system."""
+    return newton_solve(
+        coupled_system(params, force),
+        NewtonSettings(initial_state=np.array([0.0, params.rest_current]),
+                       residual_tolerance=1e-15)).state
+
+
 class TestResiduals:
     def test_mech_zero_at_rest(self, truth_params):
         assert residual_mech(0.0, truth_params, 0.0) == 0.0
@@ -62,8 +81,7 @@ class TestResiduals:
     @pytest.mark.parametrize("poisson", [0.0, 0.2, 0.35, 0.49])
     def test_rest_current_independent_of_poisson(self, poisson):
         params = ElectromechParams(youngs_modulus=9e3, poisson_ratio=poisson)
-        assert current_from_displacement(0.0, params) \
-            == pytest.approx(0.1, rel=1e-14)
+        assert current_batch(poisson, 0.0) == pytest.approx(0.1, rel=1e-14)
 
     def test_elec_open_circuit(self, truth_params):
         value = residual_elec(0.0, 0.0, truth_params)
@@ -95,8 +113,7 @@ class TestResiduals:
 
 class TestJacobian:
     def test_rest_state_entries(self, truth_params):
-        matrix = jacobian(ElectromechState(0.0, truth_params.rest_current),
-                          truth_params, 0.0)
+        matrix = jacobian([0.0, truth_params.rest_current], truth_params, 0.0)
         np.testing.assert_allclose(matrix[0, 0], 2e-4, rtol=1e-14)
         assert matrix[0, 1] == 0.0
         np.testing.assert_allclose(matrix[1, 1], 1e-2, rtol=1e-14)
@@ -104,56 +121,51 @@ class TestJacobian:
     def test_upper_right_zero_everywhere(self, truth_params):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            state = ElectromechState(rng.uniform(-1e-3, 4e-3),
-                                     rng.uniform(0.0, 0.3))
+            state = [rng.uniform(-1e-3, 4e-3), rng.uniform(0.0, 0.3)]
             assert jacobian(state, truth_params, 0.1)[0, 1] == 0.0
 
     def test_inadmissible_state_rejected(self, truth_params):
         with pytest.raises(AdmissibilityError):
-            jacobian(ElectromechState(8e-3, 0.1), truth_params, 0.1)
+            jacobian([8e-3, 0.1], truth_params, 0.1)
 
 
 class TestEvaluate:
     def test_zero_force_exact(self, truth_params):
-        for method in ("sequential", "monolithic"):
-            state = evaluate(truth_params, 0.0, method=method)
-            assert state.displacement == 0.0
-            assert state.current == 0.1
+        d, current = batch_state(truth_params, 0.0)
+        assert d == 0.0
+        assert current == 0.1
+        np.testing.assert_array_equal(monolithic_state(truth_params, 0.0),
+                                      [0.0, 0.1])
 
     def test_matches_bisection_oracle(self, truth_params):
-        for method in ("sequential", "monolithic"):
-            state = evaluate(truth_params, 0.4, method=method)
-            np.testing.assert_allclose(state.displacement, DSTAR, rtol=1e-10)
-            np.testing.assert_allclose(state.current, ISTAR, rtol=1e-10)
+        for state in (batch_state(truth_params, 0.4),
+                      monolithic_state(truth_params, 0.4)):
+            np.testing.assert_allclose(state[0], DSTAR, rtol=1e-10)
+            np.testing.assert_allclose(state[1], ISTAR, rtol=1e-10)
 
     def test_small_force_linearization(self, truth_params):
         force = 1e-4
-        state = evaluate(truth_params, force)
+        d, _ = batch_state(truth_params, force)
         linear = (force * (1 - truth_params.poisson_ratio**2)
                   / (truth_params.youngs_modulus * truth_params.side_length))
-        np.testing.assert_allclose(state.displacement, linear, rtol=1e-2)
+        np.testing.assert_allclose(d, linear, rtol=1e-2)
 
-    def test_negative_force_rejected(self, truth_params):
-        with pytest.raises(ValueError):
-            evaluate(truth_params, -0.1)
-
-    def test_unknown_method_rejected(self, truth_params):
-        with pytest.raises(ValueError):
-            evaluate(truth_params, 0.1, method="cowboy")
+    def test_negative_force_rejected(self):
+        model = ElectromechModel()
+        model.check_coords([0.0, 0.4])
+        with pytest.raises(ValueError, match="force must be >= 0"):
+            model.check_coords([-0.1, 0.4])
 
     def test_doubling_stiffness_halves_small_strain_displacement(self):
-        soft = ElectromechParams(youngs_modulus=11e3, poisson_ratio=0.35)
-        stiff = ElectromechParams(youngs_modulus=22e3, poisson_ratio=0.35)
-        d_soft = evaluate(soft, 1e-4).displacement
-        d_stiff = evaluate(stiff, 1e-4).displacement
+        d_soft = displacement_batch(11e3, 0.35, 1e-4)
+        d_stiff = displacement_batch(22e3, 0.35, 1e-4)
         np.testing.assert_allclose(d_stiff, d_soft / 2, rtol=1e-2)
 
     def test_resistance_grows_only_with_length_at_nu_zero(self):
         params = ElectromechParams(youngs_modulus=8e3, poisson_ratio=0.0)
         for force in (0.05, 0.2, 0.4):
-            state = evaluate(params, force)
-            lhs = (params.resistivity * state.current
-                   * (params.side_length + state.displacement))
+            d, current = batch_state(params, force)
+            lhs = params.resistivity * current * (params.side_length + d)
             rhs = params.voltage * params.side_length**2
             np.testing.assert_allclose(lhs, rhs, rtol=1e-14)
 
@@ -162,9 +174,7 @@ class TestEvaluate:
         # forces quantized to 1e-4 N so that displacement differences stay
         # far above the solver's resolution floor
         f_a, f_b = k_a * 1e-4, k_b * 1e-4
-        params = ElectromechParams(youngs_modulus=11e3, poisson_ratio=0.35)
-        d_a = evaluate(params, f_a).displacement
-        d_b = evaluate(params, f_b).displacement
+        d_a, d_b = displacement_batch(11e3, 0.35, [f_a, f_b])
         if f_a < f_b:
             assert d_a < d_b
         elif f_a > f_b:
@@ -173,35 +183,28 @@ class TestEvaluate:
 
 class TestSweep:
     def test_empty(self, truth_params):
-        assert evaluate_sweep(truth_params, []) == []
+        d, current = batch_state(truth_params, np.array([]))
+        assert d.shape == current.shape == (0,)
 
     def test_single_zero_force(self, truth_params):
-        states = evaluate_sweep(truth_params, [0.0])
-        assert states == [ElectromechState(0.0, 0.1)]
+        d, current = batch_state(truth_params, np.array([0.0]))
+        np.testing.assert_array_equal(d, [0.0])
+        np.testing.assert_array_equal(current, [0.1])
 
     def test_matches_per_point_bisection(self, truth_params):
         forces = np.linspace(0.0, 0.4, 16)
-        states = evaluate_sweep(truth_params, forces)
-        for force, state in zip(forces, states):
+        d, _ = batch_state(truth_params, forces)
+        for k, force in enumerate(forces):
             oracle = bisect_mech_root(truth_params, force)
-            np.testing.assert_allclose(state.displacement, oracle,
-                                       rtol=1e-10, atol=1e-18)
-
-    def test_warm_start_does_not_change_results(self, truth_params):
-        # both paths stop within the residual tolerance, which bounds the
-        # displacement disagreement by tol/(2*l0^2) ~ 5e-12
-        forces = np.linspace(0.0, 0.4, 9)
-        warm = evaluate_sweep(truth_params, forces, warm_start=True)
-        cold = evaluate_sweep(truth_params, forces, warm_start=False)
-        for a, b in zip(warm, cold):
-            np.testing.assert_allclose(a.as_vector(), b.as_vector(),
-                                       rtol=1e-8, atol=1e-11)
+            np.testing.assert_allclose(d[k], oracle, rtol=1e-10, atol=1e-18)
 
     def test_failure_reports_index(self):
-        # an absurdly soft cube stretches past the admissibility limit
+        # an absurdly soft cube stretches past the admissibility limit at
+        # 0.4 N: that entry, and only that one, comes back as NaN
         params = ElectromechParams(youngs_modulus=1e-3, poisson_ratio=0.35)
-        with pytest.raises(AdmissibilityError, match="index 1"):
-            evaluate_sweep(params, [0.0, 0.4])
+        _, current = batch_state(params, np.array([0.0, 0.4]))
+        assert current[0] == 0.1
+        assert np.isnan(current[1])
 
 
 class TestBatchPaths:
@@ -214,17 +217,23 @@ class TestBatchPaths:
         for k in range(12):
             params = ElectromechParams(youngs_modulus=youngs[k],
                                        poisson_ratio=poisson[k])
-            scalar = evaluate(params, forces[k]).displacement
-            np.testing.assert_allclose(batch[k], scalar,
+            reference = monolithic_state(params, forces[k])[0]
+            np.testing.assert_allclose(batch[k], reference,
                                        rtol=1e-9, atol=1e-11)
 
     def test_current_batch_matches_closed_form(self, truth_params):
+        # f2 is linear in I with slope rho*(l0 + d), so a relative residual
+        # of 1e-14 is a relative current error of 1e-14
         d = np.linspace(0.0, 3e-3, 7)
         batch = current_batch(truth_params.poisson_ratio, d)
         for k in range(d.size):
-            np.testing.assert_allclose(
-                batch[k], current_from_displacement(d[k], truth_params),
-                rtol=1e-14)
+            scale = (truth_params.voltage * truth_params.side_length
+                     * np.sqrt(cross_section_radicand(d[k], truth_params)))
+            assert abs(residual_elec(d[k], batch[k], truth_params)) \
+                <= 1e-14 * scale
+        np.testing.assert_allclose(
+            current_batch(truth_params.poisson_ratio, DSTAR), ISTAR,
+            rtol=1e-14)
 
     def test_current_batch_nan_when_inadmissible(self):
         out = current_batch(0.35, np.array([0.0, 8e-3]))

@@ -7,7 +7,7 @@ from mfbia.coupled import (
     newton_solve,
     verify_coupling_structure,
 )
-from mfbia.electromech import evaluate
+from mfbia.electromech import coupled_system
 from mfbia.models import ToyFullModel, build_model, registered_models
 
 
@@ -33,10 +33,13 @@ class TestElectromechModel:
         d = model.outputs(x, 1, coords)
         i = model.outputs(x, 2, coords)
         for k, force in enumerate(coords):
-            state = evaluate(truth_params, force)
-            np.testing.assert_allclose(d[k], state.displacement,
-                                       rtol=1e-9, atol=1e-11)
-            np.testing.assert_allclose(i[k], state.current, rtol=1e-9)
+            state = newton_solve(
+                coupled_system(truth_params, force),
+                NewtonSettings(initial_state=np.array(
+                    [0.0, truth_params.rest_current]),
+                    residual_tolerance=1e-15)).state
+            np.testing.assert_allclose(d[k], state[0], rtol=1e-9, atol=1e-11)
+            np.testing.assert_allclose(i[k], state[1], rtol=1e-9)
 
     def test_unknown_field(self):
         with pytest.raises(ValueError):

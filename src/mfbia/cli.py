@@ -28,6 +28,7 @@ from .config import (
     high_noise_second_field_config,
     load_config,
 )
+from .electromech import DomainError
 from .inference import (
     cdf_spaced_grid,
     evaluate_posterior,
@@ -151,10 +152,15 @@ def cmd_synthesize(args) -> int:
 
 def cmd_posterior(args) -> int:
     config = _resolve_config(args)
+    model = build_model(config.model, config.constants)
     observations = []
     for path in args.obs or []:
         obs = observations_from_csv(path)
         if obs is not None:
+            try:
+                model.check_coords(obs.coordinates)
+            except DomainError as exc:
+                raise ConfigError(f"--obs {path}: {exc}") from None
             observations.append(obs)
     if args.fields is None:
         selection = sorted({o.field_id for o in observations})

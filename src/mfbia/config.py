@@ -9,6 +9,7 @@ numbers are taken as SI already.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -199,6 +200,16 @@ class RunConfig:
                 axes[name] = axis.resolve(sizes.get(name))
             except ValueError as exc:
                 raise ConfigError(f"sweep.{name}: {exc}") from exc
+        varied = [name for name in axes if name not in FIELD_AXES]
+        for values in itertools.product(*(axes[name] for name in varied)):
+            try:
+                build_model(self.model, {**self.constants,
+                                         **dict(zip(varied, values))}
+                            ).check_params(self.truth)
+            except ValueError as exc:
+                name = (exc.name if isinstance(exc, DomainError)
+                        else "/".join(varied))
+                raise ConfigError(f"sweep.{name}: {exc}") from None
         first = self.field_spec(1)
         second = next((f for f in self.fields if f.field_id == 2),
                       FieldSpec(field_id=2, count=0, snr=math.nan,

@@ -151,22 +151,53 @@ def coupled_system(params: ElectromechParams, force: float) -> CoupledSystem:
                          declared_coupling=CouplingType.ONE_WAY)
 
 
+def _cardano_displacement(load: np.ndarray, l0: float) -> np.ndarray:
+    """Physical root ``d`` of ``2*l0^2*d + 3*l0*d^2 + d^3 = load``, in
+    closed form and in one new array the shape of ``load``.
+
+    With ``u = l0 + d`` the cubic is ``u^3 - l0^2*u = load``; its physical
+    root is the trigonometric (``s <= 1``) or hyperbolic (``s > 1``)
+    Cardano branch, ``s = (3*sqrt(3)/2) * load / l0^3`` (Numerical Recipes
+    §5.6).  ``d = load / (u*(u + l0))`` avoids the cancellation in
+    ``u - l0`` and is exactly 0 at zero load.  NaN where ``s`` is NaN or
+    below -1 (a compressive load outside the domain).
+    """
+    # in place: on a posterior grid every temporary is as large as the
+    # node x force product; ``out=`` also keeps a 0-d input an array, where
+    # a plain ufunc call would return a scalar
+    u = np.multiply(load, 1.5 * np.sqrt(3.0) / l0**3,
+                    out=np.empty_like(load))
+    hyperbolic = u > 1.0
+    with np.errstate(invalid="ignore"):
+        branch = np.arccosh(u[hyperbolic])
+        np.cosh(np.divide(branch, 3.0, out=branch), out=branch)
+        np.arccos(np.minimum(u, 1.0, out=u), out=u)
+        np.cos(np.divide(u, 3.0, out=u), out=u)
+        u[hyperbolic] = branch
+        del branch, hyperbolic
+        u *= 2.0 * l0 / np.sqrt(3.0)
+        return np.divide(load, np.multiply(u, u + l0, out=u), out=u)
+
+
 def displacement_batch(youngs_modulus, poisson_ratio, force, *,
                        side_length: float = DEFAULT_SIDE_LENGTH) -> np.ndarray:
-    """Vectorized Newton solve of the mechanical cubic over broadcast inputs.
+    """Solve the mechanical cubic over broadcast inputs.
 
-    Each entry starts from d = 0 and takes at most 60 steps; entries that
-    fail to converge (none do for finite positive inputs) come back as NaN.
-    The tests check this path against the monolithic Newton solve of
-    :func:`coupled_system`.
+    The closed-form root of :func:`_cardano_displacement` is the start;
+    Newton then polishes each entry whose residual exceeds the tolerance,
+    for at most 60 steps, and entries that still miss it come back as NaN.
+    No entry takes a step on the fig10 grid, nor for E from 1e-3 to 1e12 Pa
+    and F up to 100 N.  The tests check this path against the monolithic
+    Newton solve of :func:`coupled_system`.
     """
     youngs_modulus, poisson_ratio, force = np.broadcast_arrays(
         np.asarray(youngs_modulus, dtype=float),
         np.asarray(poisson_ratio, dtype=float),
         np.asarray(force, dtype=float))
     l0 = side_length
-    load = 2.0 * force * l0 / youngs_modulus * (1.0 - poisson_ratio**2)
-    d = np.zeros_like(load)
+    load = np.asarray(2.0 * force * l0 / youngs_modulus
+                      * (1.0 - poisson_ratio**2))
+    d = _cardano_displacement(load, l0)
     # absolute floor plus a relative term so convergence detection is
     # scale-aware in the load
     tol = 1e-20 + 1e-14 * np.abs(load)

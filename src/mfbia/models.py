@@ -47,9 +47,11 @@ class ElectromechModel:
             resistivity=self.resistivity)
 
     def check_coords(self, coords) -> None:
-        """Raise DomainError if a force in ``coords`` is compressive."""
-        if min(coords) < 0:
-            raise electromech.DomainError("force", "must be >= 0", min(coords))
+        """Raise DomainError if a force in ``coords`` is compressive or NaN."""
+        coords = np.asarray(coords, dtype=float)
+        bad = coords[~(coords >= 0)]
+        if bad.size:
+            raise electromech.DomainError("force", "must be >= 0", bad[0])
 
     def outputs(self, x, field_id: int, coords) -> np.ndarray:
         """Field outputs at each coordinate, batched over parameter vectors.

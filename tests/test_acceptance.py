@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.  The quantitative targets reproduce the reference
 tensile-test results at desk scale; the property criteria pin the oracle and
-invariant behavior of the solvers and quadrature.
+invariant behavior of the solvers and quadrature.  One more test pins the
+fig10 anchors to the seed code's values within ``SEED_RIIG_RTOL``.
 """
 
 import math
@@ -45,6 +46,16 @@ from mfbia.sweep import export_sweep_csv, run_riig_sweep
 RIIG_MIDDLE_TARGET = 1.23
 RIIG_RIGHT_TARGET = 1.22
 RIIG_POINT3_TARGET = 3.65
+
+#: fig10 anchor RIIG values of the seed code (the Newton solve from d = 0),
+#: the same values ``bench/run.py`` gates on.  The closed-form forward path
+#: moves them in the last bits only.
+SEED_RIIG = {
+    "point1": 1.2676646898711186,
+    "point2": 1.1694627949747924,
+    "point3": 3.4466798001957524,
+}
+SEED_RIIG_RTOL = 1e-9
 
 
 def _announce(number: int, label: str):
@@ -320,6 +331,19 @@ def test_criterion_09_determinism(tmp_path_factory, sweep_serial,
     assert csv_serial.read_bytes() == csv_parallel.read_bytes()
     _announce(9, f"{len(files_first)} artifacts byte-identical across runs; "
                  f"sweep bitwise equal under 1 and 8 workers")
+
+
+def test_fig10_anchors_match_seed_values(sweep_serial):
+    """The fig10 anchors stay within 1e-9 relative of the seed code's."""
+    spec, results = sweep_serial
+    riig_at = {(r.point["n_obs2"], r.point["snr2"]): r.riig for r in results}
+    counts, snrs = spec.axes["n_obs2"], spec.axes["snr2"]
+    anchors = {"point1": (counts[0], snrs[-1]),
+               "point2": (counts[-1], snrs[0]),
+               "point3": (counts[-1], snrs[-1])}
+    for name, cell in anchors.items():
+        assert riig_at[cell] == pytest.approx(
+            SEED_RIIG[name], rel=SEED_RIIG_RTOL, abs=0), name
 
 
 def test_criterion_10_snr_round_trip():

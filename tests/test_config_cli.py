@@ -241,6 +241,21 @@ class TestCliPosterior:
         assert main(["posterior", "--obs", str(observation_files[0]),
                      "--fields", "1,2", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("force", ["-0.3", "nan"])
+    def test_observation_force_outside_domain_exits_2(
+            self, tmp_path, capsys, observation_files, force):
+        lines = observation_files[0].read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = force
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "outside.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["posterior", "--obs", str(bad), "--grid", "20",
+                     "--out", str(tmp_path / "post")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "force" in err and "Traceback" not in err
+        assert not (tmp_path / "post").exists()
+
     def test_boundary_warning_printed_once(self, tmp_path, observation_files):
         # a subprocess, because pytest's log capture hides the logger line
         src = Path(__file__).resolve().parents[1] / "src"
@@ -337,6 +352,10 @@ class TestCliSweep:
          "{snr2: [5.0]}", [], "fields"),
         ({"truth: [1.2, 0.7]": "truth: [-1.0, 0.7]"}, "{snr2: [5.0]}",
          [], "truth"),
+        ({"model: toy-full": "model: electromech",
+          "truth: [1.2, 0.7]": "truth: [1.2, 0.3]"},
+         "{side_length: [0.0, 0.01]}", [], "sweep.side_length"),
+        ({}, "{coupling: [0.5, 2.5]}", [], "sweep.coupling"),
     ])
     def test_malformed_sweep_exits_2(self, tmp_path, capsys, edit, sweep,
                                      flags, key):
@@ -349,6 +368,20 @@ class TestCliSweep:
                      "--out", str(tmp_path / "out"), *flags]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    def test_constant_axes_checked_together(self, tmp_path, capsys):
+        # 3.5 * 0.25 (the config's coupling21) would be out of range, but
+        # the sweep pairs 3.5 only with 0.1 and 0.2
+        config = tmp_path / "config.yaml"
+        config.write_text(TOY_CONFIG + "sweep: {coupling12: [3.5], "
+                                       "coupling21: [0.1, 0.2]}\n")
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+        config.write_text(TOY_CONFIG + "sweep: {coupling12: [3.5], "
+                                       "coupling21: [0.1, 0.3]}\n")
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert "sweep.coupling12/coupling21" in capsys.readouterr().err
 
     def test_single_axis_sweep_keeps_field_plans(self, tmp_path):
         config = tmp_path / "config.yaml"

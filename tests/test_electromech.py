@@ -8,6 +8,7 @@ from mfbia.electromech import (
     AdmissibilityError,
     DEFAULT_SIDE_LENGTH,
     ElectromechParams,
+    _cardano_displacement,
     coupled_system,
     cross_section_radicand,
     current_batch,
@@ -205,6 +206,114 @@ class TestSweep:
         _, current = batch_state(params, np.array([0.0, 0.4]))
         assert current[0] == 0.1
         assert np.isnan(current[1])
+
+
+def mech_load(youngs, poisson, force) -> np.ndarray:
+    """The load term, formed exactly as ``displacement_batch`` forms it."""
+    youngs, poisson, force = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (youngs, poisson, force)))
+    return np.asarray(2.0 * force * L0 / youngs * (1.0 - poisson**2))
+
+
+def cardano_s(youngs, poisson, force):
+    """The branch parameter s = (3*sqrt(3)/2) * load / l0^3."""
+    return 1.5 * np.sqrt(3.0) * mech_load(youngs, poisson, force) / L0**3
+
+
+def closed_form(youngs, poisson, force) -> np.ndarray:
+    """The closed-form root alone, checked to be the batch path's result:
+    Newton takes no step."""
+    d = _cardano_displacement(mech_load(youngs, poisson, force), L0)
+    assert np.array_equal(displacement_batch(youngs, poisson, force), d)
+    return d
+
+
+def branch_switch_force(params: ElectromechParams) -> float:
+    """The force at which s = 1, to rounding."""
+    return (params.side_length**2 * params.youngs_modulus
+            / (3 * np.sqrt(3.0) * (1 - params.poisson_ratio**2)))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("scale", [0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0])
+    def test_matches_references_on_both_branches(self, truth_params, scale):
+        force = scale * branch_switch_force(truth_params)
+        d = closed_form(11e3, 0.35, force)
+        np.testing.assert_allclose(
+            d, monolithic_state(truth_params, force)[0], rtol=1e-13)
+        np.testing.assert_allclose(
+            d, bisect_mech_root(truth_params, force), rtol=1e-14)
+
+    def test_branch_switch_ulps(self, truth_params):
+        # forces a few ulps either side of s = 1 take both branches
+        force = branch_switch_force(truth_params)
+        forces = [force]
+        for _ in range(4):
+            forces = ([np.nextafter(forces[0], 0.0)] + forces
+                      + [np.nextafter(forces[-1], 1.0)])
+        s = cardano_s(11e3, 0.35, forces)
+        assert s.min() < 1.0 < s.max()
+        d = closed_form(11e3, 0.35, forces)
+        for k, f in enumerate(forces):
+            np.testing.assert_allclose(
+                d[k], monolithic_state(truth_params, f)[0], rtol=1e-13)
+            np.testing.assert_allclose(
+                d[k], bisect_mech_root(truth_params, f), rtol=1e-14)
+        assert np.all(np.diff(d) >= 0)
+
+    @pytest.mark.parametrize("poisson", [0.0, 0.2, 0.49])
+    def test_wide_parameter_range(self, poisson):
+        youngs = np.geomspace(1e-3, 1e12, 16)[:, None]
+        forces = np.concatenate([[0.0], np.geomspace(1e-6, 100.0, 12)])
+        s = cardano_s(youngs, poisson, forces)
+        assert s.min() < 1.0 < s.max()
+        d = closed_form(youngs, poisson, forces)
+        assert np.all(d[:, 0] == 0.0)       # zero force: exactly 0.0
+        for i, e in enumerate(youngs[:, 0]):
+            params = ElectromechParams(youngs_modulus=e, poisson_ratio=poisson)
+            for k, f in enumerate(forces[1:], start=1):
+                # d^3 <= load and 2*l0^2*d <= load bracket the root
+                load = mech_load(e, poisson, f)
+                hi = max(L0, min(np.cbrt(load), load / (2 * L0**2)))
+                np.testing.assert_allclose(
+                    d[i, k], bisect_mech_root(params, f, hi=hi), rtol=1e-13)
+
+    def test_scalar_input_gives_scalar(self, truth_params):
+        # 0.1 N takes the trigonometric branch, 0.4 N the hyperbolic one
+        assert cardano_s(11e3, 0.35, 0.1) < 1.0 < cardano_s(11e3, 0.35, 0.4)
+        for force in (0.1, 0.4):
+            d = displacement_batch(11e3, 0.35, force)
+            assert isinstance(d, np.float64)
+            assert d == displacement_batch([11e3], [0.35], [force])[0]
+            np.testing.assert_allclose(
+                d, bisect_mech_root(truth_params, force), rtol=1e-14)
+
+    @pytest.mark.parametrize("youngs,poisson,force", [
+        (11e3, 0.35, np.nan), (11e3, 0.35, np.inf), (11e3, 0.35, -np.inf),
+        (np.nan, 0.35, 0.4), (11e3, np.nan, 0.4), (0.0, 0.35, 0.4),
+    ])
+    def test_nonfinite_input_gives_nan(self, youngs, poisson, force):
+        with np.errstate(divide="ignore"):
+            assert np.isnan(displacement_batch(youngs, poisson, force))
+            d = displacement_batch(youngs, poisson, [force, force])
+        assert np.all(np.isnan(d))
+
+    def test_batch_equals_per_row_calls(self):
+        # bitwise: results do not depend on the shape of the batch
+        rng = np.random.default_rng(5)
+        youngs = np.concatenate([np.geomspace(1e-3, 1e12, 12),
+                                 rng.uniform(6e3, 16e3, size=20)])
+        poisson = np.linspace(0.0, 0.49, 7)
+        forces = np.concatenate([[0.0], rng.uniform(0.0, 0.4, size=37),
+                                 np.geomspace(1e-6, 100.0, 9)])
+        batch = displacement_batch(youngs[:, None, None],
+                                   poisson[None, :, None], forces)
+        rows = np.stack([displacement_batch(e, poisson[:, None], forces)
+                         for e in youngs])
+        assert np.array_equal(batch, rows)
+        single = [displacement_batch(youngs[3], poisson[2], f)
+                  for f in forces]
+        assert np.array_equal(batch[3, 2], single)
 
 
 class TestBatchPaths:

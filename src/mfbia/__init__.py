@@ -43,6 +43,7 @@ from .probabilistic import (  # noqa: F401
     FieldObservations,
     TruncatedNormalPrior,
     log_likelihood,
+    misfit_moments,
     sigma_from_snr,
     sobol_standard_normal,
     synthesize_observations,

@@ -258,19 +258,22 @@ def riig(ig_single: float, ig_multi: float) -> float:
     return (ig_multi - ig_single) / ig_single
 
 
-def _format(value: float) -> str:
-    return repr(float(value))
-
-
 def posterior_to_csv(grid: PosteriorGrid, path) -> None:
-    """Long-format dump: one row per node with coordinates and densities."""
+    """Long-format dump: one row per node with coordinates and densities.
+
+    Nodes run in C order, the last axis fastest.  The file is built column
+    by column: each axis value is formatted once and repeated, so the cost
+    is one ``repr`` per node for each of the two value columns.
+    """
+    index = np.indices(grid.shape).reshape(len(grid.shape), -1)
+    columns = [np.array(list(map(repr, axis.tolist())), dtype=object)[i]
+               for axis, i in zip(grid.axes, index)]
+    columns += [map(repr, values.ravel().tolist())
+                for values in (grid.log_unnormalized, grid.density)]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(grid.axis_names) + ["log_unnormalized", "density"])
-        for index in np.ndindex(grid.shape):
-            coords = [_format(grid.axes[k][i]) for k, i in enumerate(index)]
-            writer.writerow(coords + [_format(grid.log_unnormalized[index]),
-                                      _format(grid.density[index])])
+        csv.writer(handle, lineterminator="\n").writerow(
+            list(grid.axis_names) + ["log_unnormalized", "density"])
+        handle.writelines(f"{','.join(row)}\n" for row in zip(*columns))
 
 
 def posterior_to_json(grid: PosteriorGrid, path, *, information_gain=None,

@@ -47,11 +47,13 @@ class ElectromechModel:
             resistivity=self.resistivity)
 
     def check_coords(self, coords) -> None:
-        """Raise DomainError if a force in ``coords`` is compressive or NaN."""
+        """Raise DomainError if a force in ``coords`` is compressive or
+        not finite."""
         coords = np.asarray(coords, dtype=float)
-        bad = coords[~(coords >= 0)]
+        bad = coords[~((coords >= 0) & np.isfinite(coords))]
         if bad.size:
-            raise electromech.DomainError("force", "must be >= 0", bad[0])
+            raise electromech.DomainError("force", "must be >= 0 and finite",
+                                          bad[0])
 
     def outputs(self, x, field_id: int, coords) -> np.ndarray:
         """Field outputs at each coordinate, batched over parameter vectors.

@@ -5,6 +5,10 @@ Observation noise is parameterized by a per-field signal-to-noise ratio
 per-component noise variance.  Noise deviates come from a one-dimensional
 Sobol' sequence pushed through the inverse normal CDF, so synthesis is
 fully deterministic: there is no random seed anywhere in the pipeline.
+
+Every misfit reduction on a node batch goes through :func:`misfit_moments`,
+which evaluates the nodes in row blocks and keeps Gaussian sufficient
+statistics, so data synthesized at any SNR reuse one pass over the nodes.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -236,34 +240,108 @@ def synthesize_observations(model, x_true, field_id: int, coordinates,
                              values=values, noise_variance=variance, snr=snr)
 
 
+#: Node x coordinate elements that :func:`misfit_moments` evaluates per row
+#: block: large enough to amortize a forward call, small enough that no
+#: whole node x coordinate array is ever held.
+MISFIT_BLOCK_ELEMENTS = 2 ** 17
+
+
+@dataclass(frozen=True)
+class MisfitMoments:
+    """Gaussian sufficient statistics of one field's misfit on a node batch.
+
+    For data ``y = centre + sigma*z``, the squared misfit of node n is
+    ``sum_i ||M_i(x_n) - y_i||^2 = a[n] - 2*sigma*b[n] + sigma^2*zz`` with
+    ``a = sum ||M - centre||^2``, ``b = sum (M - centre).z`` and
+    ``zz = z.z``.  ``noise_variance`` is sigma^2; :func:`log_likelihood`
+    needs it, and :meth:`with_noise` sets it.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    zz: float
+    noise_variance: float | None = None
+
+    def with_noise(self, noise_variance: float) -> MisfitMoments:
+        return replace(self, noise_variance=noise_variance)
+
+    def sum_sq(self) -> np.ndarray:
+        """Squared misfit per node at ``noise_variance``."""
+        if self.noise_variance is None:
+            raise ValueError("moments carry no noise variance; "
+                             "set one with with_noise")
+        sigma = math.sqrt(self.noise_variance)
+        return self.a - 2.0 * sigma * self.b + self.noise_variance * self.zz
+
+
+def misfit_moments(model, x, field_id: int, coords, centre,
+                   deviates=None) -> MisfitMoments:
+    """Misfit moments of ``model`` about ``centre`` on the nodes ``x``.
+
+    ``x`` has shape (..., n_params); ``centre`` and ``deviates`` have the
+    shape of one node's outputs at ``coords``.  Without ``deviates``,
+    ``b`` and ``zz`` are zero and ``a`` is the squared misfit to
+    ``centre``.  The nodes are evaluated in row blocks of about
+    :data:`MISFIT_BLOCK_ELEMENTS` outputs; each node's sums are taken
+    along its own row, so they do not depend on the block size.  A node
+    with a non-finite output or sum gets ``a = inf`` and ``b = 0``; a
+    model that raises gives that at every node.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(-1, x.shape[-1])
+    centre = np.asarray(centre, dtype=float).reshape(-1)
+    z = None if deviates is None else \
+        np.asarray(deviates, dtype=float).reshape(-1)
+    a = np.empty(rows.shape[0])
+    b = np.zeros(rows.shape[0])
+    step = max(1, MISFIT_BLOCK_ELEMENTS // max(1, centre.size))
+    try:
+        for start in range(0, rows.shape[0], step):
+            block = slice(start, start + step)
+            outputs = np.asarray(model.outputs(rows[block], field_id, coords),
+                                 dtype=float)
+            residual = outputs.reshape(outputs.shape[0], -1) - centre
+            if z is not None:
+                b[block] = (residual * z).sum(axis=-1)
+            np.square(residual, out=residual)
+            a[block] = residual.sum(axis=-1)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        logger.warning("model evaluation failed for field %d: %s",
+                       field_id, exc)
+        a[:] = np.inf
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    a[bad] = np.inf
+    b[bad] = 0.0
+    # numpy's pairwise sum, not a BLAS dot, so that zz is the same on every
+    # worker whatever the alignment of z
+    zz = 0.0 if z is None else float((z * z).sum())
+    return MisfitMoments(a=a.reshape(x.shape[:-1]), b=b.reshape(x.shape[:-1]),
+                         zz=zz)
+
+
 def log_likelihood(model, x, observations) -> np.ndarray | float:
     """Gaussian log-likelihood of all fields, up to an additive constant.
 
     sum_j -1/(2*sigma_j^2) * sum_i ||M_j(x, c_ij) - y_ij||^2
 
-    ``x`` may carry leading batch axes.  Failed model evaluations make the
-    affected entries -inf instead of raising, so a pathological grid node
-    cannot abort a scan; the count of such nodes is logged.
+    Each entry of ``observations`` is a :class:`FieldObservations`, reduced
+    by :func:`misfit_moments` about its values, or :class:`MisfitMoments`
+    already computed on ``x`` and carrying their noise variance.  ``x`` may
+    carry leading batch axes.  Failed model evaluations make the affected
+    entries -inf instead of raising, so a pathological grid node cannot
+    abort a scan; the count of such nodes is logged.
     """
     x = np.asarray(x, dtype=float)
     scalar_input = x.ndim == 1
     batch_shape = x.shape[:-1]
     total = np.zeros(batch_shape)
     for obs in observations:
-        if len(obs) == 0:
-            continue
-        try:
-            outputs = np.asarray(
-                model.outputs(x, obs.field_id, obs.coordinates), dtype=float)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            logger.warning("model evaluation failed for field %d: %s",
-                           obs.field_id, exc)
-            total = np.full(batch_shape, -np.inf)
-            continue
-        residual_sq = np.where(np.isfinite(outputs),
-                               (outputs - obs.values) ** 2, np.inf)
-        axes = tuple(range(len(batch_shape), residual_sq.ndim))
-        sum_sq = residual_sq.sum(axis=axes)
+        if isinstance(obs, FieldObservations):
+            if len(obs) == 0:
+                continue
+            obs = misfit_moments(model, x, obs.field_id, obs.coordinates,
+                                 obs.values).with_noise(obs.noise_variance)
+        sum_sq = obs.sum_sq()
         total = total - 0.5 / obs.noise_variance * sum_sq
     n_failed = int(np.count_nonzero(~np.isfinite(np.atleast_1d(total))))
     if n_failed:

@@ -9,10 +9,12 @@ constants, the first axis varying slowest.
 
 Cells are pure functions of the sweep specification.  They run in tasks:
 runs of consecutive cells that share ``n_obs1``, ``snr1`` and ``n_obs2``, in
-which the field-1 analysis and the forward outputs on the posterior grid are
-computed once and reused.  Tasks can run on any number of workers without
-changing a single bit of the output; failures are recorded per cell and
-never abort the sweep.
+which the field-1 analysis and each field's misfit moments on the posterior
+grid (see :func:`~mfbia.probabilistic.misfit_moments`) are computed once per
+model-constant combination; an SNR value then costs one pass over the
+nodes.  Tasks can run on any number of workers without changing a single
+bit of the output; failures are recorded per cell and never abort the
+sweep.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .models import build_model
 from .probabilistic import (
     TruncatedNormalPrior,
     log_likelihood,
+    misfit_moments,
+    sobol_standard_normal,
     synthesize_observations,
 )
 
@@ -157,80 +161,78 @@ def sweep_tasks(spec: SweepSpec, workers: int = 1) -> list[list[tuple]]:
     return split
 
 
-class _GridOutputs:
-    """Stands in for a model in :func:`log_likelihood` on the node grid.
-
-    ``memo`` holds at most one entry: the outputs of one (constants, field,
-    coordinates) key.  It is dropped before the outputs of another key are
-    computed, so a task never holds more than one grid-sized output array.
-    """
-
-    def __init__(self, model, constants: tuple, memo: dict):
-        self.model = model
-        self.constants = constants
-        self.memo = memo
-
-    def outputs(self, x, field_id: int, coords) -> np.ndarray:
-        key = (self.constants, field_id,
-               np.asarray(coords, dtype=float).tobytes())
-        if key not in self.memo:
-            self.memo.clear()
-            self.memo[key] = self.model.outputs(x, field_id, coords)
-        return self.memo[key]
-
-
 class _TaskEvaluator:
     """Evaluates the tasks of one sweep in one process.
 
-    Within a task, the field-1 analysis (likelihood grid and single-field
-    gain) is computed once per model-constant combination, and the forward
-    outputs on the node grid once per run of cells with the same constants,
-    field and coordinates.  Both memos are cleared at the start of each
-    task, so the work a task does depends only on its cells, never on which
-    worker ran it.
+    A task's cells run grouped by their model constants, in a stable sort,
+    and their results come back in cell order.  Per group, the field-1
+    analysis (its misfit moments and single-field gain) and the field-2
+    misfit moments on the node grid are computed once: all cells of a
+    group share the constants and the observation counts, so each cell
+    only composes the moments at its own noise variances.  Only one group
+    is held at a time, and the work a task does depends only on its
+    cells, never on which worker ran it.
     """
 
     def __init__(self, spec: SweepSpec):
         self.spec = spec
         self.grid = cdf_spaced_grid(spec.prior, spec.grid_shape)
         self.nodes = np.stack(np.meshgrid(*self.grid, indexing="ij"), axis=-1)
+        self.n_field_axes = sum(1 for name in spec.axes if name in FIELD_AXES)
 
     def __call__(self, cells: list[tuple]) -> list[SweepResult]:
-        field1 = {}         # constants -> (log-likelihood grid, ig_single)
-        outputs = {}        # the one forward-output entry of _GridOutputs
-        return [self._cell(values, field1, outputs) for values in cells]
+        def constants(index):
+            return cells[index][self.n_field_axes:]
 
-    def _log_likelihood(self, model, plan: FieldSpec, k: int, point,
-                        grid_outputs: _GridOutputs):
+        results = [None] * len(cells)
+        order = sorted(range(len(cells)), key=constants)
+        for _, group in itertools.groupby(order, key=constants):
+            memo = {}   # plan index k -> moments; "field1" -> (moments, gain)
+            for index in group:
+                results[index] = self._cell(cells[index], memo)
+        return results
+
+    def _moments(self, model, plan: FieldSpec, k: int, point, memo: dict):
+        """Field ``k``'s misfit moments on the grid at the cell's noise.
+
+        The observations are synthesized for their checks and noise
+        variance; the moments are taken about the truth outputs with the
+        deviates synthesis adds, once per group.
+        """
         plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
                        snr=point.get(f"snr{k}", plan.snr))
-        obs = synthesize_observations(model, np.array(self.spec.truth),
-                                      plan.field_id, plan.coordinates(),
+        truth = np.array(self.spec.truth)
+        coords = plan.coordinates()
+        obs = synthesize_observations(model, truth, plan.field_id, coords,
                                       plan.snr)
-        return log_likelihood(grid_outputs, self.nodes, [obs])
+        if k not in memo:
+            centre = model.outputs(truth, plan.field_id, coords)
+            memo[k] = misfit_moments(model, self.nodes, plan.field_id, coords,
+                                     centre, sobol_standard_normal(centre.size))
+        return memo[k].with_noise(obs.noise_variance)
 
-    def _cell(self, values: tuple, field1: dict, outputs: dict) -> SweepResult:
+    def _posterior(self, model, moments: list):
+        return evaluate_posterior(
+            self.spec.prior,
+            lambda nodes: log_likelihood(model, nodes, moments), self.grid)
+
+    def _cell(self, values: tuple, memo: dict) -> SweepResult:
         spec = self.spec
         point = dict(zip(spec.axes, values))
         try:
             varied = {name: value for name, value in point.items()
                       if name not in FIELD_AXES}
-            constants = tuple(varied.values())
             model = build_model(spec.model_name,
                                 {**spec.model_constants, **varied})
-            grid_outputs = _GridOutputs(model, constants, outputs)
-            if constants not in field1:
-                ll1 = self._log_likelihood(model, spec.first_field, 1, point,
-                                           grid_outputs)
-                posterior1 = evaluate_posterior(spec.prior, lambda _: ll1,
-                                                self.grid)
-                field1[constants] = (ll1,
-                                     information_gain(posterior1, spec.prior))
-            ll1, ig_single = field1[constants]
-            ll2 = self._log_likelihood(model, spec.second_field, 2, point,
-                                       grid_outputs)
-            posterior = evaluate_posterior(spec.prior, lambda _: ll1 + ll2,
-                                           self.grid)
+            if "field1" not in memo:
+                moments1 = self._moments(model, spec.first_field, 1, point,
+                                         memo)
+                posterior1 = self._posterior(model, [moments1])
+                memo["field1"] = (moments1,
+                                  information_gain(posterior1, spec.prior))
+            moments1, ig_single = memo["field1"]
+            moments2 = self._moments(model, spec.second_field, 2, point, memo)
+            posterior = self._posterior(model, [moments1, moments2])
             ig_multi = information_gain(posterior, spec.prior)
             return SweepResult(point=point, ig_single=ig_single,
                                ig_multi=ig_multi,

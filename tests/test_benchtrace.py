@@ -7,10 +7,12 @@ benchmark runs.
 
 The forward-model call count is pinned too.  The benchmark refuses a trace
 whose counts differ between runs, so the count must follow from the tasks
-alone, never from which worker ran which task.  Each task makes two calls
-for its field-1 analysis per model-constant combination, one per cell to
-synthesize field 2, and one field-2 likelihood call per run of cells with
-the same constants.
+alone, never from which worker ran which task.  Per model-constant
+combination, a task makes three calls for its field-1 analysis (synthesis,
+the truth outputs its misfit moments are centred on, and one row block of
+grid nodes) and two for the field-2 moments (the truth outputs and one row
+block); each cell makes one more to synthesize field 2.  A 20x20 grid at a
+few coordinates fits in one row block of ``MISFIT_BLOCK_ELEMENTS``.
 """
 
 import json
@@ -36,15 +38,18 @@ TOY_CONFIG = (
 
 
 @pytest.mark.parametrize("sweep,workers,cells,outputs", [
-    # 2 tasks of 2 cells: 2 x (2 + 2 + 1)
-    ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4, 10),
-    # 2 tasks of 3 cells, each cell with its own coupling: 2 x 3 x (2 + 1 + 1)
+    # 2 tasks of 2 cells: 2 x (3 + 2 + 2)
+    ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4, 14),
+    # 2 tasks of 3 cells, each cell with its own coupling: 2 x 3 x (3 + 2 + 1)
     ("{snr1: [5.0, 50.0], snr2: [10.0], coupling: [0.1, 0.4, 0.7]}", "2", 6,
-     24),
-    # 2 tasks of 3 cells that share one field-2 output array: 2 x (2 + 3 + 1)
-    ("{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}", "2", 6, 12),
-    # 1 task split into pieces of 1 and 2 cells: (2 + 1 + 1) + (2 + 2 + 1)
-    ("{snr2: [5.0, 50.0, 500.0]}", "2", 3, 9),
+     36),
+    # 2 tasks of 3 cells that share one field-2 moments pass: 2 x (3 + 2 + 3)
+    ("{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}", "2", 6, 16),
+    # 1 task split into pieces of 1 and 2 cells: (3 + 2 + 1) + (3 + 2 + 2)
+    ("{snr2: [5.0, 50.0, 500.0]}", "2", 3, 13),
+    # 1 task whose cells run grouped by coupling, the innermost axis, so
+    # each group makes one field-2 moments pass: 2 x (3 + 2 + 2)
+    ("{snr2: [5.0, 50.0], coupling: [0.1, 0.4]}", "1", 4, 14),
 ])
 def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells,
                                             outputs):

@@ -241,7 +241,7 @@ class TestCliPosterior:
         assert main(["posterior", "--obs", str(observation_files[0]),
                      "--fields", "1,2", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("force", ["-0.3", "nan"])
+    @pytest.mark.parametrize("force", ["-0.3", "nan", "inf"])
     def test_observation_force_outside_domain_exits_2(
             self, tmp_path, capsys, observation_files, force):
         lines = observation_files[0].read_text().splitlines()

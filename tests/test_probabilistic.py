@@ -12,11 +12,13 @@ from scipy.stats import qmc
 
 from mfbia.models import build_model
 from mfbia.probabilistic import (
+    MISFIT_BLOCK_ELEMENTS,
     DegenerateSignalError,
     FieldObservations,
     ModelEvaluationError,
     TruncatedNormalPrior,
     log_likelihood,
+    misfit_moments,
     observations_from_csv,
     observations_to_csv,
     sigma_from_snr,
@@ -217,6 +219,126 @@ class TestLogLikelihood:
         obs = FieldObservations(field_id=1, coordinates=np.array([0.1]),
                                 values=np.array([1.0]), noise_variance=1.0)
         assert log_likelihood(Raising(), self.truth, [obs]) == -np.inf
+
+
+class TestMisfitMoments:
+    """The moments ``a - 2*sigma*b + sigma^2*zz`` against the direct sum."""
+
+    def setup_method(self):
+        self.model = build_model("electromech")
+        self.truth = np.array([11e3, 0.35])
+        # nu up to 0.4999 at E = 1e2 Pa drives the current inadmissible at
+        # the larger forces, so part of the grid is dead (-inf)
+        self.nodes = np.stack(np.meshgrid(np.geomspace(1e2, 3e4, 30),
+                                          np.linspace(0.0, 0.4999, 20),
+                                          indexing="ij"), axis=-1)
+
+    def moments(self, field_id, coords, nodes=None):
+        centre = self.model.outputs(self.truth, field_id, coords)
+        return misfit_moments(self.model,
+                              self.nodes if nodes is None else nodes,
+                              field_id, coords, centre,
+                              sobol_standard_normal(centre.size))
+
+    @pytest.mark.parametrize("field_id", [1, 2])
+    def test_matches_log_likelihood_of_synthesized_data(self, field_id):
+        coords = np.linspace(0.0, 0.4, 12)
+        moments = self.moments(field_id, coords)
+        dead_seen = False
+        for snr in (0.5, 10.0, 80.0, 1.2e4, 1e8):
+            obs = synthesize_observations(self.model, self.truth, field_id,
+                                          coords, snr)
+            direct = log_likelihood(self.model, self.nodes, [obs])
+            composed = log_likelihood(
+                self.model, self.nodes,
+                [moments.with_noise(obs.noise_variance)])
+            finite = np.isfinite(direct)
+            np.testing.assert_array_equal(np.isfinite(composed), finite)
+            assert not np.isnan(composed).any()
+            np.testing.assert_allclose(composed[finite], direct[finite],
+                                       rtol=1e-12, atol=0.0)
+            dead_seen |= not finite.all()
+        assert dead_seen == (field_id == 2)
+
+    def test_file_observations_have_no_deviate_terms(self):
+        coords = np.linspace(0.0, 0.4, 5)
+        obs = synthesize_observations(self.model, self.truth, 1, coords, 50.0)
+        moments = misfit_moments(self.model, self.nodes, 1, coords, obs.values)
+        assert moments.zz == 0.0 and not moments.b.any()
+        sum_sq = moments.with_noise(obs.noise_variance).sum_sq()
+        np.testing.assert_array_equal(sum_sq, moments.a)
+
+    def test_moments_need_a_noise_variance(self):
+        moments = self.moments(1, np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="noise variance"):
+            log_likelihood(self.model, self.nodes, [moments])
+
+    def test_non_finite_outputs_give_minus_infinity_never_nan(self):
+        class Broken:
+            """Outputs 1.0, with NaN at node 1 and +-inf at nodes 2 and 3."""
+
+            def outputs(self, x, field_id, coords):
+                x = np.asarray(x, dtype=float)
+                out = np.ones(x.shape[:-1] + (len(coords),))
+                out[..., 0] = np.where(x[..., 0] == 1, np.nan, out[..., 0])
+                out[..., 1] = np.where(x[..., 0] == 2, np.inf, out[..., 1])
+                out[..., 2] = np.where(x[..., 0] == 3, -np.inf, out[..., 2])
+                return out
+
+        nodes = np.array([[0.0], [1.0], [2.0], [3.0]])
+        coords = np.array([0.1, 0.2, 0.3])
+        moments = misfit_moments(Broken(), nodes, 1, coords,
+                                 np.zeros(3), np.array([0.5, -1.0, 2.0]))
+        np.testing.assert_array_equal(moments.a, [3.0, np.inf, np.inf, np.inf])
+        np.testing.assert_array_equal(moments.b, [1.5, 0.0, 0.0, 0.0])
+        for noise in (1e-6, 1.0, 1e6):
+            value = log_likelihood(Broken(), nodes,
+                                   [moments.with_noise(noise)])
+            assert np.isfinite(value[0])
+            np.testing.assert_array_equal(value[1:], -np.inf)
+        obs = FieldObservations(field_id=1, coordinates=coords,
+                                values=np.zeros(3), noise_variance=1.0)
+        np.testing.assert_array_equal(
+            log_likelihood(Broken(), nodes, [obs]),
+            [-1.5, -np.inf, -np.inf, -np.inf])
+
+    def test_blocks_match_row_by_row_evaluation(self):
+        class Counting:
+            """The electromech model, recording each call's output count."""
+
+            def __init__(self, model):
+                self.model, self.sizes = model, []
+
+            def outputs(self, x, field_id, coords):
+                out = self.model.outputs(x, field_id, coords)
+                self.sizes.append(out.size)
+                return out
+
+        coords = np.linspace(0.0, 0.4, 256)
+        nodes = np.stack(np.meshgrid(np.geomspace(1e2, 3e4, 40),
+                                     np.linspace(0.0, 0.4999, 40),
+                                     indexing="ij"), axis=-1)
+        assert nodes[..., 0].size * coords.size > 3 * MISFIT_BLOCK_ELEMENTS
+        counting = Counting(self.model)
+        for field_id in (1, 2):
+            counting.sizes.clear()
+            centre = self.model.outputs(self.truth, field_id, coords)
+            deviates = sobol_standard_normal(centre.size)
+            blocked = misfit_moments(counting, nodes, field_id, coords,
+                                     centre, deviates)
+            assert len(counting.sizes) > 3
+            assert max(counting.sizes) <= MISFIT_BLOCK_ELEMENTS
+            for index in np.ndindex(nodes.shape[:-1]):
+                one = misfit_moments(self.model, nodes[index], field_id,
+                                     coords, centre, deviates)
+                assert blocked.a[index] == one.a
+                assert blocked.b[index] == one.b
+            obs = synthesize_observations(self.model, self.truth, field_id,
+                                          coords, 80.0)
+            grid = log_likelihood(self.model, nodes, [obs])
+            rows = [log_likelihood(self.model, nodes[index], [obs])
+                    for index in np.ndindex(nodes.shape[:-1])]
+            np.testing.assert_array_equal(grid.ravel(), rows)
 
 
 class TestPrior:

@@ -11,6 +11,8 @@ from mfbia.models import build_model
 from mfbia.probabilistic import (
     TruncatedNormalPrior,
     log_likelihood,
+    misfit_moments,
+    sobol_standard_normal,
     synthesize_observations,
 )
 from mfbia.sweep import (
@@ -49,13 +51,28 @@ def toy_sweep_spec(n_obs2_axis=(2, 4, 8), snr2_axis=(5.0, 50.0, 500.0),
 
 
 def manual_gains(spec: SweepSpec, model, obs1, obs2):
-    """Single- and two-field gains composed by hand, and the two-field
-    posterior."""
+    """Single- and two-field gains composed by hand from the public misfit
+    moments, and the two-field posterior.
+
+    Each field's moments are taken about its truth outputs with the
+    deviates synthesis adds, at the noise variance of ``obs1`` and
+    ``obs2``, as the sweep composes them.
+    """
     axes = cdf_spaced_grid(spec.prior, spec.grid_shape)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    truth = np.array(spec.truth)
+
+    def moments(obs):
+        centre = model.outputs(truth, obs.field_id, obs.coordinates)
+        return misfit_moments(
+            model, nodes, obs.field_id, obs.coordinates, centre,
+            sobol_standard_normal(centre.size)).with_noise(obs.noise_variance)
+
+    m1, m2 = moments(obs1), moments(obs2)
     post1 = evaluate_posterior(
-        spec.prior, lambda n: log_likelihood(model, n, [obs1]), axes)
+        spec.prior, lambda n: log_likelihood(model, n, [m1]), axes)
     postm = evaluate_posterior(
-        spec.prior, lambda n: log_likelihood(model, n, [obs1, obs2]), axes)
+        spec.prior, lambda n: log_likelihood(model, n, [m1, m2]), axes)
     return (information_gain(post1, spec.prior),
             information_gain(postm, spec.prior), postm)
 
@@ -103,7 +120,7 @@ class TestRiigSweep:
         assert cell.riig == (cell.ig_multi - cell.ig_single) / cell.ig_single
 
         # the last cell of each task reuses the task's field-1 analysis and
-        # its field-2 forward outputs on the grid
+        # its field-2 misfit moments on the grid
         spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0, 50.0, 500.0))
         results = run_riig_sweep(spec)
         for cell in (results[2], results[5]):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -54,6 +55,10 @@ REFERENCE_RIIG = {
     "fig9_right": 1.22,
     "fig10_point3": 3.65,
 }
+
+
+#: Values of ``--log-level``; the package logger's threshold.
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 class ProvenanceError(ValueError):
@@ -368,6 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-field Bayesian inverse analysis pipeline")
     parser.add_argument("--version", action="version",
                         version=f"mfbia {__version__}")
+    parser.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="least severe log message written to stderr "
+                             "(default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synthesize",
@@ -419,6 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the package's one log handler, for this command only: a library
+    # caller's logging is left as it was found
+    package_logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
+                                           "%(message)s"))
+    previous_level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (ConfigError, ProvenanceError) as exc:
@@ -427,6 +444,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(previous_level)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 logger = logging.getLogger(__name__)
 
@@ -75,13 +75,22 @@ class TruncatedNormalPrior:
     def sd(self) -> np.ndarray:
         return np.sqrt(self.variance)
 
-    def _bounds_z(self):
+    def _bounds_cdf(self):
+        """Sign, and standard-normal CDF at sign*a and sign*b, per dimension.
+
+        ``a`` and ``b`` are the standardized bounds.  A box wholly above its
+        mean (a > 0) is mirrored (sign -1), so that both CDF values come
+        from the lower tail: there they keep their relative precision,
+        where Phi(a) would round towards 1 and their difference to 0.
+        """
         sd = self.sd
-        return (self.lower - self.mean) / sd, (self.upper - self.mean) / sd
+        a, b = (self.lower - self.mean) / sd, (self.upper - self.mean) / sd
+        sign = np.where(a > 0, -1.0, 1.0)
+        return sign, _ndtr(sign * a), _ndtr(sign * b)
 
     def _log_partition(self) -> np.ndarray:
-        a, b = self._bounds_z()
-        return np.log(ndtr(b) - ndtr(a))
+        sign, lo, hi = self._bounds_cdf()
+        return np.log(sign * (hi - lo))
 
     def log_density(self, x) -> np.ndarray:
         """Log of the normalized density; -inf outside the box.
@@ -104,9 +113,10 @@ class TruncatedNormalPrior:
         q = np.asarray(q, dtype=float)
         if np.any((q <= 0) | (q >= 1)):
             raise ValueError("quantiles must lie strictly inside (0, 1)")
-        a, b = self._bounds_z()
-        lo, hi = ndtr(a[dim]), ndtr(b[dim])
-        return self.mean[dim] + self.sd[dim] * ndtri(lo + q * (hi - lo))
+        sign, lo, hi = self._bounds_cdf()
+        lo, hi = lo[dim], hi[dim]
+        return self.mean[dim] + sign[dim] * self.sd[dim] \
+            * _ndtri(lo + q * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,33 @@ def sobol_standard_normal(n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return ndtri(_sobol_1d(n))
+    return _ndtri(_sobol_1d(n))
+
+
+def _ndtr(x) -> np.ndarray:
+    """Standard normal CDF, elementwise: 0.5*erfc(-x/sqrt(2))."""
+    x = np.asarray(x, dtype=float)
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0))
+                     for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+_inv_cdf = NormalDist().inv_cdf
+
+
+def _ndtri(p) -> np.ndarray:
+    """Standard normal quantile, elementwise (Wichura's AS241).
+
+    0 maps to -inf and 1 to +inf; NaN, or anything outside [0, 1], to NaN.
+    """
+    p = np.asarray(p, dtype=float)
+
+    def quantile(v: float) -> float:
+        if 0.0 < v < 1.0:
+            return _inv_cdf(v)
+        return -math.inf if v == 0.0 else math.inf if v == 1.0 else math.nan
+
+    return np.array([quantile(v) for v in p.ravel().tolist()],
+                    dtype=float).reshape(p.shape)
 
 
 #: (shift, mask) pairs that swap adjacent bit groups of doubling width;

@@ -40,6 +40,7 @@ from .probabilistic import (
     TruncatedNormalPrior,
     log_likelihood,
     misfit_moments,
+    sigma_from_snr,
     sobol_standard_normal,
     synthesize_observations,
 )
@@ -187,7 +188,7 @@ class _TaskEvaluator:
         results = [None] * len(cells)
         order = sorted(range(len(cells)), key=constants)
         for _, group in itertools.groupby(order, key=constants):
-            memo = {}   # plan index k -> moments; "field1" -> (moments, gain)
+            memo = {}   # k -> (centre, moments); "field1" -> (moments, gain)
             for index in group:
                 results[index] = self._cell(cells[index], memo)
         return results
@@ -195,21 +196,24 @@ class _TaskEvaluator:
     def _moments(self, model, plan: FieldSpec, k: int, point, memo: dict):
         """Field ``k``'s misfit moments on the grid at the cell's noise.
 
-        The observations are synthesized for their checks and noise
-        variance; the moments are taken about the truth outputs with the
-        deviates synthesis adds, once per group.
+        Once per group, the observations are synthesized, which checks the
+        truth outputs, and the moments are taken about those outputs with
+        the deviates synthesis adds.  Each cell then takes the noise
+        variance of its own SNR, as synthesis would.
         """
         plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
                        snr=point.get(f"snr{k}", plan.snr))
-        truth = np.array(self.spec.truth)
-        coords = plan.coordinates()
-        obs = synthesize_observations(model, truth, plan.field_id, coords,
-                                      plan.snr)
         if k not in memo:
+            truth = np.array(self.spec.truth)
+            coords = plan.coordinates()
+            synthesize_observations(model, truth, plan.field_id, coords,
+                                    plan.snr)
             centre = model.outputs(truth, plan.field_id, coords)
-            memo[k] = misfit_moments(model, self.nodes, plan.field_id, coords,
-                                     centre, sobol_standard_normal(centre.size))
-        return memo[k].with_noise(obs.noise_variance)
+            memo[k] = (centre, misfit_moments(
+                model, self.nodes, plan.field_id, coords, centre,
+                sobol_standard_normal(centre.size)))
+        centre, moments = memo[k]
+        return moments.with_noise(sigma_from_snr(centre, plan.snr))
 
     def _posterior(self, model, moments: list):
         return evaluate_posterior(

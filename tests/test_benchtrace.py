@@ -8,11 +8,11 @@ benchmark runs.
 The forward-model call count is pinned too.  The benchmark refuses a trace
 whose counts differ between runs, so the count must follow from the tasks
 alone, never from which worker ran which task.  Per model-constant
-combination, a task makes three calls for its field-1 analysis (synthesis,
-the truth outputs its misfit moments are centred on, and one row block of
-grid nodes) and two for the field-2 moments (the truth outputs and one row
-block); each cell makes one more to synthesize field 2.  A 20x20 grid at a
-few coordinates fits in one row block of ``MISFIT_BLOCK_ELEMENTS``.
+combination, a task makes three calls for each field's misfit moments:
+synthesis, which checks the truth outputs; the truth outputs the moments
+are centred on; and one row block of grid nodes.  A cell makes none of its
+own, since it only takes its noise variance from its SNR.  A 20x20 grid at
+a few coordinates fits in one row block of ``MISFIT_BLOCK_ELEMENTS``.
 """
 
 import json
@@ -38,18 +38,18 @@ TOY_CONFIG = (
 
 
 @pytest.mark.parametrize("sweep,workers,cells,outputs", [
-    # 2 tasks of 2 cells: 2 x (3 + 2 + 2)
-    ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4, 14),
-    # 2 tasks of 3 cells, each cell with its own coupling: 2 x 3 x (3 + 2 + 1)
+    # 2 tasks of 2 cells: 2 x (3 + 3)
+    ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4, 12),
+    # 2 tasks of 3 cells, each cell with its own coupling: 2 x 3 x (3 + 3)
     ("{snr1: [5.0, 50.0], snr2: [10.0], coupling: [0.1, 0.4, 0.7]}", "2", 6,
      36),
-    # 2 tasks of 3 cells that share one field-2 moments pass: 2 x (3 + 2 + 3)
-    ("{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}", "2", 6, 16),
-    # 1 task split into pieces of 1 and 2 cells: (3 + 2 + 1) + (3 + 2 + 2)
-    ("{snr2: [5.0, 50.0, 500.0]}", "2", 3, 13),
+    # 2 tasks of 3 cells that share one field-2 moments pass: 2 x (3 + 3)
+    ("{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}", "2", 6, 12),
+    # 1 task split into pieces of 1 and 2 cells: (3 + 3) + (3 + 3)
+    ("{snr2: [5.0, 50.0, 500.0]}", "2", 3, 12),
     # 1 task whose cells run grouped by coupling, the innermost axis, so
-    # each group makes one field-2 moments pass: 2 x (3 + 2 + 2)
-    ("{snr2: [5.0, 50.0], coupling: [0.1, 0.4]}", "1", 4, 14),
+    # each group makes one field-2 moments pass: 2 x (3 + 3)
+    ("{snr2: [5.0, 50.0], coupling: [0.1, 0.4]}", "1", 4, 12),
 ])
 def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells,
                                             outputs):

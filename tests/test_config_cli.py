@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +258,32 @@ class TestCliPosterior:
         assert str(bad) in err and "force" in err and "Traceback" not in err
         assert not (tmp_path / "post").exists()
 
+    @pytest.mark.parametrize("lower,lower_pa", [("22 kPa", 22e3),
+                                                ("28 kPa", 28e3)])
+    def test_prior_far_in_upper_tail_gets_a_grid(self, tmp_path, lower,
+                                                  lower_pa):
+        # 6 and 9 sd above the prior mean; at 9 sd Phi(a) rounds to 1
+        text = (CONFIG_DIR / "fig9.yaml").read_text()
+        text = text.replace("truth: [11 kPa, 0.35]", "truth: [29 kPa, 0.35]")
+        text = text.replace("lower: [0 kPa, 0.0]", f"lower: [{lower}, 0.0]")
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        obs = tmp_path / "obs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synthesize", "--config", str(config),
+                         "--out", str(obs)]) == 0
+            assert main(["posterior", "--config", str(config),
+                         "--obs", str(obs / "observations_field1.csv"),
+                         "--grid", "20", "--out", str(tmp_path / "post")]) == 0
+        sidecar = json.loads(
+            (tmp_path / "post" / "posterior_f1.json").read_text())
+        assert sidecar["information_gain"] > 0
+        axis = sidecar["axes"][0]
+        assert lower_pa < axis[0] and np.all(np.diff(axis) > 0)
+
     def test_boundary_warning_printed_once(self, tmp_path, observation_files):
-        # a subprocess, because pytest's log capture hides the logger line
+        # a subprocess, so that stderr holds exactly what a user sees
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "mfbia.cli", "posterior",
@@ -269,6 +295,44 @@ class TestCliPosterior:
         warnings = [line for line in proc.stderr.splitlines()
                     if "outermost grid shell" in line]
         assert len(warnings) == 1, proc.stderr
+
+    def test_log_level_error_suppresses_the_warning(self, tmp_path, capsys,
+                                                    observation_files):
+        assert main(["--log-level", "error", "posterior",
+                     "--obs", str(observation_files[0]), "--grid", "4",
+                     "--out", str(tmp_path / "post")]) == 0
+        assert "outermost grid shell" not in capsys.readouterr().err
+
+    def test_log_level_debug_counts_dead_nodes(self, tmp_path, capsys):
+        # a soft, nearly incompressible prior: at 0.4 N the current of
+        # nodes below about 3.5 kPa is NaN, so their likelihood is -inf
+        text = (CONFIG_DIR / "fig9.yaml").read_text()
+        for old, new in (("truth: [11 kPa, 0.35]", "truth: [5 kPa, 0.45]"),
+                         ("mean: [10 kPa, 0.3]", "mean: [4 kPa, 0.45]"),
+                         ("sd: [2 kPa, 0.15]", "sd: [1 kPa, 0.03]")):
+            text = text.replace(old, new)
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        obs = tmp_path / "obs"
+        assert main(["synthesize", "--config", str(config),
+                     "--out", str(obs)]) == 0
+        package_logger = logging.getLogger("mfbia")
+        level, handlers = package_logger.level, list(package_logger.handlers)
+        dead = "log-likelihood is -inf at 31 of 100 points"
+        for flags, shown in (([], False), (["--log-level", "debug"], True)):
+            capsys.readouterr()
+            assert main([*flags, "posterior", "--config", str(config),
+                         "--obs", str(obs / "observations_field2.csv"),
+                         "--grid", "10", "--out", str(tmp_path / "post")]) == 0
+            assert (dead in capsys.readouterr().err) == shown
+        assert package_logger.level == level
+        assert package_logger.handlers == handlers
+
+    def test_bad_log_level_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", "loud", "reproduce", "fig9"])
+        assert exc.value.code == 2
+        assert "--log-level" in capsys.readouterr().err
 
 
 class TestCliRiig:
@@ -529,3 +593,32 @@ class TestWorkersFlag:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is a test oracle only; the runtime never imports it
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "import mfbia.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(loaded())\n"
+        "code = mfbia.cli.main(['reproduce', 'fig9', '--out', sys.argv[1]])\n"
+        "print(code, loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []"), proc.stdout
+
+
+def test_scipy_is_not_a_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads(
+        (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    project = pyproject["project"]
+    assert not any(dep.startswith("scipy") for dep in project["dependencies"])
+    assert any(dep.startswith("scipy")
+               for dep in project["optional-dependencies"]["test"])

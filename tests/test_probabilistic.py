@@ -1,5 +1,6 @@
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from mfbia.models import build_model
 from mfbia.probabilistic import (
+    _ndtr,
+    _ndtri,
+    _sobol_1d,
     MISFIT_BLOCK_ELEMENTS,
     DegenerateSignalError,
     FieldObservations,
@@ -62,6 +66,44 @@ class TestSigmaFromSnr:
         assert back == pytest.approx(snr, rel=1e-12)
 
 
+def assert_standard_normal_quantiles(deviates, points):
+    """The deviates are the stdlib normal quantiles of the points bit for
+    bit, and within 8 ulp of scipy's ndtri."""
+    inv_cdf = NormalDist().inv_cdf
+    np.testing.assert_array_equal(deviates, [inv_cdf(p) for p in points])
+    reference = ndtri(points)
+    ulps = np.abs(deviates - reference) / np.spacing(np.abs(reference))
+    assert ulps.max() <= 8
+
+
+class TestNormalFunctions:
+    @pytest.mark.parametrize("p", [1e-300, 1e-100, 1e-16, 0.5 - 1e-12,
+                                   0.75, 1 - 1e-16])
+    def test_quantile_tails_match_scipy(self, p):
+        reference = ndtri(p)
+        assert abs(_ndtri(p) - reference) <= 8 * np.spacing(abs(reference))
+
+    def test_quantile_edges_follow_scipy(self):
+        p = np.array([0.0, 1.0, np.nan, -1e-300, -0.5, 1.0 + 1e-15, 2.0,
+                      -np.inf, np.inf])
+        got = _ndtri(p)
+        np.testing.assert_array_equal(got, ndtri(p))
+        np.testing.assert_array_equal(got[:2], [-np.inf, np.inf])
+        assert np.isnan(got[2:]).all()
+
+    def test_shapes_are_kept(self):
+        assert _ndtri(0.5).shape == () and _ndtri(0.5) == 0.0
+        assert _ndtri(np.zeros(0)).shape == (0,)
+        assert _ndtri(np.full((2, 3), 0.25)).shape == (2, 3)
+        assert _ndtr(np.zeros((3, 1))).shape == (3, 1)
+
+    def test_cdf_matches_scipy(self):
+        x = np.linspace(-30.0, 30.0, 60001)
+        np.testing.assert_allclose(_ndtr(x), ndtr(x), rtol=2e-13, atol=0)
+        np.testing.assert_array_equal(_ndtr([-np.inf, np.inf]), [0.0, 1.0])
+        assert np.isnan(_ndtr(np.nan))
+
+
 class TestSobol:
     def test_empty(self):
         assert sobol_standard_normal(0).size == 0
@@ -80,15 +122,17 @@ class TestSobol:
         engine.fast_forward(1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            reference = ndtri(engine.random(37).ravel())
-        np.testing.assert_array_equal(sobol_standard_normal(37), reference)
+            points = engine.random(37).ravel()
+        np.testing.assert_array_equal(_sobol_1d(37), points)
+        assert_standard_normal_quantiles(sobol_standard_normal(37), points)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 256, 5000, 70000])
     def test_matches_scipy_power_of_two_block(self, n):
         bits = max(1, math.ceil(math.log2(n + 1)))
         block = qmc.Sobol(d=1, scramble=False).random_base2(bits).ravel()
-        np.testing.assert_array_equal(sobol_standard_normal(n),
-                                      ndtri(block[1:n + 1]))
+        np.testing.assert_array_equal(_sobol_1d(n), block[1:n + 1])
+        assert_standard_normal_quantiles(sobol_standard_normal(n),
+                                         block[1:n + 1])
 
     def test_moments_converge(self):
         z = sobol_standard_normal(1024)
@@ -370,6 +414,28 @@ class TestPrior:
             + stats.truncnorm.logpdf(xs[:, 1], -2.0, 4.0 / 3.0,
                                      loc=0.3, scale=0.15))
         np.testing.assert_allclose(ours, reference, rtol=1e-10)
+
+    @pytest.mark.parametrize("lower,upper", [
+        (22e3, np.inf),   # 6 sd above the mean: Phi(a) = 1 - 1e-9
+        (28e3, np.inf),   # 9 sd: Phi(a) rounds to 1
+        (28e3, 40e3),
+    ])
+    def test_upper_tail_box_matches_scipy_truncnorm(self, lower, upper):
+        prior = TruncatedNormalPrior(mean=[10e3, 0.3], variance=[4e6, 0.0225],
+                                     lower=[lower, 0.0], upper=[upper, 0.5])
+        a, b = (lower - 10e3) / 2e3, (upper - 10e3) / 2e3
+        q = (np.arange(20) + 0.5) / 20
+        x = prior.marginal_ppf(0, q)
+        np.testing.assert_allclose(
+            x, stats.truncnorm.ppf(q, a, b, loc=10e3, scale=2e3),
+            rtol=0, atol=1e-12 * 2e3)
+        nodes = np.stack([x, np.full(20, 0.35)], axis=-1)
+        reference = (
+            stats.truncnorm.logpdf(x, a, b, loc=10e3, scale=2e3)
+            + stats.truncnorm.logpdf(0.35, -2.0, 4.0 / 3.0,
+                                     loc=0.3, scale=0.15))
+        np.testing.assert_allclose(prior.log_density(nodes), reference,
+                                   rtol=1e-12)
 
     def test_integrates_to_one(self, material_prior):
         # adaptive 2-D quadrature of the joint density over the truncation

@@ -47,7 +47,12 @@ from .probabilistic import (
     synthesize_observations,
     write_empty_observations_csv,
 )
-from .sweep import export_sweep_csv, run_riig_sweep, write_run_manifest
+from .sweep import (
+    export_sweep_csv,
+    field_moments,
+    run_riig_sweep,
+    write_run_manifest,
+)
 
 #: Reference values the reproduction bundles compare against.
 REFERENCE_RIIG = {
@@ -99,21 +104,15 @@ def _provenance(config: RunConfig, observations) -> dict:
     }
 
 
-def _synthesize_field(config: RunConfig, model, spec) -> FieldObservations:
-    return synthesize_observations(model, np.array(config.truth),
-                                   spec.field_id, spec.coordinates(),
-                                   spec.snr)
+def _posterior_bundle(config: RunConfig, model, axes, grid_shape, terms,
+                      observations, out_dir: Path, tag: str):
+    """Evaluate one posterior and write its CSV + JSON artifacts.
 
-
-def _posterior_bundle(config: RunConfig, observations, grid_shape,
-                      out_dir: Path, tag: str):
-    """Evaluate one posterior and write its CSV + JSON artifacts."""
-    model = build_model(config.model, config.constants)
-    axes = cdf_spaced_grid(config.prior, grid_shape)
-    selected = [o for o in observations if len(o) > 0]
+    ``terms`` are :class:`FieldObservations` or misfit moments on the nodes
+    of ``axes``; the sidecar records the provenance of ``observations``.
+    """
     grid = evaluate_posterior(
-        config.prior,
-        lambda nodes: log_likelihood(model, nodes, selected),
+        config.prior, lambda nodes: log_likelihood(model, nodes, terms),
         axes, axis_names=model.param_names)
     gain = information_gain(grid, config.prior)
     csv_path = out_dir / f"posterior_{tag}.csv"
@@ -121,10 +120,10 @@ def _posterior_bundle(config: RunConfig, observations, grid_shape,
     posterior_to_csv(grid, csv_path)
     posterior_to_json(
         grid, json_path, information_gain=gain,
-        provenance=_provenance(config, selected),
-        extra={"fields": sorted(o.field_id for o in selected),
+        provenance=_provenance(config, observations),
+        extra={"fields": sorted(o.field_id for o in observations),
                "grid_shape": list(grid_shape)})
-    return grid, gain, json_path
+    return gain, json_path
 
 
 def _load_run_json(path) -> dict:
@@ -150,7 +149,9 @@ def cmd_synthesize(args) -> int:
         if spec.count == 0:
             write_empty_observations_csv(path)
         else:
-            observations_to_csv(_synthesize_field(config, model, spec), path)
+            observations_to_csv(synthesize_observations(
+                model, np.array(config.truth), spec.field_id,
+                spec.coordinates(), spec.snr), path)
         print(path)
     return 0
 
@@ -180,8 +181,9 @@ def cmd_posterior(args) -> int:
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = "f" + ("-".join(str(f) for f in selection) if selection else "none")
-    _, gain, json_path = _posterior_bundle(config, selected, grid_shape,
-                                           out_dir, tag)
+    axes = cdf_spaced_grid(config.prior, grid_shape)
+    gain, json_path = _posterior_bundle(config, model, axes, grid_shape,
+                                        selected, selected, out_dir, tag)
     print(f"information gain: {gain!r} nats")
     print(json_path)
     return 0
@@ -264,41 +266,34 @@ def cmd_reproduce(args) -> int:
 
 
 def _reproduce_fig9(out_dir: Path) -> int:
-    config_middle = default_config()
-    config_right = high_noise_second_field_config()
-    model = build_model(config_middle.model, config_middle.constants)
+    config = default_config()
+    model = build_model(config.model, config.constants)
+    axes = cdf_spaced_grid(config.prior, config.grid_shape)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    obs1 = _synthesize_field(config_middle, model, config_middle.field_spec(1))
-    obs2_middle = _synthesize_field(config_middle, model,
-                                    config_middle.field_spec(2))
-    obs2_right = _synthesize_field(config_right, model,
-                                   config_right.field_spec(2))
-    observations_to_csv(obs1, out_dir / "observations_field1.csv")
-    observations_to_csv(obs2_middle, out_dir / "observations_field2_middle.csv")
-    observations_to_csv(obs2_right, out_dir / "observations_field2_right.csv")
+    def analysis(source: RunConfig, field_id: int, name: str):
+        obs, _, moments = field_moments(model, source.truth,
+                                        source.field_spec(field_id), nodes)
+        observations_to_csv(obs, out_dir / f"observations_{name}.csv")
+        return obs, moments.with_noise(obs.noise_variance)
 
-    shape = config_middle.grid_shape
-    _, ig_single, _ = _posterior_bundle(config_middle, [obs1], shape,
-                                        out_dir, "single")
-    _, ig_middle, _ = _posterior_bundle(config_middle, [obs1, obs2_middle],
-                                        shape, out_dir, "multi_middle")
-    _, ig_right, _ = _posterior_bundle(config_right, [obs1, obs2_right],
-                                       shape, out_dir, "multi_right")
-
-    riig_middle = riig(ig_single, ig_middle)
-    riig_right = riig(ig_single, ig_right)
-    rows = [
-        ["middle", 2, 1.2e4, repr(ig_single), repr(ig_middle),
-         repr(riig_middle), REFERENCE_RIIG["fig9_middle"]],
-        ["right", 256, 80.0, repr(ig_single), repr(ig_right),
-         repr(riig_right), REFERENCE_RIIG["fig9_right"]],
-    ]
-    _write_summary_csv(out_dir / "summary.csv", rows)
+    obs1, moments1 = analysis(config, 1, "field1")
+    ig_single, _ = _posterior_bundle(config, model, axes, config.grid_shape,
+                                     [moments1], [obs1], out_dir, "single")
     print(f"single-field information gain: {ig_single:.4f} nats")
-    print(f"middle: riig = {riig_middle:.4f} (reference "
-          f"{REFERENCE_RIIG['fig9_middle']})")
-    print(f"right:  riig = {riig_right:.4f} (reference "
-          f"{REFERENCE_RIIG['fig9_right']})")
+    rows = []
+    for case, case_config in (("middle", config),
+                              ("right", high_noise_second_field_config())):
+        obs2, moments2 = analysis(case_config, 2, f"field2_{case}")
+        ig_multi, _ = _posterior_bundle(
+            case_config, model, axes, config.grid_shape, [moments1, moments2],
+            [obs1, obs2], out_dir, f"multi_{case}")
+        value = riig(ig_single, ig_multi)
+        reference = REFERENCE_RIIG[f"fig9_{case}"]
+        rows.append([case, len(obs2), obs2.snr, repr(ig_single),
+                     repr(ig_multi), repr(value), reference])
+        print(f"{case + ':':7} riig = {value:.4f} (reference {reference})")
+    _write_summary_csv(out_dir / "summary.csv", rows)
     print(out_dir / "summary.csv")
     return 0
 

@@ -95,18 +95,22 @@ class TruncatedNormalPrior:
     def log_density(self, x) -> np.ndarray:
         """Log of the normalized density; -inf outside the box.
 
-        ``x`` has shape (..., dim); the result drops the last axis.
+        ``x`` has shape (..., dim); the result drops the last axis.  The
+        marginals are summed left to right, one dimension at a time.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has last dimension {x.shape[-1]}, "
                              f"expected {self.dim}")
-        z = (x - self.mean) / self.sd
-        per_dim = (-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-                   - np.log(self.sd) - self._log_partition())
-        inside = (x >= self.lower) & (x <= self.upper)
-        per_dim = np.where(inside, per_dim, -np.inf)
-        return per_dim.sum(axis=-1)
+        log_sd, log_partition = np.log(self.sd), self._log_partition()
+        total = 0.0
+        for k, xk in enumerate(np.moveaxis(x, -1, 0)):
+            z = (xk - self.mean[k]) / self.sd[k]
+            value = (-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+                     - log_sd[k] - log_partition[k])
+            inside = (xk >= self.lower[k]) & (xk <= self.upper[k])
+            total = total + np.where(inside, value, -np.inf)
+        return total
 
     def marginal_ppf(self, dim: int, q) -> np.ndarray:
         """Quantile function of one marginal."""

@@ -7,11 +7,12 @@ two-field gain, and reports their relative increase (RIIG).  Cells run in one
 fixed order: ``n_obs1``, ``snr1``, ``n_obs2``, ``snr2``, then the model
 constants, the first axis varying slowest.
 
-Cells are pure functions of the sweep specification.  They run in tasks:
-runs of consecutive cells that share ``n_obs1``, ``snr1`` and ``n_obs2``, in
-which the field-1 analysis and each field's misfit moments on the posterior
-grid (see :func:`~mfbia.probabilistic.misfit_moments`) are computed once per
-model-constant combination; an SNR value then costs one pass over the
+Cells are pure functions of the sweep specification.  They run in tasks: a
+task is every cell that shares all axis values but ``snr1`` and ``snr2``,
+so all its cells share the observation counts and the model constants.  A
+task computes each field's misfit moments on the posterior grid (see
+:func:`~mfbia.probabilistic.misfit_moments`) once, and the single-field
+gain once per ``snr1`` value; an SNR value then costs one pass over the
 nodes.  Tasks can run on any number of workers without changing a single
 bit of the output; failures are recorded per cell and never abort the
 sweep.
@@ -136,22 +137,23 @@ class SweepResult:
         return self.status == "ok"
 
 
-#: Axes whose values every cell of a task shares; they lead the cell order.
-TASK_AXES = ("n_obs1", "snr1", "n_obs2")
+#: Axes that set only a cell's noise variance; a task varies only these.
+NOISE_AXES = ("snr1", "snr2")
 
 
-def sweep_tasks(spec: SweepSpec, workers: int = 1) -> list[list[tuple]]:
-    """The cells of a sweep, as axis-value tuples grouped into tasks.
+def sweep_tasks(spec: SweepSpec, workers: int = 1) -> list[list[int]]:
+    """The cells of a sweep, as indices in cell order grouped into tasks.
 
-    A task is a maximal run of consecutive cells that share their
-    ``n_obs1``, ``snr1`` and ``n_obs2`` values.  When there are fewer tasks
-    than workers, each task is split into contiguous pieces so that every
-    worker has work; the split depends only on the spec and ``workers``.
+    A task is every cell that shares all axis values but ``snr1`` and
+    ``snr2``, in cell order.  When there are fewer tasks than workers, each
+    task is split into contiguous pieces so that every worker has work;
+    the split depends only on the spec and ``workers``.
     """
-    shared = sum(1 for name in spec.axes if name in TASK_AXES)
-    cells = itertools.product(*spec.axes.values())
-    tasks = [list(group) for _, group in
-             itertools.groupby(cells, key=lambda values: values[:shared])]
+    shared = [k for k, name in enumerate(spec.axes) if name not in NOISE_AXES]
+    groups = {}
+    for index, values in enumerate(itertools.product(*spec.axes.values())):
+        groups.setdefault(tuple(values[k] for k in shared), []).append(index)
+    tasks = list(groups.values())
     if len(tasks) >= workers:
         return tasks
     pieces = -(-workers // len(tasks))
@@ -162,56 +164,52 @@ def sweep_tasks(spec: SweepSpec, workers: int = 1) -> list[list[tuple]]:
     return split
 
 
+def field_moments(model, truth, plan: FieldSpec, nodes):
+    """Observations of ``plan``, their truth outputs, and misfit moments.
+
+    Synthesis checks the truth outputs.  The moments of ``model`` on
+    ``nodes`` are taken about them with the deviates synthesis adds, and
+    carry no noise variance; at an SNR it is :func:`sigma_from_snr` of the
+    truth outputs, the observations' ``noise_variance`` at the plan's SNR.
+    """
+    truth = np.asarray(truth, dtype=float)
+    coords = plan.coordinates()
+    observations = synthesize_observations(model, truth, plan.field_id,
+                                           coords, plan.snr)
+    centre = model.outputs(truth, plan.field_id, coords)
+    moments = misfit_moments(model, nodes, plan.field_id, coords, centre,
+                             sobol_standard_normal(centre.size))
+    return observations, centre, moments
+
+
 class _TaskEvaluator:
     """Evaluates the tasks of one sweep in one process.
 
-    A task's cells run grouped by their model constants, in a stable sort,
-    and their results come back in cell order.  Per group, the field-1
-    analysis (its misfit moments and single-field gain) and the field-2
-    misfit moments on the node grid are computed once: all cells of a
-    group share the constants and the observation counts, so each cell
-    only composes the moments at its own noise variances.  Only one group
-    is held at a time, and the work a task does depends only on its
-    cells, never on which worker ran it.
+    All cells of a task share the observation counts and the model
+    constants, so each field's misfit moments on the node grid are
+    computed once per task, and the single-field gain once per field-1
+    noise variance; each cell composes the moments at its own noise
+    variances.  The work a task does depends only on its cells, never on
+    which worker ran it.
     """
 
     def __init__(self, spec: SweepSpec):
         self.spec = spec
         self.grid = cdf_spaced_grid(spec.prior, spec.grid_shape)
         self.nodes = np.stack(np.meshgrid(*self.grid, indexing="ij"), axis=-1)
-        self.n_field_axes = sum(1 for name in spec.axes if name in FIELD_AXES)
 
     def __call__(self, cells: list[tuple]) -> list[SweepResult]:
-        def constants(index):
-            return cells[index][self.n_field_axes:]
-
-        results = [None] * len(cells)
-        order = sorted(range(len(cells)), key=constants)
-        for _, group in itertools.groupby(order, key=constants):
-            memo = {}   # k -> (centre, moments); "field1" -> (moments, gain)
-            for index in group:
-                results[index] = self._cell(cells[index], memo)
-        return results
+        memo = {}    # field number -> (truth outputs, misfit moments)
+        gains = {}   # field-1 noise variance -> single-field gain
+        return [self._cell(values, memo, gains) for values in cells]
 
     def _moments(self, model, plan: FieldSpec, k: int, point, memo: dict):
-        """Field ``k``'s misfit moments on the grid at the cell's noise.
-
-        Once per group, the observations are synthesized, which checks the
-        truth outputs, and the moments are taken about those outputs with
-        the deviates synthesis adds.  Each cell then takes the noise
-        variance of its own SNR, as synthesis would.
-        """
+        """Field ``k``'s misfit moments on the grid at the cell's noise."""
         plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
                        snr=point.get(f"snr{k}", plan.snr))
         if k not in memo:
-            truth = np.array(self.spec.truth)
-            coords = plan.coordinates()
-            synthesize_observations(model, truth, plan.field_id, coords,
-                                    plan.snr)
-            centre = model.outputs(truth, plan.field_id, coords)
-            memo[k] = (centre, misfit_moments(
-                model, self.nodes, plan.field_id, coords, centre,
-                sobol_standard_normal(centre.size)))
+            memo[k] = field_moments(model, self.spec.truth, plan,
+                                    self.nodes)[1:]
         centre, moments = memo[k]
         return moments.with_noise(sigma_from_snr(centre, plan.snr))
 
@@ -220,7 +218,7 @@ class _TaskEvaluator:
             self.spec.prior,
             lambda nodes: log_likelihood(model, nodes, moments), self.grid)
 
-    def _cell(self, values: tuple, memo: dict) -> SweepResult:
+    def _cell(self, values: tuple, memo: dict, gains: dict) -> SweepResult:
         spec = self.spec
         point = dict(zip(spec.axes, values))
         try:
@@ -228,13 +226,11 @@ class _TaskEvaluator:
                       if name not in FIELD_AXES}
             model = build_model(spec.model_name,
                                 {**spec.model_constants, **varied})
-            if "field1" not in memo:
-                moments1 = self._moments(model, spec.first_field, 1, point,
-                                         memo)
-                posterior1 = self._posterior(model, [moments1])
-                memo["field1"] = (moments1,
-                                  information_gain(posterior1, spec.prior))
-            moments1, ig_single = memo["field1"]
+            moments1 = self._moments(model, spec.first_field, 1, point, memo)
+            if moments1.noise_variance not in gains:
+                gains[moments1.noise_variance] = information_gain(
+                    self._posterior(model, [moments1]), spec.prior)
+            ig_single = gains[moments1.noise_variance]
             moments2 = self._moments(model, spec.second_field, 2, point, memo)
             posterior = self._posterior(model, [moments1, moments2])
             ig_multi = information_gain(posterior, spec.prior)
@@ -263,13 +259,15 @@ def _evaluate_task(cells: list[tuple]) -> list[SweepResult]:
     return _evaluator(cells)
 
 
-def _collect(task_results, total: int, progress) -> list[SweepResult]:
-    collected = []
-    for results in task_results:
-        for result in results:
-            collected.append(result)
-            if progress is not None:
-                progress(len(collected), total)
+def _collect(tasks, task_results, progress) -> list[SweepResult]:
+    """Task results put back in cell order; progress once per cell."""
+    collected = [None] * sum(len(task) for task in tasks)
+    pairs = (pair for task, results in zip(tasks, task_results)
+             for pair in zip(task, results))
+    for done, (index, result) in enumerate(pairs, 1):
+        collected[index] = result
+        if progress is not None:
+            progress(done, len(collected))
     return collected
 
 
@@ -277,18 +275,19 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
                    progress=None) -> list[SweepResult]:
     """Evaluate the relative information-gain increase on every cell.
 
-    Workers run whole tasks (see :func:`sweep_tasks`).  Results come back
-    in cell order, the first axis varying slowest, and are identical for
-    any worker count.
+    Workers run whole tasks (see :func:`sweep_tasks`) and receive only
+    their cells' axis values.  Results come back in cell order, the first
+    axis varying slowest, and are identical for any worker count.
     """
+    cells = list(itertools.product(*spec.axes.values()))
     tasks = sweep_tasks(spec, workers)
-    total = sum(len(task) for task in tasks)
+    payloads = [[cells[index] for index in task] for task in tasks]
     if workers <= 1:
         _install(spec)
-        return _collect(map(_evaluate_task, tasks), total, progress)
+        return _collect(tasks, map(_evaluate_task, payloads), progress)
     with ProcessPoolExecutor(max_workers=workers, initializer=_install,
                              initargs=(spec,)) as pool:
-        return _collect(pool.map(_evaluate_task, tasks), total, progress)
+        return _collect(tasks, pool.map(_evaluate_task, payloads), progress)
 
 
 def run_coupling_sweep(spec: SweepSpec, workers: int = 1,

@@ -4,9 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.  The quantitative targets reproduce the reference
 tensile-test results at desk scale; the property criteria pin the oracle and
 invariant behavior of the solvers and quadrature.  One more test pins the
-fig10 anchors to the seed code's values within ``SEED_RIIG_RTOL``.
+fig10 anchors to the seed code's values within ``SEED_RIIG_RTOL``, and two
+more pin ``reproduce fig9`` to the fig10 cells it shares.
 """
 
+import csv
 import math
 import time
 
@@ -33,7 +35,7 @@ from mfbia.inference import (
     riig,
     trapezoid_nd,
 )
-from mfbia.models import build_model
+from mfbia.models import ElectromechModel, build_model
 from mfbia.probabilistic import (
     TruncatedNormalPrior,
     log_likelihood,
@@ -344,6 +346,45 @@ def test_fig10_anchors_match_seed_values(sweep_serial):
     for name, cell in anchors.items():
         assert riig_at[cell] == pytest.approx(
             SEED_RIIG[name], rel=SEED_RIIG_RTOL, abs=0), name
+
+
+@pytest.fixture(scope="module")
+def fig9_bundle(tmp_path_factory):
+    """``reproduce fig9``'s summary rows by case, and the size of every
+    batch of grid nodes it passed to the field-1 forward model."""
+    out = tmp_path_factory.mktemp("fig9")
+    batches = []
+    original = ElectromechModel.outputs
+
+    def outputs(self, x, field_id, coords):
+        if field_id == 1 and np.ndim(x) > 1:
+            batches.append(len(x))
+        return original(self, x, field_id, coords)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ElectromechModel, "outputs", outputs)
+        assert main(["reproduce", "fig9", "--out", str(out)]) == 0
+    with open(out / "fig9" / "summary.csv", newline="") as handle:
+        rows = {row["case"]: row for row in csv.DictReader(handle)}
+    return rows, batches
+
+
+def test_fig9_summary_equals_fig10_cells(fig9_bundle, sweep_serial):
+    """fig9's gains are fig10's cells (2, 1.2e4) and (256, 80), bit for bit."""
+    rows, _ = fig9_bundle
+    _, results = sweep_serial
+    cells = {(r.point["n_obs2"], r.point["snr2"]): r for r in results}
+    for case, cell in (("middle", (2, 1.2e4)), ("right", (256, 80.0))):
+        assert float(rows[case]["ig_single"]) == cells[cell].ig_single, case
+        assert float(rows[case]["riig"]) == cells[cell].riig, case
+
+
+def test_fig9_evaluates_field1_grid_once(fig9_bundle):
+    """fig9's three posteriors share one pass over the 100x100 grid for
+    field 1: two row blocks of nodes."""
+    _, batches = fig9_bundle
+    assert len(batches) == 2
+    assert sum(batches) == 100 * 100
 
 
 def test_criterion_10_snr_round_trip():

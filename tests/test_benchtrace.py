@@ -5,16 +5,21 @@ entry point makes it refuse to run, and an alias makes it wrap one function
 twice and count every cell twice; either would otherwise only show when the
 benchmark runs.
 
+A traced ``posterior`` run must record a call on every span the benchmark
+requires of its ``posterior-fine`` workload; a missing span makes the
+benchmark refuse the run.
+
 The forward-model call count is pinned too.  The benchmark refuses a trace
 whose counts differ between runs, so the count must follow from the tasks
-alone, never from which worker ran which task.  Per model-constant
-combination, a task makes three calls for each field's misfit moments:
-synthesis, which checks the truth outputs; the truth outputs the moments
-are centred on; and one row block of grid nodes.  A cell makes none of its
-own, since it only takes its noise variance from its SNR.  A 20x20 grid at
-a few coordinates fits in one row block of ``MISFIT_BLOCK_ELEMENTS``.
+alone, never from which worker ran which task.  A task makes three calls
+for each field's misfit moments: synthesis, which checks the truth outputs;
+the truth outputs the moments are centred on; and one row block of grid
+nodes.  A cell makes none of its own, since it only takes its noise
+variance from its SNRs.  A 20x20 grid at a few coordinates fits in one row
+block of ``MISFIT_BLOCK_ELEMENTS``.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -22,6 +27,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mfbia.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,17 +45,17 @@ TOY_CONFIG = (
 
 
 @pytest.mark.parametrize("sweep,workers,cells,outputs", [
-    # 2 tasks of 2 cells: 2 x (3 + 3)
+    # 2 tasks of 2 cells, one per n_obs2: 2 x (3 + 3)
     ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4, 12),
-    # 2 tasks of 3 cells, each cell with its own coupling: 2 x 3 x (3 + 3)
+    # 3 tasks of 2 cells, one per coupling; each task's two snr1 values
+    # share one field-1 moments pass: 3 x (3 + 3)
     ("{snr1: [5.0, 50.0], snr2: [10.0], coupling: [0.1, 0.4, 0.7]}", "2", 6,
-     36),
+     18),
     # 2 tasks of 3 cells that share one field-2 moments pass: 2 x (3 + 3)
     ("{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}", "2", 6, 12),
     # 1 task split into pieces of 1 and 2 cells: (3 + 3) + (3 + 3)
     ("{snr2: [5.0, 50.0, 500.0]}", "2", 3, 12),
-    # 1 task whose cells run grouped by coupling, the innermost axis, so
-    # each group makes one field-2 moments pass: 2 x (3 + 3)
+    # 2 tasks of 2 cells, one per coupling, the innermost axis: 2 x (3 + 3)
     ("{snr2: [5.0, 50.0], coupling: [0.1, 0.4]}", "1", 4, 12),
 ])
 def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells,
@@ -69,3 +76,38 @@ def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells,
     assert data["counts"]["sweep.cells"] == cells
     assert data["counts"]["sweep.failed_cells"] == 0
     assert data["spans"]["models.outputs"][0] == outputs
+
+
+def _bench_workloads() -> dict:
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # the dataclasses in it look it up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+def test_traced_posterior_calls_every_required_span(tmp_path):
+    config = ROOT / "configs" / "fig9_right.yaml"
+    obs_dir = tmp_path / "observations"
+    assert main(["synthesize", "--config", str(config),
+                 "--out", str(obs_dir)]) == 0
+    obs_args = []
+    for path in sorted(obs_dir.glob("*.csv")):
+        obs_args += ["--obs", str(path)]
+    result, trace = tmp_path / "result.json", tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "cli_child.py"),
+         str(ROOT / "src"), str(result), "--trace", str(trace), "--",
+         "posterior", "--config", str(config), *obs_args, "--grid", "20",
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    required = _bench_workloads()["posterior-fine"].required_spans
+    missing = [name for name in required if spans.get(name, [0])[0] < 1]
+    assert required and not missing, missing

@@ -390,6 +390,24 @@ class TestPrior:
         assert material_prior.log_density(np.array([-1.0, 0.2])) == -np.inf
         assert material_prior.log_density(np.array([1e4, 0.6])) == -np.inf
 
+    def test_equals_broadcast_formula(self):
+        # summed one dimension at a time, the density keeps the bits of the
+        # whole-array expression summed over a short last axis
+        prior = TruncatedNormalPrior(mean=[1.0, -0.5, 3.0],
+                                     variance=[0.25, 2.0, 0.5],
+                                     lower=[0.0, -4.0, 1.0],
+                                     upper=[np.inf, 1.0, 4.0])
+        x = np.random.default_rng(7).normal([1.0, -0.5, 3.0], 2.0,
+                                            size=(30, 40, 3))
+        z = (x - prior.mean) / prior.sd
+        per_dim = (-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+                   - np.log(prior.sd) - prior._log_partition())
+        inside = (x >= prior.lower) & (x <= prior.upper)
+        broadcast = np.where(inside, per_dim, -np.inf).sum(axis=-1)
+        assert np.isneginf(broadcast).any() and np.isfinite(broadcast).any()
+        assert np.array_equal(prior.log_density(x), broadcast)
+        assert prior.log_density(x[3, 4]) == broadcast[3, 4]
+
     def test_untruncated_limit_matches_normal(self):
         prior = TruncatedNormalPrior(mean=[1.5], variance=[4.0],
                                      lower=[-1e12], upper=[1e12])

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mfbia.config import default_config, load_config
 from mfbia.inference import (
     cdf_spaced_grid,
     evaluate_posterior,
@@ -24,6 +27,8 @@ from mfbia.sweep import (
     sweep_tasks,
     write_run_manifest,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def toy_prior() -> TruncatedNormalPrior:
@@ -134,11 +139,22 @@ class TestRiigSweep:
             assert cell.riig == riig(ig1, igm)
             assert cell.boundary_mass == postm.boundary_mass
 
-    def test_tasks_share_leading_axes(self):
+    def test_tasks_share_every_axis_but_the_snrs(self):
         spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0, 50.0, 500.0))
-        assert [[values[0] for values in task]
-                for task in sweep_tasks(spec)] == [[2, 2, 2], [4, 4, 4]]
+        assert sweep_tasks(spec) == [[0, 1, 2], [3, 4, 5]]
         assert sweep_tasks(spec, workers=2) == sweep_tasks(spec)
+        # snr1 x snr2 x coupling: the tasks interleave in cell order, one
+        # per coupling value
+        spec = load_config(CONFIGS / "toyfull_coupling.yaml").sweep_spec()
+        tasks = sweep_tasks(spec, workers=2)
+        assert [len(task) for task in tasks] == [25] * 5
+        assert [sorted(task) for task in tasks] == tasks
+        assert [task[:2] for task in tasks] == [[k, k + 5] for k in range(5)]
+        config = default_config()
+        assert [len(task) for task in sweep_tasks(config.sweep_spec())] == \
+            [6] * 10
+        assert [len(task) for task in
+                sweep_tasks(config.sweep_spec(full=True))] == [12] * 42
         one_task = toy_sweep_spec(n_obs2_axis=(2,))
         assert [len(task) for task in sweep_tasks(one_task, workers=2)] == \
             [1, 2]
@@ -271,8 +287,10 @@ class TestCouplingSweep:
         assert run_coupling_sweep(spec, workers=2) == run_riig_sweep(spec)
 
     def test_split_task_matches_serial(self):
-        # no n_obs1, snr1 or n_obs2 axis: one task, split over two workers
-        spec = self.spec(snr2=(10.0, 100.0, 1000.0), coupling=(0.1, 0.4))
+        # only SNR axes and one coupling value: one task, split over two
+        # workers
+        spec = self.spec(snr1=(5.0, 50.0), snr2=(10.0, 100.0, 1000.0),
+                         coupling=(0.4,))
         assert len(sweep_tasks(spec)) == 1
         assert len(sweep_tasks(spec, workers=2)) == 2
         assert run_riig_sweep(spec, workers=2) == run_riig_sweep(spec)

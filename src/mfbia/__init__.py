@@ -31,7 +31,6 @@ from .inference import (  # noqa: F401
     InferenceError,
     PosteriorGrid,
     cdf_spaced_grid,
-    entropy_gaussian,
     evaluate_posterior,
     information_gain,
     kl_gaussians,

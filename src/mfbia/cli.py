@@ -141,9 +141,6 @@ def cmd_synthesize(args) -> int:
     model = build_model(config.model, config.constants)
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.seedless:
-        print("note: observation noise is quasi-random and deterministic; "
-              "there is no RNG seed", file=sys.stderr)
     for spec in config.fields:
         path = out_dir / f"observations_field{spec.field_id}.csv"
         if spec.count == 0:
@@ -163,6 +160,10 @@ def cmd_posterior(args) -> int:
     for path in args.obs or []:
         obs = observations_from_csv(path)
         if obs is not None:
+            if obs.field_id not in model.field_ids:
+                raise ConfigError(
+                    f"--obs {path}: model {config.model!r} has fields "
+                    f"{list(model.field_ids)}, got field {obs.field_id}")
             try:
                 model.check_coords(obs.coordinates)
             except DomainError as exc:
@@ -225,19 +226,26 @@ def _progress_printer(label: str):
     return callback
 
 
+def _run_sweep(spec, out_dir: Path, workers: int, label: str):
+    """Run ``spec`` and write ``sweep.csv`` and ``sweep_manifest.json``;
+    returns the results and the seconds the sweep itself took."""
+    started = time.perf_counter()
+    results = run_riig_sweep(spec, workers=workers,
+                             progress=_progress_printer(label))
+    runtime = time.perf_counter() - started
+    export_sweep_csv(results, out_dir / "sweep.csv")
+    write_run_manifest(out_dir / "sweep_manifest.json", spec, results,
+                       workers=workers, runtime_seconds=runtime)
+    return results, runtime
+
+
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    spec = config.sweep_spec(full=args.full)
+    spec = config.sweep_spec()
     workers = args.workers or config.workers
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    results = run_riig_sweep(spec, workers=workers,
-                             progress=_progress_printer("sweep"))
-    export_sweep_csv(results, out_dir / "sweep.csv")
-    runtime = time.perf_counter() - started
-    write_run_manifest(out_dir / "sweep_manifest.json", spec, results,
-                       workers=workers, runtime_seconds=runtime)
+    results, runtime = _run_sweep(spec, out_dir, workers, "sweep")
     failed = [r for r in results if not r.ok]
     print(f"{len(results)} cells, {len(failed)} failed, "
           f"{runtime:.1f} s with {workers} worker(s)")
@@ -301,13 +309,7 @@ def _reproduce_fig9(out_dir: Path) -> int:
 def _reproduce_fig10(out_dir: Path, full: bool, workers: int) -> int:
     config = default_config()
     spec = config.sweep_spec(full=full)
-    started = time.perf_counter()
-    results = run_riig_sweep(spec, workers=workers,
-                             progress=_progress_printer("fig10"))
-    runtime = time.perf_counter() - started
-    export_sweep_csv(results, out_dir / "sweep.csv")
-    write_run_manifest(out_dir / "sweep_manifest.json", spec, results,
-                       workers=workers, runtime_seconds=runtime)
+    results, _ = _run_sweep(spec, out_dir, workers, "fig10")
 
     by_cell = {(r.point["n_obs2"], r.point["snr2"]): r for r in results}
     counts, snrs = spec.axes["n_obs2"], spec.axes["snr2"]
@@ -378,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="YAML run configuration "
                                     "(defaults to the built-in setup)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seedless", action="store_true",
-                   help="acknowledge that synthesis has no RNG seed (no-op)")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("posterior",
@@ -403,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the configured parameter sweep")
     p.add_argument("--config", help="YAML run configuration")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--full", action="store_true",
-                   help="resize the n_obs2 and snr2 axes to sweep.full_num")
     p.add_argument("--workers", type=_workers, help="parallel worker count")
     p.set_defaults(func=cmd_sweep)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -37,6 +37,10 @@ UNIT_FACTORS = {
 }
 
 _INF_TOKENS = {"inf", ".inf", "infinity", "+inf"}
+
+#: Point counts of the ``n_obs2`` and ``snr2`` axes of ``reproduce fig10
+#: --full``.
+FULL_NUM = {"n_obs2": 50, "snr2": 12}
 
 
 def parse_quantity(value, where: str = "value") -> float:
@@ -103,14 +107,6 @@ class AxisSpec:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """The ``sweep:`` section: axes by name, in config order."""
-
-    axes: dict
-    full_num: tuple[int, int] = (50, 12)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs: model, truth, prior, observations, grid."""
 
@@ -120,7 +116,7 @@ class RunConfig:
     prior: TruncatedNormalPrior
     fields: tuple[FieldSpec, ...]
     grid_shape: tuple[int, ...]
-    sweep: SweepConfig | None = None
+    sweep: dict | None = None     # the ``sweep:`` axes by name, in order
     output_dir: str = "out"
     workers: int = 1
 
@@ -165,12 +161,16 @@ class RunConfig:
                    else f"constants.{exc.name}")
             raise ConfigError(f"{key}: {exc}") from None
         for i, spec in enumerate(self.fields):
+            if spec.field_id not in model.field_ids:
+                raise ConfigError(
+                    f"fields[{i}].id: model {self.model!r} has fields "
+                    f"{list(model.field_ids)}, got {spec.field_id}")
             try:
                 model.check_coords(spec.coord_range)
             except DomainError as exc:
                 raise ConfigError(f"fields[{i}].range: {exc}") from None
         if self.sweep is not None:
-            unknown = set(self.sweep.axes) - accepted - set(FIELD_AXES)
+            unknown = set(self.sweep) - accepted - set(FIELD_AXES)
             if unknown:
                 raise ConfigError(
                     f"sweep: unknown keys {sorted(unknown, key=str)}; an "
@@ -184,18 +184,13 @@ class RunConfig:
         raise ConfigError(f"no field {field_id} configured")
 
     def sweep_spec(self, full: bool = False) -> SweepSpec:
-        """The configured sweep; ``full`` resizes the field-2 axes to
-        ``sweep.full_num``."""
+        """The configured sweep; ``full`` resizes the generated field-2
+        axes to :data:`FULL_NUM`."""
         if self.sweep is None:
             raise ConfigError("this configuration has no sweep section")
-        if full and "n_obs2" not in self.sweep.axes:
-            raise ConfigError(
-                "sweep.full_num: --full sets the point counts of the n_obs2 "
-                "and snr2 axes, but this sweep has no n_obs2 axis")
-        sizes = dict(zip(("n_obs2", "snr2"), self.sweep.full_num)) \
-            if full else {}
+        sizes = FULL_NUM if full else {}
         axes = {}
-        for name, axis in self.sweep.axes.items():
+        for name, axis in self.sweep.items():
             try:
                 axes[name] = axis.resolve(sizes.get(name))
             except ValueError as exc:
@@ -233,6 +228,12 @@ def _integer(value, where: str) -> int:
             f"{where}: expected an integer, got {value!r}") from None
 
 
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_axis(section, where: str) -> AxisSpec:
     if isinstance(section, (list, tuple)):
         return AxisSpec(values=tuple(
@@ -250,26 +251,16 @@ def _parse_axis(section, where: str) -> AxisSpec:
             stop=parse_quantity(section["stop"], f"{where}.stop"),
             num=_integer(section["num"], f"{where}.num"),
             spacing=section.get("spacing", "log"),
-            integer=bool(section.get("integer", False)))
+            integer=_boolean(section.get("integer", False),
+                             f"{where}.integer"))
     raise ConfigError(f"{where}: expected a list or start/stop/num mapping")
 
 
-def _parse_sweep(section) -> SweepConfig:
+def _parse_sweep(section) -> dict:
     if not isinstance(section, dict):
         raise ConfigError("sweep: expected a mapping")
-    axes = dict(section)
-    # ``kind`` is still accepted so that older configs parse; the axes
-    # alone define the sweep
-    if axes.pop("kind", "riig") not in ("riig", "coupling"):
-        raise ConfigError(f"sweep.kind: unknown kind {section['kind']!r}")
-    full_num = axes.pop("full_num", (50, 12))
-    if not isinstance(full_num, (list, tuple)) or len(full_num) != 2:
-        raise ConfigError("sweep.full_num: expected two point counts")
-    return SweepConfig(
-        axes={name: _parse_axis(axis, f"sweep.{name}")
-              for name, axis in axes.items()},
-        full_num=tuple(_integer(n, f"sweep.full_num[{i}]")
-                       for i, n in enumerate(full_num)))
+    return {name: _parse_axis(axis, f"sweep.{name}")
+            for name, axis in section.items()}
 
 
 def _parse_prior(section) -> TruncatedNormalPrior:
@@ -301,11 +292,14 @@ def _parse_field(section, index: int) -> FieldSpec:
     field_id = _integer(section["id"], f"{where}.id")
     count = _integer(section["count"], f"{where}.count")
     snr = parse_quantity(section["snr"], f"{where}.snr")
-    lo, hi = _quantity_list(section.get("range", [0.0, 1.0]),
-                            f"{where}.range")
+    coord_range = _quantity_list(section.get("range", [0.0, 1.0]),
+                                 f"{where}.range")
+    if len(coord_range) != 2:
+        raise ConfigError(f"{where}.range: expected [low, high], got "
+                          f"{len(coord_range)} values")
     try:
         return FieldSpec(field_id=field_id, count=count, snr=snr,
-                         coord_range=(lo, hi))
+                         coord_range=tuple(coord_range))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -376,10 +370,10 @@ def default_config() -> RunConfig:
                 FieldSpec(field_id=2, count=2, snr=1.2e4,
                           coord_range=(0.0, 0.4))),
         grid_shape=(100, 100),
-        sweep=SweepConfig(axes={
+        sweep={
             "n_obs2": AxisSpec(start=2, stop=256, num=10, spacing="log",
                                integer=True),
-            "snr2": AxisSpec(start=80.0, stop=1.2e4, num=6, spacing="log")}),
+            "snr2": AxisSpec(start=80.0, stop=1.2e4, num=6, spacing="log")},
         output_dir="out",
         workers=1)
 
@@ -387,10 +381,6 @@ def default_config() -> RunConfig:
 def high_noise_second_field_config() -> RunConfig:
     """Variant with many noisy second-field observations (256 at SNR 80)."""
     base = default_config()
-    fields = (base.field_spec(1),
-              FieldSpec(field_id=2, count=256, snr=80.0,
-                        coord_range=(0.0, 0.4)))
-    return RunConfig(model=base.model, constants=base.constants,
-                     truth=base.truth, prior=base.prior, fields=fields,
-                     grid_shape=base.grid_shape, sweep=base.sweep,
-                     output_dir=base.output_dir, workers=base.workers)
+    return replace(base, fields=(
+        base.field_spec(1),
+        FieldSpec(field_id=2, count=256, snr=80.0, coord_range=(0.0, 0.4))))

@@ -196,13 +196,6 @@ def information_gain(posterior: PosteriorGrid, prior: TruncatedNormalPrior) -> f
     return trapezoid_nd(integrand, posterior.axes)
 
 
-def entropy_gaussian(variance: float) -> float:
-    """Entropy of a univariate Gaussian: 0.5 * ln(2*pi*e*variance)."""
-    if not variance > 0:
-        raise ValueError(f"variance must be > 0, got {variance}")
-    return 0.5 * math.log(2.0 * math.pi * math.e * variance)
-
-
 def _as_covariance(cov, k: int) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 0:

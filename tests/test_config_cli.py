@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfbia.cli import main
+from mfbia.cli import build_parser, main
 from mfbia.config import (
     AxisSpec,
     ConfigError,
@@ -258,6 +260,20 @@ class TestCliPosterior:
         assert str(bad) in err and "force" in err and "Traceback" not in err
         assert not (tmp_path / "post").exists()
 
+    def test_observation_field_the_model_lacks_exits_2(
+            self, tmp_path, capsys, observation_files):
+        header, *rows = observation_files[0].read_text().splitlines()
+        bad = tmp_path / "field3.csv"
+        bad.write_text("\n".join([header] + ["3" + row[row.index(","):]
+                                             for row in rows]) + "\n")
+        assert observations_from_csv(bad).field_id == 3
+        assert main(["posterior", "--obs", str(bad), "--grid", "20",
+                     "--out", str(tmp_path / "post")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "field 3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "post").exists()
+
     @pytest.mark.parametrize("lower,lower_pa", [("22 kPa", 22e3),
                                                 ("28 kPa", 28e3)])
     def test_prior_far_in_upper_tail_gets_a_grid(self, tmp_path, lower,
@@ -407,7 +423,7 @@ class TestCliSweep:
         ({}, "{stiffness: [1.0, 2.0]}", [], "stiffness"),
         ({"truth: [1.2, 0.7]": "truth: [1.2, 0.7, 0.1]"}, "{snr2: [5.0]}",
          [], "truth"),
-        ({}, "{snr2: [5.0, 50.0]}", ["--full"], "sweep.full_num"),
+        ({}, "{snr2: [5.0], kind: riig}", [], "sweep.kind"),
         ({"grid: [20, 20]": "grid: [20, twenty]"}, "{snr2: [5.0]}", [],
          "grid[1]"),
         ({"grid: [20, 20]": "grid: [20, 20, 20]"}, "{snr2: [5.0]}", [],
@@ -420,6 +436,9 @@ class TestCliSweep:
           "truth: [1.2, 0.7]": "truth: [1.2, 0.3]"},
          "{side_length: [0.0, 0.01]}", [], "sweep.side_length"),
         ({}, "{coupling: [0.5, 2.5]}", [], "sweep.coupling"),
+        ({}, "{snr2: [5.0], full_num: [50, 12]}", [], "full_num"),
+        ({}, '{n_obs2: {start: 2, stop: 8, num: 3, integer: "false"}}', [],
+         "sweep.n_obs2.integer"),
     ])
     def test_malformed_sweep_exits_2(self, tmp_path, capsys, edit, sweep,
                                      flags, key):
@@ -495,7 +514,6 @@ class TestCliSweep:
             "  - {id: 2, count: 3, snr: 50, range: [0.1, 1.0]}\n"
             "grid: [25, 25]\n"
             "sweep:\n"
-            "  kind: coupling\n"
             "  snr1: [5.0, 50.0]\n"
             "  snr2: [10.0]\n"
             "  coupling: [0.1, 0.5]\n")
@@ -550,6 +568,9 @@ BAD_VALUES = [
     (ANY_MODEL, ("fields", 0, "count"), -1, "count"),
     (ANY_MODEL, ("grid",), 1, "grid"),
     (ANY_MODEL, ("constants", "bogus"), 1.0, "constants"),
+    (ANY_MODEL, ("fields", 0, "range"), [0.4], "fields[0].range"),
+    (ANY_MODEL, ("fields", 0, "range"), [0.1, 0.2, 0.4], "fields[0].range"),
+    (ANY_MODEL, ("fields", 1, "id"), 3, "fields[1].id"),
 ]
 
 MUTATIONS = [
@@ -622,3 +643,30 @@ def test_scipy_is_not_a_runtime_dependency():
     assert not any(dep.startswith("scipy") for dep in project["dependencies"])
     assert any(dep.startswith("scipy")
                for dep in project["optional-dependencies"]["test"])
+
+
+def _flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {option for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"}
+
+
+def test_readme_cli_synopsis_matches_parser():
+    # the README's synopsis block names every flag of every command, and
+    # no flag the parser lacks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    documented = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("mfbia"):
+            words = line.split()
+            command = words[1] if words[1].isalpha() else ""
+        documented.setdefault(command, set()).update(
+            re.findall(r"--[a-z][a-z-]*", line))
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    actual = {"": _flags(parser),
+              **{name: _flags(sub) for name, sub in commands.items()}}
+    assert documented == actual

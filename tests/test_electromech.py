@@ -222,7 +222,7 @@ def cardano_s(youngs, poisson, force):
 
 def closed_form(youngs, poisson, force) -> np.ndarray:
     """The closed-form root alone, checked to be the batch path's result:
-    Newton takes no step."""
+    every entry passes the residual check unchanged."""
     d = _cardano_displacement(mech_load(youngs, poisson, force), L0)
     assert np.array_equal(displacement_batch(youngs, poisson, force), d)
     return d
@@ -297,6 +297,17 @@ class TestClosedForm:
             assert np.isnan(displacement_batch(youngs, poisson, force))
             d = displacement_batch(youngs, poisson, [force, force])
         assert np.all(np.isnan(d))
+
+    def test_root_failing_the_residual_check_gives_nan(self, monkeypatch):
+        # the residual check is the only verification of the closed form:
+        # a root off by 1e-6 relative must come back NaN, not be repaired
+        cardano = _cardano_displacement
+        monkeypatch.setattr(
+            "mfbia.electromech._cardano_displacement",
+            lambda load, l0: cardano(load, l0) * (1 + 1e-6))
+        d = displacement_batch(11e3, 0.35, [0.0, 0.1, 0.4])
+        assert d[0] == 0.0          # zero load: the root is exactly 0
+        assert np.all(np.isnan(d[1:]))
 
     def test_batch_equals_per_row_calls(self):
         # bitwise: results do not depend on the shape of the batch

@@ -9,7 +9,6 @@ from scipy.special import ndtri
 from mfbia.inference import (
     InferenceError,
     cdf_spaced_grid,
-    entropy_gaussian,
     evaluate_posterior,
     information_gain,
     kl_gaussians,
@@ -232,30 +231,6 @@ class TestInformationGain:
                                       lower=[9e3, 0.0], upper=[1e4, 0.5])
         with pytest.raises(InferenceError):
             information_gain(grid, narrow)
-
-
-class TestEntropy:
-    def test_unit_variance(self):
-        np.testing.assert_allclose(entropy_gaussian(1.0),
-                                   0.5 * math.log(2 * math.pi * math.e),
-                                   rtol=1e-15)
-        np.testing.assert_allclose(entropy_gaussian(1.0), 1.4189385332046727,
-                                   rtol=1e-15)
-
-    def test_inverse_point(self):
-        variance = math.e**2 / (2 * math.pi * math.e)
-        np.testing.assert_allclose(entropy_gaussian(variance), 1.0, rtol=1e-14)
-
-    def test_halving_law(self):
-        v = 0.37
-        np.testing.assert_allclose(entropy_gaussian(v) - entropy_gaussian(v / 2),
-                                   0.5 * math.log(2.0), rtol=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            entropy_gaussian(0.0)
-        with pytest.raises(ValueError):
-            entropy_gaussian(-1.0)
 
 
 class TestKlGaussians:

@@ -31,6 +31,7 @@ from .config import (
 )
 from .electromech import DomainError
 from .inference import (
+    PriorGrid,
     cdf_spaced_grid,
     evaluate_posterior,
     information_gain,
@@ -104,17 +105,20 @@ def _provenance(config: RunConfig, observations) -> dict:
     }
 
 
-def _posterior_bundle(config: RunConfig, model, axes, grid_shape, terms,
-                      observations, out_dir: Path, tag: str):
-    """Evaluate one posterior and write its CSV + JSON artifacts.
+def _posterior_bundle(config: RunConfig, model, prior_grid: PriorGrid,
+                      grid_shape, terms, observations, out_dir: Path,
+                      tag: str):
+    """Evaluate one posterior on ``prior_grid`` and write its CSV + JSON
+    artifacts.
 
     ``terms`` are :class:`FieldObservations` or misfit moments on the nodes
-    of ``axes``; the sidecar records the provenance of ``observations``.
+    of the grid; the sidecar records the provenance of ``observations``
+    under ``config``, whose prior must equal the grid's.
     """
+    prior = prior_grid.prior
     grid = evaluate_posterior(
-        config.prior, lambda nodes: log_likelihood(model, nodes, terms),
-        axes, axis_names=model.param_names)
-    gain = information_gain(grid, config.prior)
+        prior, lambda nodes: log_likelihood(model, nodes, terms), prior_grid)
+    gain = information_gain(grid, prior)
     csv_path = out_dir / f"posterior_{tag}.csv"
     json_path = out_dir / f"posterior_{tag}.json"
     posterior_to_csv(grid, csv_path)
@@ -157,6 +161,7 @@ def cmd_posterior(args) -> int:
     config = _resolve_config(args)
     model = build_model(config.model, config.constants)
     observations = []
+    sources = {}   # field id -> the --obs file that holds it
     for path in args.obs or []:
         obs = observations_from_csv(path)
         if obs is not None:
@@ -164,10 +169,15 @@ def cmd_posterior(args) -> int:
                 raise ConfigError(
                     f"--obs {path}: model {config.model!r} has fields "
                     f"{list(model.field_ids)}, got field {obs.field_id}")
+            if obs.field_id in sources:
+                raise ConfigError(
+                    f"--obs {sources[obs.field_id]} and --obs {path} both "
+                    f"hold field {obs.field_id}; give one file per field")
             try:
                 model.check_coords(obs.coordinates)
             except DomainError as exc:
                 raise ConfigError(f"--obs {path}: {exc}") from None
+            sources[obs.field_id] = path
             observations.append(obs)
     if args.fields is None:
         selection = sorted({o.field_id for o in observations})
@@ -182,8 +192,10 @@ def cmd_posterior(args) -> int:
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = "f" + ("-".join(str(f) for f in selection) if selection else "none")
-    axes = cdf_spaced_grid(config.prior, grid_shape)
-    gain, json_path = _posterior_bundle(config, model, axes, grid_shape,
+    prior_grid = PriorGrid(config.prior,
+                           cdf_spaced_grid(config.prior, grid_shape),
+                           model.param_names)
+    gain, json_path = _posterior_bundle(config, model, prior_grid, grid_shape,
                                         selected, selected, out_dir, tag)
     print(f"information gain: {gain!r} nats")
     print(json_path)
@@ -276,26 +288,29 @@ def cmd_reproduce(args) -> int:
 def _reproduce_fig9(out_dir: Path) -> int:
     config = default_config()
     model = build_model(config.model, config.constants)
-    axes = cdf_spaced_grid(config.prior, config.grid_shape)
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    prior_grid = PriorGrid(config.prior,
+                           cdf_spaced_grid(config.prior, config.grid_shape),
+                           model.param_names)
 
     def analysis(source: RunConfig, field_id: int, name: str):
         obs, _, moments = field_moments(model, source.truth,
-                                        source.field_spec(field_id), nodes)
+                                        source.field_spec(field_id),
+                                        prior_grid.nodes)
         observations_to_csv(obs, out_dir / f"observations_{name}.csv")
         return obs, moments.with_noise(obs.noise_variance)
 
     obs1, moments1 = analysis(config, 1, "field1")
-    ig_single, _ = _posterior_bundle(config, model, axes, config.grid_shape,
-                                     [moments1], [obs1], out_dir, "single")
+    ig_single, _ = _posterior_bundle(config, model, prior_grid,
+                                     config.grid_shape, [moments1], [obs1],
+                                     out_dir, "single")
     print(f"single-field information gain: {ig_single:.4f} nats")
     rows = []
     for case, case_config in (("middle", config),
                               ("right", high_noise_second_field_config())):
         obs2, moments2 = analysis(case_config, 2, f"field2_{case}")
         ig_multi, _ = _posterior_bundle(
-            case_config, model, axes, config.grid_shape, [moments1, moments2],
-            [obs1, obs2], out_dir, f"multi_{case}")
+            case_config, model, prior_grid, config.grid_shape,
+            [moments1, moments2], [obs1, obs2], out_dir, f"multi_{case}")
         value = riig(ig_single, ig_multi)
         reference = REFERENCE_RIIG[f"fig9_{case}"]
         rows.append([case, len(obs2), obs2.snr, repr(ig_single),

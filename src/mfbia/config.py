@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import yaml
 
 from .electromech import DomainError
 from .models import build_model, registered_models
@@ -346,8 +345,14 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    # imported here: only a command that reads a config file needs a parser
+    import yaml
+
     with open(path) as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     try:
         return parse_config(data)
     except ConfigError as exc:

@@ -7,11 +7,17 @@ Kullback-Leibler divergence of the posterior from the prior, computed by
 the same quadrature; the prior is renormalized over the grid so that a
 posterior identical to the prior yields exactly zero gain regardless of how
 much prior mass the grid covers.
+
+Everything that depends only on the prior and the axes is built once per
+grid, in a :class:`PriorGrid`: the nodes, the prior's log-density on them,
+its grid-renormalized form and the axis spacings of the quadrature.  A
+sweep passes one such grid to every posterior and gain it evaluates.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -39,18 +45,27 @@ class PosteriorGrid:
     ``density`` integrates to one over the grid by construction (trapezoidal
     rule on the stored axes).  ``normalization`` is the evidence estimate;
     ``log_normalization`` is always finite and should be preferred when the
-    likelihood spans many orders of magnitude.  ``log_prior`` is the
-    log-density of ``prior`` on the nodes.
+    likelihood spans many orders of magnitude.  ``grid`` holds the axes and
+    the prior's terms on them.
     """
 
-    axes: tuple[np.ndarray, ...]
-    axis_names: tuple[str, ...]
+    grid: PriorGrid
     log_unnormalized: np.ndarray
     density: np.ndarray
     log_normalization: float
     boundary_mass: float
-    prior: TruncatedNormalPrior
-    log_prior: np.ndarray
+
+    @property
+    def axes(self) -> PriorGrid:
+        return self.grid
+
+    @property
+    def axis_names(self) -> tuple[str, ...]:
+        return self.grid.axis_names
+
+    @property
+    def prior(self) -> TruncatedNormalPrior:
+        return self.grid.prior
 
     @property
     def normalization(self) -> float:
@@ -65,18 +80,20 @@ class PosteriorGrid:
     def boundary_warning(self) -> bool:
         return self.boundary_mass > BOUNDARY_MASS_THRESHOLD
 
-    def nodes(self) -> np.ndarray:
-        """Grid nodes as an array of shape grid_shape + (n_params,)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+
+def _trapezoid(values, spacings) -> float:
+    """Iterated trapezoidal rule over axes with the given ``np.diff``
+    spacings; the arithmetic of ``np.trapezoid``, bit for bit."""
+    result = np.asarray(values, dtype=float)
+    for d in reversed(spacings):
+        result = np.add.reduce(d * (result[..., 1:] + result[..., :-1]) / 2.0,
+                               axis=-1)
+    return float(result)
 
 
 def trapezoid_nd(values: np.ndarray, axes) -> float:
     """Iterated 1-D trapezoidal rule over non-uniform tensor-product axes."""
-    result = np.asarray(values, dtype=float)
-    for axis_points in reversed(list(axes)):
-        result = np.trapezoid(result, x=np.asarray(axis_points), axis=-1)
-    return float(result)
+    return _trapezoid(values, [np.diff(np.asarray(a)) for a in axes])
 
 
 def _validate_axes(axes) -> tuple[np.ndarray, ...]:
@@ -89,6 +106,58 @@ def _validate_axes(axes) -> tuple[np.ndarray, ...]:
             raise ValueError(f"axis {k} must be strictly increasing")
         out.append(arr)
     return tuple(out)
+
+
+class PriorGrid(tuple):
+    """The axes of a tensor grid with the terms of one prior on them.
+
+    It iterates as its validated axes, so it can stand wherever axes are
+    accepted; :func:`evaluate_posterior` and :func:`information_gain` take
+    its prior terms as they are when it was built for the same prior
+    object, and build a new grid from its axes otherwise.  It holds the
+    node array, the prior's log-density ``log_prior`` on the nodes, the
+    ``dead`` nodes where that is -inf, and the ``np.diff`` spacings of
+    every axis over the full grid and over the interior grid (``None``
+    when an axis has no interior).  Its arrays are read-only.
+    """
+
+    def __new__(cls, prior: TruncatedNormalPrior, axes, axis_names=None):
+        self = super().__new__(cls, _validate_axes(axes))
+        if axis_names is None:
+            axis_names = tuple(f"x{k + 1}" for k in range(len(self)))
+        self.axis_names = tuple(axis_names)
+        if len(self.axis_names) != len(self):
+            raise ValueError("one axis name per axis required")
+        self.prior = prior
+        self.nodes = np.stack(np.meshgrid(*self, indexing="ij"), axis=-1)
+        self.log_prior = prior.log_density(self.nodes)
+        self.dead = ~np.isfinite(self.log_prior)
+        self.spacings = tuple(np.diff(axis) for axis in self)
+        self.interior_spacings = tuple(np.diff(axis[1:-1]) for axis in self) \
+            if all(axis.size > 2 for axis in self) else None
+        for array in (self.nodes, self.log_prior, self.dead):
+            array.flags.writeable = False
+        return self
+
+    @functools.cached_property
+    def log_prior_on_grid(self) -> np.ndarray:
+        """``log_prior`` renormalized to unit trapezoidal mass on the grid."""
+        prior_mass = _trapezoid(np.exp(self.log_prior), self.spacings)
+        if not (np.isfinite(prior_mass) and prior_mass > 0):
+            raise InferenceError(f"prior mass on the grid is {prior_mass}")
+        log_prior = self.log_prior - math.log(prior_mass)
+        log_prior.flags.writeable = False
+        return log_prior
+
+
+def _prior_grid(prior: TruncatedNormalPrior, axes,
+                axis_names=None) -> PriorGrid:
+    """``axes`` when it is a :class:`PriorGrid` built for ``prior`` (and
+    ``axis_names``), else a grid built from them."""
+    if (isinstance(axes, PriorGrid) and axes.prior is prior
+            and (axis_names is None or tuple(axis_names) == axes.axis_names)):
+        return axes
+    return PriorGrid(prior, axes, axis_names)
 
 
 def cdf_spaced_grid(prior: TruncatedNormalPrior, points_per_dim) -> tuple[np.ndarray, ...]:
@@ -119,41 +188,34 @@ def evaluate_posterior(prior: TruncatedNormalPrior, log_likelihood_fn,
                        axes, axis_names=None) -> PosteriorGrid:
     """Normalized posterior of prior x likelihood on a tensor grid.
 
-    ``log_likelihood_fn`` receives the full node array of shape
-    grid_shape + (n_params,) and returns log-likelihoods of shape
-    grid_shape; -inf entries are allowed and mark dead nodes.
+    ``axes`` are the grid's axes, or a :class:`PriorGrid`, which is used
+    as it is when it was built for ``prior``.  ``log_likelihood_fn``
+    receives the full node array of shape grid_shape + (n_params,) and
+    returns log-likelihoods of shape grid_shape; -inf entries are allowed
+    and mark dead nodes.
     """
-    axes = _validate_axes(axes)
-    if axis_names is None:
-        axis_names = tuple(f"x{k + 1}" for k in range(len(axes)))
-    axis_names = tuple(axis_names)
-    if len(axis_names) != len(axes):
-        raise ValueError("one axis name per axis required")
-
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack(mesh, axis=-1)
-    log_prior = prior.log_density(nodes)
-    log_lik = np.asarray(log_likelihood_fn(nodes), dtype=float)
-    log_lik = np.broadcast_to(log_lik, log_prior.shape)
+    grid = _prior_grid(prior, axes, axis_names)
+    log_lik = np.asarray(log_likelihood_fn(grid.nodes), dtype=float)
+    log_lik = np.broadcast_to(log_lik, grid.log_prior.shape)
     if np.isnan(log_lik).any():
         raise InferenceError("log-likelihood returned NaN; use -inf for "
                              "failed evaluations")
-    log_unnormalized = log_prior + log_lik
+    log_unnormalized = grid.log_prior + log_lik
 
     finite = np.isfinite(log_unnormalized)
     if not finite.any():
         raise InferenceError("posterior is zero everywhere on the grid")
     shift = float(log_unnormalized[finite].max())
     weights = np.exp(log_unnormalized - shift)
-    scaled_norm = trapezoid_nd(weights, axes)
+    scaled_norm = _trapezoid(weights, grid.spacings)
     if not (np.isfinite(scaled_norm) and scaled_norm > 0):
         raise InferenceError(
             f"normalization is zero or non-finite ({scaled_norm})")
     density = weights / scaled_norm
 
-    if all(axis.size > 2 for axis in axes):
-        interior = tuple(slice(1, -1) for _ in axes)
-        inner = trapezoid_nd(density[interior], [a[1:-1] for a in axes])
+    if grid.interior_spacings is not None:
+        interior = tuple(slice(1, -1) for _ in grid)
+        inner = _trapezoid(density[interior], grid.interior_spacings)
         boundary_mass = max(0.0, 1.0 - inner)
     else:
         boundary_mass = 1.0
@@ -162,11 +224,10 @@ def evaluate_posterior(prior: TruncatedNormalPrior, log_likelihood_fn,
                        "shell; the grid is likely too small",
                        100.0 * boundary_mass)
 
-    return PosteriorGrid(axes=axes, axis_names=axis_names,
-                         log_unnormalized=log_unnormalized, density=density,
+    return PosteriorGrid(grid=grid, log_unnormalized=log_unnormalized,
+                         density=density,
                          log_normalization=math.log(scaled_norm) + shift,
-                         boundary_mass=boundary_mass, prior=prior,
-                         log_prior=log_prior)
+                         boundary_mass=boundary_mass)
 
 
 def information_gain(posterior: PosteriorGrid, prior: TruncatedNormalPrior) -> float:
@@ -175,25 +236,21 @@ def information_gain(posterior: PosteriorGrid, prior: TruncatedNormalPrior) -> f
     Both densities are taken as the grid represents them: the prior is
     renormalized over the grid with the same trapezoidal rule, so identical
     prior and posterior give exactly zero.  The integrand is defined as zero
-    wherever the posterior density vanishes.
+    wherever the posterior density vanishes.  The posterior's grid supplies
+    the prior terms when ``prior`` is the posterior's prior.
     """
-    if prior is posterior.prior:
-        log_prior = posterior.log_prior
-    else:
-        log_prior = prior.log_density(posterior.nodes())
+    grid = _prior_grid(prior, posterior.grid)
     post = posterior.density
     alive = post > 0
-    if np.any(alive & ~np.isfinite(log_prior)):
+    if np.any(alive & grid.dead):
         raise InferenceError(
             "posterior has mass where the prior density is zero; "
             "KL divergence is undefined")
-    prior_mass = trapezoid_nd(np.exp(log_prior), posterior.axes)
-    if not (np.isfinite(prior_mass) and prior_mass > 0):
-        raise InferenceError(f"prior mass on the grid is {prior_mass}")
-    log_prior_grid = log_prior - math.log(prior_mass)
+    log_prior_grid = grid.log_prior_on_grid
     log_post = np.log(post, out=np.zeros_like(post), where=alive)
-    integrand = np.where(alive, post * (log_post - log_prior_grid), 0.0)
-    return trapezoid_nd(integrand, posterior.axes)
+    integrand = np.multiply(post, log_post - log_prior_grid,
+                            out=np.zeros_like(post), where=alive)
+    return _trapezoid(integrand, grid.spacings)
 
 
 def _as_covariance(cov, k: int) -> np.ndarray:

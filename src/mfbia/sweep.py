@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .inference import (
+    PriorGrid,
     cdf_spaced_grid,
     evaluate_posterior,
     information_gain,
@@ -195,23 +196,28 @@ class _TaskEvaluator:
 
     def __init__(self, spec: SweepSpec):
         self.spec = spec
-        self.grid = cdf_spaced_grid(spec.prior, spec.grid_shape)
-        self.nodes = np.stack(np.meshgrid(*self.grid, indexing="ij"), axis=-1)
+        self.grid = PriorGrid(spec.prior,
+                              cdf_spaced_grid(spec.prior, spec.grid_shape))
 
     def __call__(self, cells: list[tuple]) -> list[SweepResult]:
-        memo = {}    # field number -> (truth outputs, misfit moments)
+        # field number -> (truth outputs, misfit moments), and
+        # (field number, SNR) -> moments at that SNR's noise variance
+        memo = {}
         gains = {}   # field-1 noise variance -> single-field gain
         return [self._cell(values, memo, gains) for values in cells]
 
     def _moments(self, model, plan: FieldSpec, k: int, point, memo: dict):
         """Field ``k``'s misfit moments on the grid at the cell's noise."""
-        plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
-                       snr=point.get(f"snr{k}", plan.snr))
+        snr = point.get(f"snr{k}", plan.snr)
         if k not in memo:
+            plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
+                           snr=snr)
             memo[k] = field_moments(model, self.spec.truth, plan,
-                                    self.nodes)[1:]
-        centre, moments = memo[k]
-        return moments.with_noise(sigma_from_snr(centre, plan.snr))
+                                    self.grid.nodes)[1:]
+        if (k, snr) not in memo:
+            centre, moments = memo[k]
+            memo[k, snr] = moments.with_noise(sigma_from_snr(centre, snr))
+        return memo[k, snr]
 
     def _posterior(self, model, moments: list):
         return evaluate_posterior(

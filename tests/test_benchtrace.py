@@ -17,6 +17,9 @@ the truth outputs the moments are centred on; and one row block of grid
 nodes.  A cell makes none of its own, since it only takes its noise
 variance from its SNRs.  A 20x20 grid at a few coordinates fits in one row
 block of ``MISFIT_BLOCK_ELEMENTS``.
+
+The posterior and gain counts are pinned as well, so that the sweep keeps
+reaching the inference layer through the names the tracer wraps.
 """
 
 import importlib.util
@@ -42,6 +45,18 @@ TOY_CONFIG = (
     "  - {id: 1, count: 5, snr: 30, range: [0.1, 1.0]}\n"
     "  - {id: 2, count: 3, snr: 50, range: [0.1, 1.0]}\n"
     "grid: [20, 20]\n")
+
+
+#: Posteriors each case evaluates: one per cell, and one single-field
+#: posterior per field-1 SNR in each task or piece of a task.
+POSTERIORS = {
+    "{n_obs2: [2, 4], snr2: [5.0, 50.0]}": 2 * (1 + 2),
+    "{snr1: [5.0, 50.0], snr2: [10.0], coupling: [0.1, 0.4, 0.7]}":
+        3 * (2 + 2),
+    "{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}": 2 * (1 + 3),
+    "{snr2: [5.0, 50.0, 500.0]}": (1 + 1) + (1 + 2),
+    "{snr2: [5.0, 50.0], coupling: [0.1, 0.4]}": 2 * (1 + 2),
+}
 
 
 @pytest.mark.parametrize("sweep,workers,cells,outputs", [
@@ -76,6 +91,12 @@ def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells,
     assert data["counts"]["sweep.cells"] == cells
     assert data["counts"]["sweep.failed_cells"] == 0
     assert data["spans"]["models.outputs"][0] == outputs
+    # every posterior and gain goes through the traced names, on the
+    # 20x20 grid
+    posteriors = POSTERIORS[sweep]
+    assert data["spans"]["inference.posterior"][0] == posteriors
+    assert data["spans"]["inference.ig"][0] == posteriors
+    assert data["counts"]["inference.grid_nodes"] == posteriors * 400
 
 
 def _bench_workloads() -> dict:

@@ -207,6 +207,14 @@ class TestCliSynthesize:
         assert main(["synthesize", "--config", str(config),
                      "--out", str(tmp_path)]) == 2
 
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("model: [unclosed\n")
+        assert main(["synthesize", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "Traceback" not in err
+
 
 class TestCliPosterior:
     @pytest.fixture
@@ -258,6 +266,18 @@ class TestCliPosterior:
                      "--out", str(tmp_path / "post")]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "force" in err and "Traceback" not in err
+        assert not (tmp_path / "post").exists()
+
+    def test_repeated_observation_field_exits_2(self, tmp_path, capsys,
+                                                observation_files):
+        f1 = observation_files[0]
+        copy = tmp_path / "copy.csv"
+        copy.write_text(f1.read_text())
+        assert main(["posterior", "--obs", str(f1), "--obs", str(copy),
+                     "--grid", "20", "--out", str(tmp_path / "post")]) == 2
+        err = capsys.readouterr().err
+        assert str(f1) in err and str(copy) in err and "field 1" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "post").exists()
 
     def test_observation_field_the_model_lacks_exits_2(
@@ -633,6 +653,18 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "0 []"), proc.stdout
+
+
+def test_cli_import_loads_no_yaml_parser():
+    # only a command that reads a config file needs one
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mfbia.cli; print('yaml' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_scipy_is_not_a_runtime_dependency():

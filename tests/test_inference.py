@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from mfbia.inference import (
     InferenceError,
+    PriorGrid,
     cdf_spaced_grid,
     evaluate_posterior,
     information_gain,
@@ -231,6 +232,86 @@ class TestInformationGain:
                                       lower=[9e3, 0.0], upper=[1e4, 0.5])
         with pytest.raises(InferenceError):
             information_gain(grid, narrow)
+
+
+def numpy_trapezoid_nd(values, axes) -> float:
+    for axis in reversed(axes):
+        values = np.trapezoid(values, x=axis, axis=-1)
+    return float(values)
+
+
+def reference_gain(density, prior, axes) -> float:
+    """KL of ``density`` from ``prior`` renormalized on the grid, by
+    numpy's trapezoid."""
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    log_prior = prior.log_density(nodes)
+    log_prior = log_prior - math.log(
+        numpy_trapezoid_nd(np.exp(log_prior), axes))
+    alive = density > 0
+    log_post = np.log(density, out=np.zeros_like(density), where=alive)
+    with np.errstate(invalid="ignore"):   # 0 * inf at dead prior nodes
+        integrand = np.where(alive, density * (log_post - log_prior), 0.0)
+    return numpy_trapezoid_nd(integrand, axes)
+
+
+class TestPriorGrid:
+    """A grid built once per prior gives the results of plain axes."""
+
+    #: lower bound 0 inside the first axis, so its first nodes are dead
+    PRIOR = TruncatedNormalPrior(mean=[1.0, 0.6], variance=[0.25, 0.25],
+                                 lower=[0.0, 0.0], upper=[np.inf, np.inf])
+    LOGLIK = staticmethod(gaussian_loglik([1.2, 0.7], [0.1, 0.2]))
+
+    @pytest.mark.parametrize("axes", [
+        (np.linspace(-0.5, 2.5, 31), np.linspace(0.05, 1.8, 23)),
+        # an axis of size 2 has no interior: all mass is boundary mass
+        (np.linspace(-0.5, 2.5, 31), np.array([0.4, 0.9])),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_prebuilt_grid_is_bit_equal_to_plain_axes(self, axes):
+        prior = self.PRIOR
+        grid = PriorGrid(prior, axes)
+        assert grid.dead.any() and not grid.dead.all()
+        plain = evaluate_posterior(prior, self.LOGLIK, axes)
+        built = evaluate_posterior(prior, self.LOGLIK, grid)
+        assert built.grid is grid
+        for name in ("density", "log_unnormalized"):
+            np.testing.assert_array_equal(getattr(built, name),
+                                          getattr(plain, name))
+        assert built.log_normalization == plain.log_normalization
+        assert built.boundary_mass == plain.boundary_mass
+        if len(axes[1]) == 2:
+            assert built.boundary_mass == 1.0
+        assert information_gain(built, prior) \
+            == information_gain(plain, prior) \
+            == reference_gain(plain.density, prior, axes)
+
+    def test_trapezoid_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        axes = [np.cumsum(rng.uniform(0.1, 1.0, n)) for n in (5, 7, 4)]
+        values = rng.normal(size=(5, 7, 4))
+        assert trapezoid_nd(values, axes) == numpy_trapezoid_nd(values, axes)
+
+    def test_gain_under_another_prior_matches_formula(self):
+        axes = (np.linspace(0.05, 2.5, 31), np.linspace(0.05, 1.8, 23))
+        posterior = evaluate_posterior(self.PRIOR, self.LOGLIK,
+                                       PriorGrid(self.PRIOR, axes))
+        other = TruncatedNormalPrior(mean=[1.3, 0.5], variance=[0.5, 0.3],
+                                     lower=[0.0, 0.0], upper=[3.0, 2.0])
+        assert information_gain(posterior, other) \
+            == reference_gain(posterior.density, other, axes)
+
+    def test_grid_for_another_prior_is_not_reused(self):
+        axes = (np.linspace(-0.5, 2.5, 31), np.linspace(0.05, 1.8, 23))
+        other = TruncatedNormalPrior(mean=[1.3, 0.5], variance=[0.5, 0.3],
+                                     lower=[-1.0, 0.0], upper=[3.0, 2.0])
+        grid = PriorGrid(self.PRIOR, axes)
+        posterior = evaluate_posterior(other, self.LOGLIK, grid)
+        plain = evaluate_posterior(other, self.LOGLIK, axes)
+        assert posterior.grid is not grid and posterior.prior is other
+        np.testing.assert_array_equal(posterior.density, plain.density)
+        assert information_gain(posterior, other) \
+            == information_gain(plain, other)
 
 
 class TestKlGaussians:

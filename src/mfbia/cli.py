@@ -42,6 +42,7 @@ from .inference import (
 from .models import build_model
 from .probabilistic import (
     FieldObservations,
+    ObservationFileError,
     log_likelihood,
     observations_from_csv,
     observations_to_csv,
@@ -163,7 +164,10 @@ def cmd_posterior(args) -> int:
     observations = []
     sources = {}   # field id -> the --obs file that holds it
     for path in args.obs or []:
-        obs = observations_from_csv(path)
+        try:
+            obs = observations_from_csv(path)
+        except ObservationFileError as exc:
+            raise ConfigError(f"--obs {exc}") from None
         if obs is not None:
             if obs.field_id not in model.field_ids:
                 raise ConfigError(

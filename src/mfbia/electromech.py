@@ -7,6 +7,12 @@ follows from the deformed resistance, which shrinks with the lateral
 contraction controlled by the Poisson ratio.  Electricity does not act back
 on the mechanics, so the two fields are one-way coupled.
 
+:func:`displacement_batch` and :func:`current_batch` evaluate a posterior
+grid's nodes against the observed forces.  Each factor that depends on the
+node alone or on the force alone is formed at its input's shape; only the
+terms that depend on both span the node x force shape, and they are
+updated in place.
+
 All quantities are strict SI (m, N, Pa, V, A, Ohm m).
 """
 
@@ -187,37 +193,64 @@ def displacement_batch(youngs_modulus, poisson_ratio, force, *,
     verified by its residual: an entry with ``|residual| > 1e-20 +
     1e-14*|load|`` comes back as NaN.  The tests check this path against
     the monolithic Newton solve of :func:`coupled_system`.
+
+    ``2*F*l0`` and ``1 - nu^2`` are formed at their inputs' shapes and the
+    residual check runs in place, with the operations of a fully broadcast
+    evaluation in the same order, so the results are the same bits.
     """
-    youngs_modulus, poisson_ratio, force = np.broadcast_arrays(
-        np.asarray(youngs_modulus, dtype=float),
-        np.asarray(poisson_ratio, dtype=float),
-        np.asarray(force, dtype=float))
+    youngs_modulus = np.asarray(youngs_modulus, dtype=float)
+    poisson_ratio = np.asarray(poisson_ratio, dtype=float)
+    force = np.asarray(force, dtype=float)
     l0 = side_length
-    load = np.asarray(2.0 * force * l0 / youngs_modulus
-                      * (1.0 - poisson_ratio**2))
+    shape = np.broadcast_shapes(youngs_modulus.shape, poisson_ratio.shape,
+                                force.shape)
+    load = np.divide(2.0 * force * l0, youngs_modulus, out=np.empty(shape))
+    load *= 1.0 - poisson_ratio**2
     d = _cardano_displacement(load, l0)
-    # absolute floor plus a relative term so the check is scale-aware in
-    # the load
-    residual = 2.0 * l0**2 * d + 3.0 * l0 * d * d + d**3 - load
-    out = np.where(np.abs(residual) <= 1e-20 + 1e-14 * np.abs(load), d, np.nan)
-    return out if out.ndim else np.float64(out)
+    # residual 2*l0^2*d + 3*l0*d^2 + d^3 - load, against an absolute floor
+    # plus a relative term so the check is scale-aware in the load
+    residual = np.multiply(d, 2.0 * l0**2, out=np.empty(shape))
+    term = np.multiply(d, 3.0 * l0, out=np.empty(shape))
+    residual += np.multiply(term, d, out=term)
+    residual += np.power(d, 3, out=term)
+    del term
+    residual -= load
+    np.abs(residual, out=residual)
+    tolerance = np.abs(load, out=load)
+    tolerance *= 1e-14
+    tolerance += 1e-20
+    np.copyto(d, np.nan, where=~(residual <= tolerance))
+    return d if d.ndim else np.float64(d)
 
 
 def current_batch(poisson_ratio, displacement, *,
                   side_length: float = DEFAULT_SIDE_LENGTH,
                   voltage: float = DEFAULT_VOLTAGE,
                   resistivity: float = DEFAULT_RESISTIVITY) -> np.ndarray:
-    """Vectorized current from displacement; NaN where inadmissible."""
-    poisson_ratio, displacement = np.broadcast_arrays(
-        np.asarray(poisson_ratio, dtype=float),
-        np.asarray(displacement, dtype=float))
+    """Vectorized current from displacement; NaN where inadmissible.
+
+    ``nu/(1-nu)`` is formed at the Poisson ratio's shape and the rest in
+    place at the broadcast shape, with the operations of a fully
+    broadcast evaluation, so the results are the same bits.
+    """
+    poisson_ratio = np.asarray(poisson_ratio, dtype=float)
+    displacement = np.asarray(displacement, dtype=float)
     l0 = side_length
-    radicand = l0**2 - poisson_ratio / (1.0 - poisson_ratio) * (
-        2.0 * l0 * displacement + displacement**2)
-    ok = radicand >= 0
-    current = np.where(
-        ok,
-        voltage * l0 * np.sqrt(np.where(ok, radicand, 0.0))
-        / (resistivity * (l0 + displacement)),
-        np.nan)
+    shape = np.broadcast_shapes(poisson_ratio.shape, displacement.shape)
+    # radicand l0^2 - nu/(1-nu) * (2*l0*d + d^2)
+    radicand = np.multiply(displacement, 2.0 * l0, out=np.empty(shape))
+    term = np.square(displacement, out=np.empty(shape))
+    radicand += term
+    radicand *= poisson_ratio / (1.0 - poisson_ratio)
+    np.subtract(l0**2, radicand, out=radicand)
+    bad = ~(radicand >= 0)
+    # U*l0*sqrt(radicand) / (rho*(l0 + d)), with 0 for the radicand
+    # where it is negative or NaN; those entries come back NaN
+    np.copyto(radicand, 0.0, where=bad)
+    current = np.sqrt(radicand, out=radicand)
+    current *= voltage * l0
+    np.add(displacement, l0, out=term)
+    term *= resistivity
+    current /= term
+    np.copyto(current, np.nan, where=bad)
     return current if current.ndim else np.float64(current)

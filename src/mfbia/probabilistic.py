@@ -414,30 +414,64 @@ def write_empty_observations_csv(path) -> None:
         csv.writer(handle, lineterminator="\n").writerow(OBSERVATION_CSV_HEADER)
 
 
+class ObservationFileError(ValueError):
+    """An observation CSV is malformed; the message names the file, and the
+    line and column where a cell is at fault."""
+
+
+def _column(path, rows, name: str, cast=float) -> list:
+    """The cells of column ``name``, each converted by ``cast``."""
+    index = OBSERVATION_CSV_HEADER.index(name)
+    values = []
+    for line, row in rows:
+        try:
+            values.append(cast(row[index]))
+        except ValueError:
+            raise ObservationFileError(
+                f"{path}: line {line}, column {name!r}: expected a number, "
+                f"got {row[index]!r}") from None
+    return values
+
+
 def observations_from_csv(path) -> FieldObservations | None:
     """Read an observation set; None for a header-only file.
 
     Vector observations round-trip as flattened scalar rows, which leaves
     every likelihood identical because the Gaussian sum is componentwise.
+    Malformed content raises :class:`ObservationFileError`.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != OBSERVATION_CSV_HEADER:
-            raise ValueError(f"{path}: expected header "
-                             f"{','.join(OBSERVATION_CSV_HEADER)}, got {header}")
-        rows = [row for row in reader if row]
+            raise ObservationFileError(
+                f"{path}: expected header "
+                f"{','.join(OBSERVATION_CSV_HEADER)}, got {header}")
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         return None
-    field_ids = {int(row[0]) for row in rows}
-    sigmas = {row[3] for row in rows}
-    snrs = {row[4] for row in rows}
+    for line, row in rows:
+        if len(row) != len(OBSERVATION_CSV_HEADER):
+            raise ObservationFileError(
+                f"{path}: line {line}: expected "
+                f"{len(OBSERVATION_CSV_HEADER)} columns, got {len(row)}")
+    field_ids = set(_column(path, rows, "field_id", int))
+    sigmas = {row[3] for _, row in rows}
+    snrs = {row[4] for _, row in rows}
     if len(field_ids) != 1 or len(sigmas) != 1 or len(snrs) != 1:
-        raise ValueError(f"{path}: mixed field_id/sigma2/snr in one file")
+        raise ObservationFileError(
+            f"{path}: mixed field_id/sigma2/snr in one file")
+    (sigma2,) = _column(path, rows[:1], "sigma2")
+    if not sigma2 > 0:
+        raise ObservationFileError(
+            f"{path}: column 'sigma2' must be > 0, got {sigma2!r}")
     snr_text = snrs.pop()
-    return FieldObservations(
-        field_id=field_ids.pop(),
-        coordinates=np.array([float(row[1]) for row in rows]),
-        values=np.array([float(row[2]) for row in rows]),
-        noise_variance=float(sigmas.pop()),
-        snr=None if snr_text == "" else float(snr_text))
+    coordinates = np.array(_column(path, rows, "coordinate"))
+    values = np.array(_column(path, rows, "value"))
+    snr = None if snr_text == "" else _column(path, rows[:1], "snr")[0]
+    try:
+        return FieldObservations(field_id=field_ids.pop(),
+                                 coordinates=coordinates, values=values,
+                                 noise_variance=sigma2, snr=snr)
+    except ValueError as exc:
+        raise ObservationFileError(f"{path}: {exc}") from None

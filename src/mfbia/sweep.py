@@ -13,9 +13,11 @@ so all its cells share the observation counts and the model constants.  A
 task computes each field's misfit moments on the posterior grid (see
 :func:`~mfbia.probabilistic.misfit_moments`) once, and the single-field
 gain once per ``snr1`` value; an SNR value then costs one pass over the
-nodes.  Tasks can run on any number of workers without changing a single
-bit of the output; failures are recorded per cell and never abort the
-sweep.
+nodes.  Field 1's moments depend only on the model constants and
+``n_obs1``: a group of them that several tasks share is computed once,
+before dispatch, and handed to every worker.  Tasks can run on any number
+of workers without changing a single bit of the output; failures are
+recorded per cell and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import csv
 import itertools
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -183,6 +186,14 @@ def field_moments(model, truth, plan: FieldSpec, nodes):
     return observations, centre, moments
 
 
+def _field1_key(spec: SweepSpec, point: dict) -> tuple:
+    """What a cell's field-1 analysis depends on: its model constants and
+    its field-1 observation count."""
+    constants = tuple((name, value) for name, value in point.items()
+                      if name not in FIELD_AXES)
+    return constants, point.get("n_obs1", spec.first_field.count)
+
+
 class _TaskEvaluator:
     """Evaluates the tasks of one sweep in one process.
 
@@ -190,12 +201,15 @@ class _TaskEvaluator:
     constants, so each field's misfit moments on the node grid are
     computed once per task, and the single-field gain once per field-1
     noise variance; each cell composes the moments at its own noise
-    variances.  The work a task does depends only on its cells, never on
-    which worker ran it.
+    variances.  A field-1 analysis that several tasks share is not
+    computed in a task at all: ``shared`` holds it, computed once before
+    dispatch by :func:`_shared_field1_analyses`.  The work a task does
+    depends only on its cells, never on which worker ran it.
     """
 
-    def __init__(self, spec: SweepSpec):
+    def __init__(self, spec: SweepSpec, shared: dict):
         self.spec = spec
+        self.shared = shared
         self.grid = PriorGrid(spec.prior,
                               cdf_spaced_grid(spec.prior, spec.grid_shape))
 
@@ -206,14 +220,37 @@ class _TaskEvaluator:
         gains = {}   # field-1 noise variance -> single-field gain
         return [self._cell(values, memo, gains) for values in cells]
 
-    def _moments(self, model, plan: FieldSpec, k: int, point, memo: dict):
+    def model(self, point: dict):
+        """The model at the spec's constants and the cell's constant axes."""
+        varied = {name: value for name, value in point.items()
+                  if name not in FIELD_AXES}
+        return build_model(self.spec.model_name,
+                           {**self.spec.model_constants, **varied})
+
+    def _plan(self, k: int, point: dict) -> FieldSpec:
+        """Field ``k``'s observation plan at the cell's axis values."""
+        plan = self.spec.first_field if k == 1 else self.spec.second_field
+        return replace(plan, count=point.get(f"n_obs{k}", plan.count),
+                       snr=point.get(f"snr{k}", plan.snr))
+
+    def analysis(self, model, k: int, point: dict) -> tuple:
+        """Field ``k``'s truth outputs and misfit moments at the cell's
+        observation count."""
+        return field_moments(model, self.spec.truth, self._plan(k, point),
+                             self.grid.nodes)[1:]
+
+    def _moments(self, model, k: int, point: dict, memo: dict):
         """Field ``k``'s misfit moments on the grid at the cell's noise."""
-        snr = point.get(f"snr{k}", plan.snr)
         if k not in memo:
-            plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
-                           snr=snr)
-            memo[k] = field_moments(model, self.spec.truth, plan,
-                                    self.grid.nodes)[1:]
+            shared = self.shared.get(_field1_key(self.spec, point)) \
+                if k == 1 else None
+            if isinstance(shared, str):
+                # the shared analysis failed: so does this cell, as it
+                # would had it run the analysis itself
+                raise RuntimeError(shared)
+            memo[k] = shared if shared is not None else \
+                self.analysis(model, k, point)
+        snr = self._plan(k, point).snr
         if (k, snr) not in memo:
             centre, moments = memo[k]
             memo[k, snr] = moments.with_noise(sigma_from_snr(centre, snr))
@@ -228,16 +265,13 @@ class _TaskEvaluator:
         spec = self.spec
         point = dict(zip(spec.axes, values))
         try:
-            varied = {name: value for name, value in point.items()
-                      if name not in FIELD_AXES}
-            model = build_model(spec.model_name,
-                                {**spec.model_constants, **varied})
-            moments1 = self._moments(model, spec.first_field, 1, point, memo)
+            model = self.model(point)
+            moments1 = self._moments(model, 1, point, memo)
             if moments1.noise_variance not in gains:
                 gains[moments1.noise_variance] = information_gain(
                     self._posterior(model, [moments1]), spec.prior)
             ig_single = gains[moments1.noise_variance]
-            moments2 = self._moments(model, spec.second_field, 2, point, memo)
+            moments2 = self._moments(model, 2, point, memo)
             posterior = self._posterior(model, [moments1, moments2])
             ig_multi = information_gain(posterior, spec.prior)
             return SweepResult(point=point, ig_single=ig_single,
@@ -250,15 +284,40 @@ class _TaskEvaluator:
                                status=f"failed:{exc}")
 
 
+def _shared_field1_analyses(spec: SweepSpec, payloads: list) -> dict:
+    """Field-1 analyses that two or more tasks share, each computed once.
+
+    ``payloads`` holds each task's cells as axis values.  The result maps
+    the key of every (model constants, ``n_obs1``) group that at least two
+    tasks or pieces of a task use to its truth outputs and misfit moments,
+    or to the text of the error its analysis raised, so that the group's
+    cells fail as they would had each task computed it.  A group that one
+    task uses is left to that task.
+    """
+    points = [dict(zip(spec.axes, cells[0])) for cells in payloads]
+    users = Counter(_field1_key(spec, point) for point in points)
+    shared, evaluator = {}, None
+    for point in points:
+        key = _field1_key(spec, point)
+        if users[key] < 2 or key in shared:
+            continue
+        evaluator = evaluator or _TaskEvaluator(spec, {})
+        try:
+            shared[key] = evaluator.analysis(evaluator.model(point), 1, point)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            shared[key] = str(exc)
+    return shared
+
+
 #: The sweep context of this process, set once by :func:`_install`.
 _evaluator: _TaskEvaluator | None = None
 
 
-def _install(spec: SweepSpec) -> None:
-    """Set this process's sweep context; the pool initializer, and the
-    serial path's set-up."""
+def _install(spec: SweepSpec, shared: dict) -> None:
+    """Set this process's sweep context and shared field-1 analyses; the
+    pool initializer, and the serial path's set-up."""
     global _evaluator
-    _evaluator = _TaskEvaluator(spec)
+    _evaluator = _TaskEvaluator(spec, shared)
 
 
 def _evaluate_task(cells: list[tuple]) -> list[SweepResult]:
@@ -288,11 +347,12 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
     cells = list(itertools.product(*spec.axes.values()))
     tasks = sweep_tasks(spec, workers)
     payloads = [[cells[index] for index in task] for task in tasks]
+    shared = _shared_field1_analyses(spec, payloads)
     if workers <= 1:
-        _install(spec)
+        _install(spec, shared)
         return _collect(tasks, map(_evaluate_task, payloads), progress)
     with ProcessPoolExecutor(max_workers=workers, initializer=_install,
-                             initargs=(spec,)) as pool:
+                             initargs=(spec, shared)) as pool:
         return _collect(tasks, pool.map(_evaluate_task, payloads), progress)
 
 

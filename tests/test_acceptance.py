@@ -4,8 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.  The quantitative targets reproduce the reference
 tensile-test results at desk scale; the property criteria pin the oracle and
 invariant behavior of the solvers and quadrature.  One more test pins the
-fig10 anchors to the seed code's values within ``SEED_RIIG_RTOL``, and two
-more pin ``reproduce fig9`` to the fig10 cells it shares.
+fig10 anchors to the seed code's values within ``SEED_RIIG_RTOL``, two
+more pin ``reproduce fig9`` to the fig10 cells it shares, and two more pin
+fig9 and fig10 to one pass over the grid for field 1.
 """
 
 import csv
@@ -106,10 +107,35 @@ def fig9():
     }
 
 
+def _field1_grid_batches(run):
+    """``run()``'s result, and the size of every batch of grid nodes it
+    passed to the field-1 forward model."""
+    batches = []
+    original = ElectromechModel.outputs
+
+    def outputs(self, x, field_id, coords):
+        if field_id == 1 and np.ndim(x) > 1:
+            batches.append(len(x))
+        return original(self, x, field_id, coords)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ElectromechModel, "outputs", outputs)
+        return run(), batches
+
+
 @pytest.fixture(scope="module")
-def sweep_serial():
+def sweep_serial_batches():
+    """The serial fig10 sweep, and its field-1 grid batch sizes."""
     spec = default_config().sweep_spec()
-    return spec, run_riig_sweep(spec, workers=1)
+    results, batches = _field1_grid_batches(
+        lambda: run_riig_sweep(spec, workers=1))
+    return spec, results, batches
+
+
+@pytest.fixture(scope="module")
+def sweep_serial(sweep_serial_batches):
+    spec, results, _ = sweep_serial_batches
+    return spec, results
 
 
 @pytest.fixture(scope="module")
@@ -353,17 +379,9 @@ def fig9_bundle(tmp_path_factory):
     """``reproduce fig9``'s summary rows by case, and the size of every
     batch of grid nodes it passed to the field-1 forward model."""
     out = tmp_path_factory.mktemp("fig9")
-    batches = []
-    original = ElectromechModel.outputs
-
-    def outputs(self, x, field_id, coords):
-        if field_id == 1 and np.ndim(x) > 1:
-            batches.append(len(x))
-        return original(self, x, field_id, coords)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ElectromechModel, "outputs", outputs)
-        assert main(["reproduce", "fig9", "--out", str(out)]) == 0
+    code, batches = _field1_grid_batches(
+        lambda: main(["reproduce", "fig9", "--out", str(out)]))
+    assert code == 0
     with open(out / "fig9" / "summary.csv", newline="") as handle:
         rows = {row["case"]: row for row in csv.DictReader(handle)}
     return rows, batches
@@ -383,6 +401,15 @@ def test_fig9_evaluates_field1_grid_once(fig9_bundle):
     """fig9's three posteriors share one pass over the 100x100 grid for
     field 1: two row blocks of nodes."""
     _, batches = fig9_bundle
+    assert len(batches) == 2
+    assert sum(batches) == 100 * 100
+
+
+def test_fig10_evaluates_field1_grid_once(sweep_serial_batches):
+    """fig10's ten tasks share one pass over the 100x100 grid for field 1:
+    two row blocks of nodes."""
+    spec, _, batches = sweep_serial_batches
+    assert len(spec.axes["n_obs2"]) == 10
     assert len(batches) == 2
     assert sum(batches) == 100 * 100
 

@@ -11,12 +11,15 @@ benchmark refuse the run.
 
 The forward-model call count is pinned too.  The benchmark refuses a trace
 whose counts differ between runs, so the count must follow from the tasks
-alone, never from which worker ran which task.  A task makes three calls
-for each field's misfit moments: synthesis, which checks the truth outputs;
-the truth outputs the moments are centred on; and one row block of grid
-nodes.  A cell makes none of its own, since it only takes its noise
-variance from its SNRs.  A 20x20 grid at a few coordinates fits in one row
-block of ``MISFIT_BLOCK_ELEMENTS``.
+alone, never from which worker ran which task.  A field's misfit moments
+take three calls: synthesis, which checks the truth outputs; the truth
+outputs the moments are centred on; and one row block of grid nodes.  A
+task takes them once for field 2, and for field 1 unless two or more tasks
+or pieces of a task share its model constants and field-1 count; such a
+group's field-1 moments are taken once, before the tasks run.  A cell
+makes no call of its own, since it only takes its noise variance from its
+SNRs.  A 20x20 grid at a few coordinates fits in one row block of
+``MISFIT_BLOCK_ELEMENTS``.
 
 The posterior and gain counts are pinned as well, so that the sweep keeps
 reaching the inference layer through the names the tracer wraps.
@@ -60,17 +63,21 @@ POSTERIORS = {
 
 
 @pytest.mark.parametrize("sweep,workers,cells,outputs", [
-    # 2 tasks of 2 cells, one per n_obs2: 2 x (3 + 3)
-    ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4, 12),
+    # 2 tasks of 2 cells, one per n_obs2, that share field 1: 3 + 2 x 3
+    ("{n_obs2: [2, 4], snr2: [5.0, 50.0]}", "1", 4, 9),
     # 3 tasks of 2 cells, one per coupling; each task's two snr1 values
-    # share one field-1 moments pass: 3 x (3 + 3)
+    # share one field-1 moments pass, and no other task shares it:
+    # 3 x (3 + 3)
     ("{snr1: [5.0, 50.0], snr2: [10.0], coupling: [0.1, 0.4, 0.7]}", "2", 6,
      18),
-    # 2 tasks of 3 cells that share one field-2 moments pass: 2 x (3 + 3)
-    ("{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}", "2", 6, 12),
-    # 1 task split into pieces of 1 and 2 cells: (3 + 3) + (3 + 3)
-    ("{snr2: [5.0, 50.0, 500.0]}", "2", 3, 12),
-    # 2 tasks of 2 cells, one per coupling, the innermost axis: 2 x (3 + 3)
+    # 2 tasks of 3 cells that share one field-2 moments pass each, and
+    # field 1 between them: 3 + 2 x 3
+    ("{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}", "2", 6, 9),
+    # 1 task split into pieces of 1 and 2 cells that share field 1:
+    # 3 + (3 + 3)
+    ("{snr2: [5.0, 50.0, 500.0]}", "2", 3, 9),
+    # 2 tasks of 2 cells, one per coupling, the innermost axis; neither
+    # shares its field 1: 2 x (3 + 3)
     ("{snr2: [5.0, 50.0], coupling: [0.1, 0.4]}", "1", 4, 12),
 ])
 def test_traced_sweep_counts_each_cell_once(tmp_path, sweep, workers, cells,

@@ -268,6 +268,31 @@ class TestCliPosterior:
         assert str(bad) in err and "force" in err and "Traceback" not in err
         assert not (tmp_path / "post").exists()
 
+    @pytest.mark.parametrize("column,text,message", [
+        (1, "abc", "column 'coordinate': expected a number, got 'abc'"),
+        (3, "-1e-09", "column 'sigma2' must be > 0, got -1e-09"),
+        (3, "0.0", "column 'sigma2' must be > 0, got 0.0"),
+    ])
+    def test_malformed_observation_cell_exits_2(
+            self, tmp_path, capsys, observation_files, column, text,
+            message):
+        header, *rows = observation_files[0].read_text().splitlines()
+        if column == 3:    # sigma2 is one value for the whole file
+            rows = [",".join(cells[:3] + [text] + cells[4:])
+                    for cells in (row.split(",") for row in rows)]
+        else:
+            cells = rows[2].split(",")
+            cells[column] = text
+            rows[2] = ",".join(cells)
+        bad = tmp_path / "malformed.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        assert main(["posterior", "--obs", str(bad), "--grid", "20",
+                     "--out", str(tmp_path / "post")]) == 2
+        err = capsys.readouterr().err
+        assert f"--obs {bad}: " in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "post").exists()
+
     def test_repeated_observation_field_exits_2(self, tmp_path, capsys,
                                                 observation_files):
         f1 = observation_files[0]

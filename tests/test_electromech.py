@@ -361,6 +361,116 @@ class TestBatchPaths:
         assert np.isnan(out[1])
 
 
+def broadcast_displacement(youngs, poisson, force) -> np.ndarray:
+    """Oracle: the residual-checked root with every factor formed at the
+    full broadcast shape, as ``displacement_batch`` once formed it."""
+    load = mech_load(youngs, poisson, force)
+    d = _cardano_displacement(load, L0)
+    residual = 2.0 * L0**2 * d + 3.0 * L0 * d * d + d**3 - load
+    out = np.where(np.abs(residual) <= 1e-20 + 1e-14 * np.abs(load), d,
+                   np.nan)
+    return out if out.ndim else np.float64(out)
+
+
+def broadcast_current(poisson, displacement, voltage=10.0,
+                      resistivity=1.0) -> np.ndarray:
+    """Oracle: the current with every factor formed at the full broadcast
+    shape, as ``current_batch`` once formed it."""
+    poisson, displacement = np.broadcast_arrays(
+        np.asarray(poisson, dtype=float),
+        np.asarray(displacement, dtype=float))
+    radicand = L0**2 - poisson / (1.0 - poisson) * (
+        2.0 * L0 * displacement + displacement**2)
+    ok = radicand >= 0
+    current = np.where(
+        ok,
+        voltage * L0 * np.sqrt(np.where(ok, radicand, 0.0))
+        / (resistivity * (L0 + displacement)),
+        np.nan)
+    return current if current.ndim else np.float64(current)
+
+
+def assert_same_bits(actual, expected):
+    assert type(actual) is type(expected)
+    assert np.shape(actual) == np.shape(expected)
+    assert np.array_equal(np.asarray(actual).view(np.int64),
+                          np.asarray(expected).view(np.int64))
+
+
+class TestOwnShapeFactors:
+    """Forming each factor at its own shape changes no bit, NaN included."""
+
+    SHAPES = [((), (), ()), ((6, 1), (6, 1), (1, 9)), ((8,), (8,), (8,)),
+              ((3, 1, 1), (1, 4, 1), (5,)), ((), (4, 1), (3,)),
+              ((2, 3), (), (1,))]
+
+    @staticmethod
+    def draw(rng, shape, low, high, signed=False):
+        """Log-uniform magnitudes with NaN, +-inf and zero sprinkled in."""
+        values = 10.0 ** rng.uniform(low, high, shape)
+        if signed:
+            values = values * rng.choice([-1.0, 1.0], shape)
+        special = rng.random(shape)
+        values = np.where(special < 0.04, np.nan, values)
+        values = np.where((special >= 0.04) & (special < 0.07), np.inf,
+                          values)
+        values = np.where((special >= 0.07) & (special < 0.1), -np.inf,
+                          values)
+        return np.where((special >= 0.1) & (special < 0.14), 0.0, values)
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(300):
+            shape_e, shape_nu, shape_f = self.SHAPES[k % len(self.SHAPES)]
+            youngs = self.draw(rng, shape_e, -3, 12, signed=k % 7 == 0)
+            # Poisson ratios inside and outside [0, 0.5)
+            poisson = np.where(rng.random(shape_nu) < 0.05, np.nan,
+                               rng.uniform(-1.5, 1.5, shape_nu))
+            force = self.draw(rng, shape_f, -8, 3, signed=True)
+            yield youngs, poisson, force
+
+    def test_displacement_matches_broadcast_oracle(self):
+        seen = {"s < -1": 0, "zero force": 0, "nan": 0, "0-d": 0}
+        with np.errstate(all="ignore"):
+            for youngs, poisson, force in self.inputs(21):
+                expected = broadcast_displacement(youngs, poisson, force)
+                assert_same_bits(displacement_batch(youngs, poisson, force),
+                                 expected)
+                seen["s < -1"] += int(np.sum(
+                    cardano_s(youngs, poisson, force) < -1))
+                seen["zero force"] += int(np.sum(force == 0.0))
+                seen["nan"] += int(np.sum(np.isnan(expected)))
+                seen["0-d"] += np.ndim(expected) == 0
+        assert all(seen.values()), seen
+
+    def test_current_matches_broadcast_oracle(self):
+        rng = np.random.default_rng(22)
+        seen = {"negative radicand": 0, "nan": 0, "0-d": 0}
+        with np.errstate(all="ignore"):
+            for youngs, poisson, force in self.inputs(23):
+                d = broadcast_displacement(youngs, poisson, force)
+                # roots, and displacements far past the admissible range
+                d = np.where(rng.random(np.shape(d)) < 0.5, d,
+                             self.draw(rng, np.shape(d), -6, 0, signed=True))
+                expected = broadcast_current(poisson, d)
+                assert_same_bits(current_batch(poisson, d), expected)
+                radicand = L0**2 - poisson / (1.0 - poisson) * (
+                    2.0 * L0 * d + d**2)
+                seen["negative radicand"] += int(np.sum(radicand < 0))
+                seen["nan"] += int(np.sum(np.isnan(expected)))
+                seen["0-d"] += np.ndim(expected) == 0
+        assert all(seen.values()), seen
+
+    def test_rig_constants_match_broadcast_oracle(self):
+        rng = np.random.default_rng(24)
+        poisson = rng.uniform(0.0, 0.5, (50, 1))
+        d = displacement_batch(rng.uniform(6e3, 16e3, (50, 1)), poisson,
+                               np.linspace(0.0, 0.4, 7))
+        assert_same_bits(
+            current_batch(poisson, d, voltage=3.7, resistivity=0.3),
+            broadcast_current(poisson, d, voltage=3.7, resistivity=0.3))
+
+
 class TestParamsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"youngs_modulus": 0.0, "poisson_ratio": 0.3},

@@ -20,6 +20,7 @@ from mfbia.probabilistic import (
     DegenerateSignalError,
     FieldObservations,
     ModelEvaluationError,
+    ObservationFileError,
     TruncatedNormalPrior,
     log_likelihood,
     misfit_moments,
@@ -532,6 +533,21 @@ class TestObservationCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             observations_from_csv(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("x,0.0,1.0,1.0,", "line 2, column 'field_id': expected a number"),
+        ("1,0.0,1.0,1.0,high", "line 2, column 'snr': expected a number"),
+        ("1,0.0,1.0,nan,", "column 'sigma2' must be > 0, got nan"),
+        ("1,0.0,1.0", "line 2: expected 5 columns, got 3"),
+        ("0,0.0,1.0,1.0,", "field_id must be >= 1"),
+    ])
+    def test_malformed_cell_named(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"field_id,coordinate,value,sigma2,snr\n{row}\n")
+        with pytest.raises(ObservationFileError) as raised:
+            observations_from_csv(path)
+        assert str(raised.value).startswith(f"{path}: ")
+        assert message in str(raised.value)
 
     def test_mixed_fields_rejected(self, tmp_path):
         path = tmp_path / "mixed.csv"

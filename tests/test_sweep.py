@@ -1,8 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mfbia.cli import main
 from mfbia.config import default_config, load_config
 from mfbia.inference import (
     cdf_spaced_grid,
@@ -12,6 +14,7 @@ from mfbia.inference import (
 )
 from mfbia.models import build_model
 from mfbia.probabilistic import (
+    DegenerateSignalError,
     TruncatedNormalPrior,
     log_likelihood,
     misfit_moments,
@@ -230,6 +233,65 @@ class TestRiigSweep:
         run_riig_sweep(toy_sweep_spec(n_obs2_axis=(2,), snr2_axis=(5.0, 50.0)),
                        progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 2), (2, 2)]
+
+
+TOY_CONFIG = (
+    "model: toy-full\n"
+    "constants: {coupling12: 0.5, coupling21: 0.25}\n"
+    "truth: [1.2, 0.7]\n"
+    "prior:\n"
+    "  mean: [1.0, 0.6]\n  sd: [0.5, 0.5]\n"
+    "  lower: [0.0, 0.0]\n  upper: [inf, inf]\n"
+    "fields:\n"
+    "  - {id: 1, count: 6, snr: 30, range: [0.0, 1.0]}\n"
+    "  - {id: 2, count: 2, snr: 50, range: [0.0, 1.0]}\n"
+    "grid: [30, 30]\n")
+
+
+class TestSharedFieldOne:
+    """Tasks that share model constants and ``n_obs1`` share one field-1
+    analysis, computed before dispatch."""
+
+    def test_sweep_csv_same_bytes_for_one_and_two_workers(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text(TOY_CONFIG + "sweep: {n_obs2: [2, 4, 8], "
+                                       "snr2: [5.0, 50.0]}\n")
+        csvs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            assert main(["sweep", "--config", str(config), "--out", str(out),
+                         "--workers", workers]) == 0
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        lines = csvs[0].decode().splitlines()
+        assert len(lines) == 1 + 3 * 2
+        assert all(line.endswith(",ok") for line in lines[1:])
+
+    def test_failing_group_fails_only_its_cells(self):
+        # at coupling12 = 0.5 the truth's field-1 outputs
+        # (x1 - 0.5*x2)*c/det are all zero, so no SNR defines a noise
+        # variance; coupling12 = 0 is a healthy group
+        spec = toy_sweep_spec(truth=(0.35, 0.7),
+                              model_constants={"coupling21": 0.25},
+                              axes={"n_obs2": (2, 4), "snr2": (5.0, 50.0),
+                                    "coupling12": (0.0, 0.5)})
+        assert len(sweep_tasks(spec)) == 4
+        model = build_model("toy-full", {"coupling12": 0.5,
+                                         "coupling21": 0.25})
+        with pytest.raises(DegenerateSignalError) as raised:
+            synthesize_observations(model, np.array(spec.truth), 1,
+                                    spec.first_field.coordinates(), 30.0)
+        results = run_riig_sweep(spec)
+        assert run_riig_sweep(spec, workers=2) == results
+        healthy = run_riig_sweep(
+            replace(spec, axes={**spec.axes, "coupling12": (0.0,)}))
+        assert [r for r in results if r.point["coupling12"] == 0.0] == \
+            healthy
+        assert all(r.ok for r in healthy)
+        failed = [r for r in results if r.point["coupling12"] == 0.5]
+        assert len(failed) == 4
+        assert {r.status for r in failed} == {f"failed:{raised.value}"}
+        assert all(r.ig_single is None and r.riig is None for r in failed)
 
 
 class TestCouplingSweep:

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .coupled import (  # noqa: F401
     CoupledSystem,
-    CouplingType,
     NewtonResult,
     NewtonSettings,
     NonConvergenceError,
@@ -21,7 +20,6 @@ from .coupled import (  # noqa: F401
     StructureError,
     assemble_block_jacobian,
     newton_solve,
-    verify_coupling_structure,
 )
 from .electromech import (  # noqa: F401
     AdmissibilityError,

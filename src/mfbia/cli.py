@@ -12,6 +12,7 @@ provenance error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -270,10 +271,8 @@ def cmd_sweep(args) -> int:
 
 
 def _write_summary_csv(path, rows) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as handle:
-        writer = _csv.writer(handle, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["case", "n_obs2", "snr2", "ig_single", "ig_multi",
                          "riig", "reference_riig"])
         for row in rows:

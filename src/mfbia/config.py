@@ -101,7 +101,7 @@ class AxisSpec:
             else:
                 raise ConfigError(f"unknown axis spacing {self.spacing!r}")
         if self.integer:
-            return tuple(int(v) for v in np.unique(np.round(vals)).astype(int))
+            return tuple(sorted({int(round(v)) for v in vals.tolist()}))
         return tuple(float(v) for v in vals)
 
 
@@ -192,7 +192,7 @@ class RunConfig:
         for name, axis in self.sweep.items():
             try:
                 axes[name] = axis.resolve(sizes.get(name))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"sweep.{name}: {exc}") from exc
         varied = [name for name in axes if name not in FIELD_AXES]
         for values in itertools.product(*(axes[name] for name in varied)):

@@ -1,16 +1,17 @@
 """Multi-field nonlinear algebraic systems and a monolithic Newton solver.
 
 A coupled system bundles per-field residual callbacks with an analytic block
-Jacobian and a declared coupling pattern (uncoupled, one-way, fully coupled).
-The solver linearizes all fields simultaneously and solves the stacked block
-system for the full correction in every iteration.
+Jacobian.  How the fields couple (uncoupled, one-way, fully coupled) is a
+property of that Jacobian: a field that does not depend on another has an
+exactly zero block there.  The solver linearizes all fields simultaneously
+and solves the stacked block system for the full correction in every
+iteration.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -42,41 +43,20 @@ class NonConvergenceError(SolverError):
         self.residual_norm = residual_norm
 
 
-class CouplingType(Enum):
-    """Structural dependency pattern between the fields of a system.
-
-    The pattern fixes which off-diagonal Jacobian blocks are identically
-    zero at every state: all of them (UNCOUPLED), the blocks above the
-    diagonal (ONE_WAY, with fields ordered primary first), or none (FULL).
-    """
-
-    UNCOUPLED = "uncoupled"
-    ONE_WAY = "one-way"
-    FULL = "full"
-
-    def structural_zero_blocks(self, n_fields: int) -> list[tuple[int, int]]:
-        """Block indices (i, j) that are identically zero under this pattern."""
-        if self is CouplingType.UNCOUPLED:
-            return [(i, j) for i in range(n_fields) for j in range(n_fields) if i != j]
-        if self is CouplingType.ONE_WAY:
-            return [(i, j) for i in range(n_fields) for j in range(n_fields) if i < j]
-        return []
-
-
 @dataclass(frozen=True)
 class CoupledSystem:
-    """Declarative bundle of residuals and block Jacobian for coupled fields.
+    """Residuals and block Jacobian of coupled fields.
 
     ``residual(state)`` returns one residual vector per field and
-    ``jacobian(state)`` returns the nested blocks ``d f_i / d y_j``.  The
-    state vector concatenates the per-field solution vectors in declaration
-    order, primary field first.
+    ``jacobian(state)`` returns the nested blocks ``d f_i / d y_j``, exactly
+    zero where field ``i`` does not depend on field ``j``.  The state vector
+    concatenates the per-field solution vectors in ``field_dims`` order,
+    primary field first.
     """
 
     field_dims: tuple[int, ...]
     residual: Callable[[np.ndarray], Sequence[np.ndarray]]
     jacobian: Callable[[np.ndarray], Sequence[Sequence[np.ndarray]]]
-    declared_coupling: CouplingType = CouplingType.FULL
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.field_dims)
@@ -106,30 +86,6 @@ class CoupledSystem:
                     f"residual block {i} has shape {vec.shape}, expected ({dim},)")
             out.append(vec)
         return np.concatenate(out)
-
-    def jacobian_blocks(self, state: np.ndarray) -> list[list[np.ndarray]]:
-        """Raw Jacobian blocks from the callback, validated against field_dims."""
-        blocks = self.jacobian(np.asarray(state, dtype=float))
-        if len(blocks) != self.n_fields:
-            raise StructureError(
-                f"jacobian returned {len(blocks)} block rows, expected {self.n_fields}")
-        out = []
-        for i, row in enumerate(blocks):
-            if len(row) != self.n_fields:
-                raise StructureError(
-                    f"jacobian block row {i} has {len(row)} blocks, "
-                    f"expected {self.n_fields}")
-            out_row = []
-            for j, block in enumerate(row):
-                mat = np.atleast_2d(np.asarray(block, dtype=float))
-                want = (self.field_dims[i], self.field_dims[j])
-                if mat.shape != want:
-                    raise StructureError(
-                        f"jacobian block ({i}, {j}) has shape {mat.shape}, "
-                        f"expected {want}")
-                out_row.append(mat)
-            out.append(out_row)
-        return out
 
 
 @dataclass(frozen=True)
@@ -166,41 +122,29 @@ class NewtonResult:
 
 
 def assemble_block_jacobian(system: CoupledSystem, state: np.ndarray) -> np.ndarray:
-    """Assemble the full system matrix from the per-field Jacobian blocks.
-
-    Blocks that are structurally zero under the declared coupling are written
-    as exact zeros, regardless of what the callback returns; use
-    :func:`verify_coupling_structure` to audit that the declaration is honest.
-    """
-    blocks = system.jacobian_blocks(state)
-    zero = set(system.declared_coupling.structural_zero_blocks(system.n_fields))
+    """The full system matrix: the callback's blocks, validated against
+    ``field_dims`` and assembled unchanged."""
+    blocks = system.jacobian(np.asarray(state, dtype=float))
+    n = system.n_fields
+    if len(blocks) != n:
+        raise StructureError(
+            f"jacobian returned {len(blocks)} block rows, expected {n}")
     rows = []
     for i, row in enumerate(blocks):
-        rows.append([np.zeros_like(b) if (i, j) in zero else b
-                     for j, b in enumerate(row)])
+        if len(row) != n:
+            raise StructureError(
+                f"jacobian block row {i} has {len(row)} blocks, expected {n}")
+        out_row = []
+        for j, block in enumerate(row):
+            mat = np.atleast_2d(np.asarray(block, dtype=float))
+            want = (system.field_dims[i], system.field_dims[j])
+            if mat.shape != want:
+                raise StructureError(
+                    f"jacobian block ({i}, {j}) has shape {mat.shape}, "
+                    f"expected {want}")
+            out_row.append(mat)
+        rows.append(out_row)
     return np.block(rows)
-
-
-def verify_coupling_structure(system: CoupledSystem,
-                              sample_states: Sequence[np.ndarray],
-                              atol: float = 0.0) -> bool:
-    """Check the declared zero blocks against the raw Jacobian callback.
-
-    True iff every structurally-zero block has magnitude <= ``atol`` at every
-    sampled state.  Single-field systems are vacuously true.
-    """
-    states = list(sample_states)
-    if not states:
-        raise ValueError("sample_states must be non-empty")
-    zero = system.declared_coupling.structural_zero_blocks(system.n_fields)
-    if not zero:
-        return True
-    for state in states:
-        blocks = system.jacobian_blocks(state)
-        for (i, j) in zero:
-            if not np.all(np.abs(blocks[i][j]) <= atol):
-                return False
-    return True
 
 
 def newton_solve(system: CoupledSystem, settings: NewtonSettings) -> NewtonResult:

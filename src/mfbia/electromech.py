@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import CoupledSystem, CouplingType
+from .coupled import CoupledSystem
 
 DEFAULT_SIDE_LENGTH = 0.01   # m
 DEFAULT_VOLTAGE = 10.0       # V
@@ -153,8 +153,7 @@ def coupled_system(params: ElectromechParams, force: float) -> CoupledSystem:
                 (mat[1:2, 0:1], mat[1:2, 1:2]))
 
     return CoupledSystem(field_dims=(1, 1), residual=_residual,
-                         jacobian=_jacobian,
-                         declared_coupling=CouplingType.ONE_WAY)
+                         jacobian=_jacobian)
 
 
 def _cardano_displacement(load: np.ndarray, l0: float) -> np.ndarray:

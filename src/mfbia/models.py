@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import electromech
-from .coupled import CoupledSystem, CouplingType
+from .coupled import CoupledSystem
 
 
 class ElectromechModel:
@@ -130,8 +130,7 @@ class ToyFullModel:
                     (np.array([[k21]]), np.array([[1.0]])))
 
         return CoupledSystem(field_dims=(1, 1), residual=_residual,
-                             jacobian=_jacobian,
-                             declared_coupling=CouplingType.FULL)
+                             jacobian=_jacobian)
 
     def outputs(self, x, field_id: int, coords) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -284,15 +284,17 @@ class _TaskEvaluator:
                                status=f"failed:{exc}")
 
 
-def _shared_field1_analyses(spec: SweepSpec, payloads: list) -> dict:
+def _shared_field1_analyses(
+        spec: SweepSpec, payloads: list) -> tuple[dict, _TaskEvaluator | None]:
     """Field-1 analyses that two or more tasks share, each computed once.
 
-    ``payloads`` holds each task's cells as axis values.  The result maps
-    the key of every (model constants, ``n_obs1``) group that at least two
-    tasks or pieces of a task use to its truth outputs and misfit moments,
-    or to the text of the error its analysis raised, so that the group's
-    cells fail as they would had each task computed it.  A group that one
-    task uses is left to that task.
+    ``payloads`` holds each task's cells as axis values.  The first result
+    maps the key of every (model constants, ``n_obs1``) group that at least
+    two tasks or pieces of a task use to its truth outputs and misfit
+    moments, or to the text of the error its analysis raised, so that the
+    group's cells fail as they would had each task computed it.  A group
+    that one task uses is left to that task.  The second is the evaluator
+    that computed them, already holding them, or None if there were none.
     """
     points = [dict(zip(spec.axes, cells[0])) for cells in payloads]
     users = Counter(_field1_key(spec, point) for point in points)
@@ -301,23 +303,25 @@ def _shared_field1_analyses(spec: SweepSpec, payloads: list) -> dict:
         key = _field1_key(spec, point)
         if users[key] < 2 or key in shared:
             continue
-        evaluator = evaluator or _TaskEvaluator(spec, {})
+        evaluator = evaluator or _TaskEvaluator(spec, shared)
         try:
             shared[key] = evaluator.analysis(evaluator.model(point), 1, point)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             shared[key] = str(exc)
-    return shared
+    return shared, evaluator
 
 
 #: The sweep context of this process, set once by :func:`_install`.
 _evaluator: _TaskEvaluator | None = None
 
 
-def _install(spec: SweepSpec, shared: dict) -> None:
+def _install(spec: SweepSpec, shared: dict,
+             evaluator: _TaskEvaluator | None = None) -> None:
     """Set this process's sweep context and shared field-1 analyses; the
-    pool initializer, and the serial path's set-up."""
+    pool initializer, and the serial path's set-up, which passes the
+    evaluator that computed ``shared`` so its prior grid is built once."""
     global _evaluator
-    _evaluator = _TaskEvaluator(spec, shared)
+    _evaluator = evaluator or _TaskEvaluator(spec, shared)
 
 
 def _evaluate_task(cells: list[tuple]) -> list[SweepResult]:
@@ -347,9 +351,9 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
     cells = list(itertools.product(*spec.axes.values()))
     tasks = sweep_tasks(spec, workers)
     payloads = [[cells[index] for index in task] for task in tasks]
-    shared = _shared_field1_analyses(spec, payloads)
+    shared, evaluator = _shared_field1_analyses(spec, payloads)
     if workers <= 1:
-        _install(spec, shared)
+        _install(spec, shared, evaluator)
         return _collect(tasks, map(_evaluate_task, payloads), progress)
     with ProcessPoolExecutor(max_workers=workers, initializer=_install,
                              initargs=(spec, shared)) as pool:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,26 @@ class TestAxisSpec:
                         integer=True).resolve()
         assert axis[0] == 2 and axis[-1] == 256
         assert all(b > a for a, b in zip(axis, axis[1:]))
+
+    def test_integer_axis_matches_numpy_rounding(self):
+        # ties round half to even, as np.round does, and repeats collapse
+        for axis in (AxisSpec(values=(0.5, 1.5, 2.5, 2.5, 3.0, -0.5),
+                              integer=True),
+                     AxisSpec(start=2, stop=256, num=10, integer=True),
+                     AxisSpec(start=2, stop=256, num=40, integer=True),
+                     AxisSpec(start=0.0, stop=7.0, num=15, spacing="linear",
+                              integer=True)):
+            unrounded = replace(axis, integer=False).resolve()
+            expected = tuple(int(v) for v in np.unique(np.round(unrounded)))
+            assert axis.resolve() == expected
+        assert default_config().sweep_spec().axes["n_obs2"] == \
+            (2, 3, 6, 10, 17, 30, 51, 87, 149, 256)
+
+    def test_non_finite_integer_axis_is_config_error(self):
+        config = replace(default_config(), sweep={"n_obs2": AxisSpec(
+            values=(2.0, math.inf), integer=True)})
+        with pytest.raises(ConfigError, match="sweep.n_obs2"):
+            config.sweep_spec()
 
     def test_explicit_values(self):
         assert AxisSpec(values=(1.0, 2.0)).resolve() == (1.0, 2.0)
@@ -690,6 +711,21 @@ def test_cli_import_loads_no_yaml_parser():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_sweep_axes_load_no_numpy_ma():
+    # integer axes are rounded without np.unique, which imports numpy.ma
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from mfbia.config import default_config\n"
+         "spec = default_config().sweep_spec(full=True)\n"
+         "print(spec.axes['n_obs2'], 'numpy.ma' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False", proc.stdout
 
 
 def test_scipy_is_not_a_runtime_dependency():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,14 +7,12 @@ from hypothesis import strategies as st
 
 from mfbia.coupled import (
     CoupledSystem,
-    CouplingType,
     NewtonSettings,
     NonConvergenceError,
     SingularJacobianError,
     StructureError,
     assemble_block_jacobian,
     newton_solve,
-    verify_coupling_structure,
 )
 from mfbia.electromech import coupled_system
 
@@ -23,8 +23,7 @@ def toy_full_system() -> CoupledSystem:
         field_dims=(1, 1),
         residual=lambda y: ([y[0] + 0.5 * y[1] - 1.0],
                             [0.25 * y[0] + y[1] - 1.0]),
-        jacobian=lambda y: (([[1.0]], [[0.5]]), ([[0.25]], [[1.0]])),
-        declared_coupling=CouplingType.FULL)
+        jacobian=lambda y: (([[1.0]], [[0.5]]), ([[0.25]], [[1.0]])))
 
 
 def uncoupled_system() -> CoupledSystem:
@@ -32,8 +31,7 @@ def uncoupled_system() -> CoupledSystem:
     return CoupledSystem(
         field_dims=(1, 1),
         residual=lambda y: ([y[0] - 3.0], [y[1] ** 3 - 8.0]),
-        jacobian=lambda y: (([[1.0]], [[0.0]]), ([[0.0]], [[3.0 * y[1] ** 2]])),
-        declared_coupling=CouplingType.UNCOUPLED)
+        jacobian=lambda y: (([[1.0]], [[0.0]]), ([[0.0]], [[3.0 * y[1] ** 2]])))
 
 
 class TestAssembly:
@@ -49,15 +47,14 @@ class TestAssembly:
         assert matrix[0, 1] == 0.0
         assert matrix[1, 0] == 0.0
 
-    def test_declared_zero_blocks_overrule_callback(self):
-        # a lying callback: declared uncoupled but returns nonzero off-diagonals
-        system = CoupledSystem(
-            field_dims=(1, 1),
-            residual=lambda y: ([y[0]], [y[1]]),
-            jacobian=lambda y: (([[1.0]], [[9.0]]), ([[9.0]], [[1.0]])),
-            declared_coupling=CouplingType.UNCOUPLED)
+    def test_offdiagonal_blocks_returned_unchanged(self, truth_params):
+        # the matrix is the callback's Jacobian, also for a system that a
+        # one-way model built: nothing outside the callback zeroes a block
+        system = replace(coupled_system(truth_params, force=0.25),
+                         jacobian=lambda y: (([[1.0]], [[9.0]]),
+                                             ([[-7.0]], [[1.0]])))
         matrix = assemble_block_jacobian(system, np.zeros(2))
-        np.testing.assert_array_equal(matrix, np.eye(2))
+        np.testing.assert_array_equal(matrix, [[1.0, 9.0], [-7.0, 1.0]])
 
     def test_electromech_upper_right_zero(self, truth_params):
         system = coupled_system(truth_params, force=0.25)
@@ -87,32 +84,6 @@ class TestAssembly:
         with pytest.raises(StructureError):
             CoupledSystem(field_dims=(0,), residual=lambda y: (y,),
                           jacobian=lambda y: ((np.eye(0),),))
-
-
-class TestCouplingStructure:
-    def test_electromech_declared_one_way_is_honest(self, truth_params):
-        system = coupled_system(truth_params, force=0.2)
-        states = [np.array([d, i]) for d, i in
-                  zip(np.linspace(0.0, 3e-3, 10), np.linspace(0.05, 0.12, 10))]
-        assert verify_coupling_structure(system, states)
-
-    def test_full_system_declared_uncoupled_is_caught(self):
-        full = toy_full_system()
-        lying = CoupledSystem(field_dims=full.field_dims,
-                              residual=full.residual, jacobian=full.jacobian,
-                              declared_coupling=CouplingType.UNCOUPLED)
-        assert not verify_coupling_structure(lying, [np.zeros(2)])
-
-    def test_single_field_vacuously_true(self):
-        system = CoupledSystem(field_dims=(1,),
-                               residual=lambda y: ([y[0] - 1.0],),
-                               jacobian=lambda y: (([[1.0]],),),
-                               declared_coupling=CouplingType.UNCOUPLED)
-        assert verify_coupling_structure(system, [np.zeros(1)])
-
-    def test_requires_sample_states(self):
-        with pytest.raises(ValueError):
-            verify_coupling_structure(toy_full_system(), [])
 
 
 class TestNewtonSolve:
@@ -226,8 +197,7 @@ class TestIterationInvariants:
             return base.jacobian(state)
 
         recording = CoupledSystem(field_dims=base.field_dims,
-                                  residual=base.residual, jacobian=jac,
-                                  declared_coupling=base.declared_coupling)
+                                  residual=base.residual, jacobian=jac)
         return recording, log
 
     def test_steps_solve_the_linearized_system(self, truth_params):

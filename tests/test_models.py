@@ -5,7 +5,6 @@ from mfbia.coupled import (
     NewtonSettings,
     assemble_block_jacobian,
     newton_solve,
-    verify_coupling_structure,
 )
 from mfbia.electromech import coupled_system
 from mfbia.models import ToyFullModel, build_model, registered_models
@@ -70,7 +69,6 @@ class TestToyFullModel:
         system = model.coupled_system(np.array([1.0, 1.0]), 1.0)
         matrix = assemble_block_jacobian(system, np.zeros(2))
         np.testing.assert_array_equal(matrix, [[1.0, 0.5], [0.25, 1.0]])
-        assert verify_coupling_structure(system, [np.zeros(2)])
 
     def test_single_coupling_shorthand(self):
         model = ToyFullModel(coupling=0.3)

@@ -7,6 +7,7 @@ import pytest
 from mfbia.cli import main
 from mfbia.config import default_config, load_config
 from mfbia.inference import (
+    PriorGrid,
     cdf_spaced_grid,
     evaluate_posterior,
     information_gain,
@@ -21,6 +22,7 @@ from mfbia.probabilistic import (
     sobol_standard_normal,
     synthesize_observations,
 )
+import mfbia.sweep as sweep_module
 from mfbia.sweep import (
     FieldSpec,
     SweepSpec,
@@ -266,6 +268,20 @@ class TestSharedFieldOne:
         lines = csvs[0].decode().splitlines()
         assert len(lines) == 1 + 3 * 2
         assert all(line.endswith(",ok") for line in lines[1:])
+
+    def test_serial_sweep_builds_prior_grid_once(self, monkeypatch):
+        # the evaluator that computed the shared analyses runs the tasks
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return PriorGrid(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "PriorGrid", counting)
+        spec = toy_sweep_spec()
+        assert len(sweep_tasks(spec)) == 3
+        assert all(r.ok for r in run_riig_sweep(spec))
+        assert len(builds) == 1
 
     def test_failing_group_fails_only_its_cells(self):
         # at coupling12 = 0.5 the truth's field-1 outputs

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -133,12 +134,22 @@ def _posterior_bundle(config: RunConfig, model, prior_grid: PriorGrid,
 
 
 def _load_run_json(path) -> dict:
+    """The posterior sidecar at ``path``; :class:`ProvenanceError` names
+    the file, and the key at fault, when it is not one."""
     with open(path) as handle:
-        data = json.load(handle)
-    for key in ("information_gain", "provenance"):
-        if key not in data:
-            raise ProvenanceError(f"{path}: missing {key!r}; "
-                                  f"not a posterior sidecar")
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ProvenanceError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(data, dict):
+        raise ProvenanceError(f"{path}: expected a JSON object")
+    gain = data.get("information_gain")
+    if type(gain) not in (int, float) or not math.isfinite(gain):
+        raise ProvenanceError(f"{path}: information_gain must be a finite "
+                              f"number, got {gain!r}")
+    if not isinstance(data.get("provenance"), dict):
+        raise ProvenanceError(f"{path}: provenance must be a mapping, got "
+                              f"{data.get('provenance')!r}")
     return data
 
 
@@ -184,24 +195,16 @@ def cmd_posterior(args) -> int:
                 raise ConfigError(f"--obs {path}: {exc}") from None
             sources[obs.field_id] = path
             observations.append(obs)
-    if args.fields is None:
-        selection = sorted({o.field_id for o in observations})
-    else:
-        selection = sorted({int(f) for f in args.fields.split(",") if f.strip()})
-    selected = [o for o in observations if o.field_id in selection]
-    missing = set(selection) - {o.field_id for o in selected}
-    if missing:
-        raise ConfigError(f"--fields requests field(s) {sorted(missing)} "
-                          f"but no observation file provides them")
     grid_shape = _parse_grid(args.grid, config.prior.dim) or config.grid_shape
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tag = "f" + ("-".join(str(f) for f in selection) if selection else "none")
+    tag = "f" + ("-".join(str(f) for f in sorted(sources)) or "none")
     prior_grid = PriorGrid(config.prior,
                            cdf_spaced_grid(config.prior, grid_shape),
                            model.param_names)
     gain, json_path = _posterior_bundle(config, model, prior_grid, grid_shape,
-                                        selected, selected, out_dir, tag)
+                                        observations, observations, out_dir,
+                                        tag)
     print(f"information gain: {gain!r} nats")
     print(json_path)
     return 0
@@ -405,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="YAML run configuration")
     p.add_argument("--obs", action="append",
                    help="observation CSV (repeatable)")
-    p.add_argument("--fields",
-                   help="comma-separated field ids to include; empty for none")
     p.add_argument("--grid", help="grid resolution N or N,N")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_posterior)

@@ -272,6 +272,9 @@ def _parse_prior(section) -> TruncatedNormalPrior:
     sd = _quantity_list(section["sd"], "prior.sd")
     lower = _quantity_list(section["lower"], "prior.lower")
     upper = _quantity_list(section["upper"], "prior.upper")
+    for key, values in (("mean", mean), ("sd", sd)):
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"prior.{key}: must be finite, got {values}")
     try:
         return TruncatedNormalPrior(mean=np.array(mean),
                                     variance=np.array(sd) ** 2,

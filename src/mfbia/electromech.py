@@ -52,15 +52,16 @@ class ElectromechParams:
     resistivity: float = DEFAULT_RESISTIVITY    # Ohm m
 
     def __post_init__(self):
-        if not self.youngs_modulus > 0:
-            raise DomainError("youngs_modulus", "must be > 0", self.youngs_modulus)
+        for name in ("youngs_modulus", "side_length", "resistivity"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise DomainError(name, "must be finite and > 0", value)
         if not 0 <= self.poisson_ratio < 0.5:
             raise DomainError(
                 "poisson_ratio", "must lie in [0, 0.5)", self.poisson_ratio)
-        if not self.side_length > 0:
-            raise DomainError("side_length", "must be > 0", self.side_length)
-        if not self.resistivity > 0:
-            raise DomainError("resistivity", "must be > 0", self.resistivity)
+        if not 0 < abs(self.voltage) < np.inf:
+            raise DomainError("voltage", "must be finite and nonzero",
+                              self.voltage)
 
     @property
     def rest_current(self) -> float:

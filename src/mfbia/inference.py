@@ -43,10 +43,10 @@ class PosteriorGrid:
     """Normalized posterior density on a tensor-product grid.
 
     ``density`` integrates to one over the grid by construction (trapezoidal
-    rule on the stored axes).  ``normalization`` is the evidence estimate;
-    ``log_normalization`` is always finite and should be preferred when the
-    likelihood spans many orders of magnitude.  ``grid`` holds the axes and
-    the prior's terms on them.
+    rule on the stored axes).  ``log_normalization`` is the log of the
+    evidence estimate, finite however many orders of magnitude the
+    likelihood spans.  ``grid`` (also ``axes``) holds the axes, their
+    names and the prior's terms on them.
     """
 
     grid: PriorGrid
@@ -58,27 +58,6 @@ class PosteriorGrid:
     @property
     def axes(self) -> PriorGrid:
         return self.grid
-
-    @property
-    def axis_names(self) -> tuple[str, ...]:
-        return self.grid.axis_names
-
-    @property
-    def prior(self) -> TruncatedNormalPrior:
-        return self.grid.prior
-
-    @property
-    def normalization(self) -> float:
-        return math.exp(self.log_normalization) \
-            if self.log_normalization < 709 else math.inf
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.density.shape
-
-    @property
-    def boundary_warning(self) -> bool:
-        return self.boundary_mass > BOUNDARY_MASS_THRESHOLD
 
 
 def _trapezoid(values, spacings) -> float:
@@ -150,14 +129,12 @@ class PriorGrid(tuple):
         return log_prior
 
 
-def _prior_grid(prior: TruncatedNormalPrior, axes,
-                axis_names=None) -> PriorGrid:
-    """``axes`` when it is a :class:`PriorGrid` built for ``prior`` (and
-    ``axis_names``), else a grid built from them."""
-    if (isinstance(axes, PriorGrid) and axes.prior is prior
-            and (axis_names is None or tuple(axis_names) == axes.axis_names)):
+def _prior_grid(prior: TruncatedNormalPrior, axes) -> PriorGrid:
+    """``axes`` when it is a :class:`PriorGrid` built for ``prior``, else a
+    grid built from them."""
+    if isinstance(axes, PriorGrid) and axes.prior is prior:
         return axes
-    return PriorGrid(prior, axes, axis_names)
+    return PriorGrid(prior, axes)
 
 
 def cdf_spaced_grid(prior: TruncatedNormalPrior, points_per_dim) -> tuple[np.ndarray, ...]:
@@ -185,16 +162,17 @@ def cdf_spaced_grid(prior: TruncatedNormalPrior, points_per_dim) -> tuple[np.nda
 
 
 def evaluate_posterior(prior: TruncatedNormalPrior, log_likelihood_fn,
-                       axes, axis_names=None) -> PosteriorGrid:
+                       axes) -> PosteriorGrid:
     """Normalized posterior of prior x likelihood on a tensor grid.
 
-    ``axes`` are the grid's axes, or a :class:`PriorGrid`, which is used
-    as it is when it was built for ``prior``.  ``log_likelihood_fn``
+    ``axes`` are the grid's axes, named ``x1``, ``x2``, ..., or a
+    :class:`PriorGrid`, which carries its axis names and is used as it is
+    when it was built for ``prior``.  ``log_likelihood_fn``
     receives the full node array of shape grid_shape + (n_params,) and
     returns log-likelihoods of shape grid_shape; -inf entries are allowed
     and mark dead nodes.
     """
-    grid = _prior_grid(prior, axes, axis_names)
+    grid = _prior_grid(prior, axes)
     log_lik = np.asarray(log_likelihood_fn(grid.nodes), dtype=float)
     log_lik = np.broadcast_to(log_lik, grid.log_prior.shape)
     if np.isnan(log_lik).any():
@@ -315,14 +293,14 @@ def posterior_to_csv(grid: PosteriorGrid, path) -> None:
     by column: each axis value is formatted once and repeated, so the cost
     is one ``repr`` per node for each of the two value columns.
     """
-    index = np.indices(grid.shape).reshape(len(grid.shape), -1)
+    index = np.indices(grid.density.shape).reshape(grid.density.ndim, -1)
     columns = [np.array(list(map(repr, axis.tolist())), dtype=object)[i]
                for axis, i in zip(grid.axes, index)]
     columns += [map(repr, values.ravel().tolist())
                 for values in (grid.log_unnormalized, grid.density)]
     with open(path, "w", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(
-            list(grid.axis_names) + ["log_unnormalized", "density"])
+            list(grid.axes.axis_names) + ["log_unnormalized", "density"])
         handle.writelines(f"{','.join(row)}\n" for row in zip(*columns))
 
 
@@ -330,13 +308,13 @@ def posterior_to_json(grid: PosteriorGrid, path, *, information_gain=None,
                       provenance=None, extra=None) -> None:
     """Sidecar with axes, normalization, diagnostics, and optional provenance."""
     payload = {
-        "axis_names": list(grid.axis_names),
+        "axis_names": list(grid.axes.axis_names),
         "axes": [axis.tolist() for axis in grid.axes],
         "log_normalization": grid.log_normalization,
-        "normalization": (grid.normalization
-                          if math.isfinite(grid.normalization) else None),
+        "normalization": (math.exp(grid.log_normalization)
+                          if grid.log_normalization < 709 else None),
         "boundary_mass": grid.boundary_mass,
-        "boundary_warning": grid.boundary_warning,
+        "boundary_warning": grid.boundary_mass > BOUNDARY_MASS_THRESHOLD,
         "information_gain": information_gain,
     }
     if provenance is not None:

@@ -59,8 +59,11 @@ class TruncatedNormalPrior:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if not (mean.shape == variance.shape == lower.shape == upper.shape):
             raise ValueError("mean, variance, lower, upper must share one shape")
-        if not np.all(variance > 0):
-            raise ValueError(f"variances must be > 0, got {variance}")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError(f"means must be finite, got {mean}")
+        if not np.all((variance > 0) & (variance < np.inf)):
+            raise ValueError(f"variances must be finite and > 0, "
+                             f"got {variance}")
         if not np.all(lower < upper):
             raise ValueError(f"need lower < upper, got {lower} vs {upper}")
         for name, arr in (("mean", mean), ("variance", variance),

@@ -245,11 +245,9 @@ class TestCliPosterior:
         return (out / "observations_field1.csv",
                 out / "observations_field2.csv")
 
-    def test_empty_selection_gives_prior(self, tmp_path, observation_files,
-                                         capsys):
+    def test_empty_selection_gives_prior(self, tmp_path, capsys):
         out = tmp_path / "post"
-        code = main(["posterior", "--obs", str(observation_files[0]),
-                     "--fields", "", "--out", str(out), "--grid", "50,50"])
+        code = main(["posterior", "--out", str(out), "--grid", "50,50"])
         assert code == 0
         data = json.loads((out / "posterior_fnone.json").read_text())
         assert abs(data["information_gain"]) <= 1e-9
@@ -258,21 +256,16 @@ class TestCliPosterior:
                                                observation_files):
         out = tmp_path / "post"
         f1, f2 = observation_files
-        assert main(["posterior", "--obs", str(f1), "--fields", "1",
+        assert main(["posterior", "--obs", str(f1),
                      "--out", str(out), "--grid", "60,60"]) == 0
         assert main(["posterior", "--obs", str(f1), "--obs", str(f2),
-                     "--fields", "1,2", "--out", str(out),
-                     "--grid", "60,60"]) == 0
+                     "--out", str(out), "--grid", "60,60"]) == 0
         single = json.loads((out / "posterior_f1.json").read_text())
         multi = json.loads((out / "posterior_f1-2.json").read_text())
         assert multi["information_gain"] > single["information_gain"]
+        assert (single["fields"], multi["fields"]) == ([1], [1, 2])
         assert single["provenance"]["first_field_hash"] \
             == multi["provenance"]["first_field_hash"]
-
-    def test_requesting_missing_field_exits_2(self, tmp_path,
-                                              observation_files):
-        assert main(["posterior", "--obs", str(observation_files[0]),
-                     "--fields", "1,2", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("force", ["-0.3", "nan", "inf"])
     def test_observation_force_outside_domain_exits_2(
@@ -369,8 +362,8 @@ class TestCliPosterior:
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "mfbia.cli", "posterior",
-             "--obs", str(observation_files[0]), "--fields", "1",
-             "--grid", "4", "--out", str(tmp_path / "post")],
+             "--obs", str(observation_files[0]), "--grid", "4",
+             "--out", str(tmp_path / "post")],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -423,10 +416,10 @@ class TestCliRiig:
         main(["synthesize", "--out", str(obs)])
         out = tmp_path / "post"
         main(["posterior", "--obs", str(obs / "observations_field1.csv"),
-              "--fields", "1", "--out", str(out), "--grid", "40,40"])
+              "--out", str(out), "--grid", "40,40"])
         main(["posterior", "--obs", str(obs / "observations_field1.csv"),
               "--obs", str(obs / "observations_field2.csv"),
-              "--fields", "1,2", "--out", str(out), "--grid", "40,40"])
+              "--out", str(out), "--grid", "40,40"])
         return (out / "posterior_f1.json", out / "posterior_f1-2.json")
 
     def test_riig_report(self, tmp_path, capsys):
@@ -458,10 +451,32 @@ class TestCliRiig:
         out2 = tmp_path / "post2"
         main(["posterior", "--config", str(config),
               "--obs", str(other_obs / "observations_field1.csv"),
-              "--fields", "1", "--out", str(out2), "--grid", "40,40"])
+              "--out", str(out2), "--grid", "40,40"])
         code = main(["riig", str(out2 / "posterior_f1.json"), str(multi)])
         assert code == 2
         assert "not comparable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,key", [
+        ("{not json", "not a JSON file"),
+        ("[1.5, {}]", "JSON object"),
+        ('{"information_gain": null, "provenance": {}}', "information_gain"),
+        ('{"information_gain": NaN, "provenance": {}}', "information_gain"),
+        ('{"information_gain": Infinity, "provenance": {}}',
+         "information_gain"),
+        ('{"information_gain": "1.5", "provenance": {}}', "information_gain"),
+        ('{"information_gain": true, "provenance": {}}', "information_gain"),
+        ('{"information_gain": 1.5, "provenance": "abc"}', "provenance"),
+    ])
+    def test_malformed_sidecar_exits_2(self, tmp_path, capsys, text, key):
+        good = tmp_path / "good.json"
+        good.write_text('{"information_gain": 2.0, "provenance": {}}')
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for runs in ([bad, good], [good, bad]):
+            assert main(["riig", *map(str, runs)]) == 2
+            err = capsys.readouterr().err
+            assert f"{bad}: " in err and key in err
+            assert "Traceback" not in err
 
 
 TOY_CONFIG = (
@@ -610,7 +625,7 @@ class TestGridFlag:
         main(["synthesize", "--out", str(obs)])
         assert main(["posterior",
                      "--obs", str(obs / "observations_field1.csv"),
-                     "--fields", "1", "--grid", grid,
+                     "--grid", grid,
                      "--out", str(tmp_path)]) == 2
         assert "--grid" in capsys.readouterr().err
 
@@ -669,6 +684,68 @@ class TestConfigMutation:
                   if line.startswith("error:")]
         assert errors and key in errors[-1]
         assert "Traceback" not in err.getvalue()
+
+
+def _mutated_fig9(tmp_path, path, value) -> Path:
+    """``configs/fig9.yaml`` with the entry at key ``path`` set to
+    ``value``, written to ``tmp_path``."""
+    data = yaml.safe_load((CONFIG_DIR / "fig9.yaml").read_text())
+    target = data
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(data))
+    return config
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("path,value,key", [
+        (("truth", 0), math.inf, "truth[0]"),
+        (("constants", "side_length"), math.inf, "constants.side_length"),
+        (("constants", "voltage"), math.nan, "constants.voltage"),
+        (("constants", "voltage"), 0.0, "constants.voltage"),
+        (("constants", "resistivity"), math.inf, "constants.resistivity"),
+        (("sweep",), {"voltage": [0.0, 10.0]}, "sweep.voltage"),
+        (("sweep",), {"side_length": [0.01, math.inf]}, "sweep.side_length"),
+    ])
+    def test_electromech_value_exits_2(self, tmp_path, capsys, path, value,
+                                       key):
+        config = _mutated_fig9(tmp_path, path, value)
+        out = tmp_path / "out"
+        command = "sweep" if path == ("sweep",) else "synthesize"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_voltage_runs(self, tmp_path):
+        config = _mutated_fig9(tmp_path, ("constants", "voltage"), -10.0)
+        obs = tmp_path / "obs"
+        assert main(["synthesize", "--config", str(config),
+                     "--out", str(obs)]) == 0
+        assert main(["posterior", "--config", str(config),
+                     "--obs", str(obs / "observations_field1.csv"),
+                     "--obs", str(obs / "observations_field2.csv"),
+                     "--grid", "20", "--out", str(tmp_path / "post")]) == 0
+        currents = observations_from_csv(obs / "observations_field2.csv")
+        assert np.all(currents.values < 0)
+
+    @pytest.mark.parametrize("command", ["synthesize", "posterior", "sweep"])
+    @pytest.mark.parametrize("key,values", [
+        ("mean", [math.nan, 0.3]),
+        ("mean", [math.inf, 0.3]),
+        ("sd", [2e3, math.inf]),
+        ("sd", [math.nan, 0.15]),
+    ])
+    def test_prior_value_exits_2(self, tmp_path, capsys, command, key,
+                                 values):
+        config = _mutated_fig9(tmp_path, ("prior", key), values)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"prior.{key}: " in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestWorkersFlag:

@@ -478,10 +478,22 @@ class TestParamsValidation:
         {"youngs_modulus": 1e4, "poisson_ratio": -0.1},
         {"youngs_modulus": 1e4, "poisson_ratio": 0.3, "side_length": 0.0},
         {"youngs_modulus": 1e4, "poisson_ratio": 0.3, "resistivity": 0.0},
+        {"youngs_modulus": np.inf, "poisson_ratio": 0.3},
+        {"youngs_modulus": 1e4, "poisson_ratio": np.nan},
+        {"youngs_modulus": 1e4, "poisson_ratio": 0.3, "side_length": np.inf},
+        {"youngs_modulus": 1e4, "poisson_ratio": 0.3, "resistivity": np.inf},
+        {"youngs_modulus": 1e4, "poisson_ratio": 0.3, "voltage": 0.0},
+        {"youngs_modulus": 1e4, "poisson_ratio": 0.3, "voltage": np.nan},
+        {"youngs_modulus": 1e4, "poisson_ratio": 0.3, "voltage": -np.inf},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ElectromechParams(**kwargs)
+
+    def test_negative_voltage_accepted(self):
+        params = ElectromechParams(youngs_modulus=1e4, poisson_ratio=0.3,
+                                   voltage=-10.0)
+        assert params.rest_current == pytest.approx(-0.1, rel=1e-15)
 
     def test_rest_current(self, truth_params):
         assert truth_params.rest_current == pytest.approx(0.1, rel=1e-15)

@@ -141,7 +141,6 @@ class TestEvaluatePosterior:
         loglik = gaussian_loglik([10e3, 0.4999], [1e8, 1e-8])
         with caplog.at_level("WARNING"):
             grid = evaluate_posterior(material_prior, loglik, axes)
-        assert grid.boundary_warning
         assert grid.boundary_mass > 0.05
         assert any("outermost" in record.message for record in caplog.records)
 
@@ -308,7 +307,7 @@ class TestPriorGrid:
         grid = PriorGrid(self.PRIOR, axes)
         posterior = evaluate_posterior(other, self.LOGLIK, grid)
         plain = evaluate_posterior(other, self.LOGLIK, axes)
-        assert posterior.grid is not grid and posterior.prior is other
+        assert posterior.grid is not grid and posterior.grid.prior is other
         np.testing.assert_array_equal(posterior.density, plain.density)
         assert information_gain(posterior, other) \
             == information_gain(plain, other)
@@ -379,9 +378,9 @@ class TestSerialization:
         axes = cdf_spaced_grid(material_prior, [4, 3])
         grid = evaluate_posterior(material_prior,
                                   lambda nodes: np.zeros(nodes.shape[:-1]),
-                                  axes,
-                                  axis_names=("youngs_modulus",
-                                              "poisson_ratio"))
+                                  PriorGrid(material_prior, axes,
+                                            ("youngs_modulus",
+                                             "poisson_ratio")))
         path = tmp_path / "posterior.csv"
         posterior_to_csv(grid, path)
         lines = path.read_text().splitlines()

@@ -387,6 +387,17 @@ class TestMisfitMoments:
 
 
 class TestPrior:
+    @pytest.mark.parametrize("mean,variance", [
+        ([np.nan, 0.3], [4e6, 0.0225]),
+        ([np.inf, 0.3], [4e6, 0.0225]),
+        ([1e4, 0.3], [np.inf, 0.0225]),
+        ([1e4, 0.3], [4e6, np.nan]),
+    ])
+    def test_rejects_non_finite(self, mean, variance):
+        with pytest.raises(ValueError, match="must be finite"):
+            TruncatedNormalPrior(mean=mean, variance=variance,
+                                 lower=[0.0, 0.0], upper=[np.inf, 0.5])
+
     def test_outside_bounds(self, material_prior):
         assert material_prior.log_density(np.array([-1.0, 0.2])) == -np.inf
         assert material_prior.log_density(np.array([1e4, 0.6])) == -np.inf

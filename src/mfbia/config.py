@@ -275,6 +275,8 @@ def _parse_prior(section) -> TruncatedNormalPrior:
     for key, values in (("mean", mean), ("sd", sd)):
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"prior.{key}: must be finite, got {values}")
+    if not all(value > 0 for value in sd):
+        raise ConfigError(f"prior.sd: must be > 0, got {sd}")
     try:
         return TruncatedNormalPrior(mean=np.array(mean),
                                     variance=np.array(sd) ** 2,

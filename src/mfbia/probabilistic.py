@@ -7,15 +7,20 @@ Sobol' sequence pushed through the inverse normal CDF, so synthesis is
 fully deterministic: there is no random seed anywhere in the pipeline.
 
 Every misfit reduction on a node batch goes through :func:`misfit_moments`,
-which evaluates the nodes in row blocks and keeps Gaussian sufficient
-statistics, so data synthesized at any SNR reuse one pass over the nodes.
+which evaluates the nodes in row blocks, on a few threads, and keeps
+Gaussian sufficient statistics, so data synthesized at any SNR reuse one
+pass over the nodes.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import logging
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -286,7 +291,20 @@ def synthesize_observations(model, x_true, field_id: int, coordinates,
 #: Node x coordinate elements that :func:`misfit_moments` evaluates per row
 #: block: large enough to amortize a forward call, small enough that no
 #: whole node x coordinate array is ever held.
-MISFIT_BLOCK_ELEMENTS = 2 ** 17
+MISFIT_BLOCK_ELEMENTS = 2 ** 16
+
+#: Most threads :func:`misfit_moments` reduces its row blocks on, whatever
+#: the machine: the blocks in flight then hold at most 2^18 outputs
+#: (2 MB) per temporary array.
+MISFIT_MAX_THREADS = 4
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; every CPU of the machine where the
+    platform cannot restrict them (no ``os.sched_getaffinity``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -325,10 +343,14 @@ def misfit_moments(model, x, field_id: int, coords, centre,
     shape of one node's outputs at ``coords``.  Without ``deviates``,
     ``b`` and ``zz`` are zero and ``a`` is the squared misfit to
     ``centre``.  The nodes are evaluated in row blocks of about
-    :data:`MISFIT_BLOCK_ELEMENTS` outputs; each node's sums are taken
-    along its own row, so they do not depend on the block size.  A node
-    with a non-finite output or sum gets ``a = inf`` and ``b = 0``; a
-    model that raises gives that at every node.
+    :data:`MISFIT_BLOCK_ELEMENTS` outputs, on one thread per usable CPU
+    up to :data:`MISFIT_MAX_THREADS`, each block in a copy of the caller's
+    context (so its ``np.errstate`` holds); a process that multiprocessing
+    started, such as a sweep's pool worker, uses one thread.  Each node's
+    sums are taken along its own row, so they depend neither on the block
+    size nor on the thread that computed them.  A node with a non-finite
+    output or sum gets ``a = inf`` and ``b = 0``; a model that raises in
+    any block gives that at every node.
     """
     x = np.asarray(x, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
@@ -338,16 +360,33 @@ def misfit_moments(model, x, field_id: int, coords, centre,
     a = np.empty(rows.shape[0])
     b = np.zeros(rows.shape[0])
     step = max(1, MISFIT_BLOCK_ELEMENTS // max(1, centre.size))
+    blocks = [slice(start, start + step)
+              for start in range(0, rows.shape[0], step)]
+
+    def reduce(block: slice) -> None:
+        outputs = np.asarray(model.outputs(rows[block], field_id, coords),
+                             dtype=float)
+        residual = outputs.reshape(outputs.shape[0], -1) - centre
+        if z is not None:
+            b[block] = (residual * z).sum(axis=-1)
+        np.square(residual, out=residual)
+        a[block] = residual.sum(axis=-1)
+
+    # a pool worker shares the CPUs with its siblings already
+    threads = 1 if multiprocessing.parent_process() is not None else \
+        min(len(blocks), usable_cpus(), MISFIT_MAX_THREADS)
     try:
-        for start in range(0, rows.shape[0], step):
-            block = slice(start, start + step)
-            outputs = np.asarray(model.outputs(rows[block], field_id, coords),
-                                 dtype=float)
-            residual = outputs.reshape(outputs.shape[0], -1) - centre
-            if z is not None:
-                b[block] = (residual * z).sum(axis=-1)
-            np.square(residual, out=residual)
-            a[block] = residual.sum(axis=-1)
+        if threads <= 1:
+            for block in blocks:
+                reduce(block)
+        else:
+            # the pool lives only for this call, so no thread outlives it
+            # into a forked sweep worker; map raises the first failing
+            # block's exception and cancels the blocks not yet started
+            contexts = [contextvars.copy_context() for _ in blocks]
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(lambda ctx, block: ctx.run(reduce, block),
+                              contexts, blocks))
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         logger.warning("model evaluation failed for field %d: %s",
                        field_id, exc)

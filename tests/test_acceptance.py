@@ -399,18 +399,18 @@ def test_fig9_summary_equals_fig10_cells(fig9_bundle, sweep_serial):
 
 def test_fig9_evaluates_field1_grid_once(fig9_bundle):
     """fig9's three posteriors share one pass over the 100x100 grid for
-    field 1: two row blocks of nodes."""
+    field 1: three row blocks of nodes."""
     _, batches = fig9_bundle
-    assert len(batches) == 2
+    assert len(batches) == 3
     assert sum(batches) == 100 * 100
 
 
 def test_fig10_evaluates_field1_grid_once(sweep_serial_batches):
     """fig10's ten tasks share one pass over the 100x100 grid for field 1:
-    two row blocks of nodes."""
+    three row blocks of nodes."""
     spec, _, batches = sweep_serial_batches
     assert len(spec.axes["n_obs2"]) == 10
-    assert len(batches) == 2
+    assert len(batches) == 3
     assert sum(batches) == 100 * 100
 
 

@@ -737,6 +737,8 @@ class TestNonFiniteInputs:
         ("mean", [math.inf, 0.3]),
         ("sd", [2e3, math.inf]),
         ("sd", [math.nan, 0.15]),
+        ("sd", [-2e3, 0.15]),
+        ("sd", [2e3, 0.0]),
     ])
     def test_prior_value_exits_2(self, tmp_path, capsys, command, key,
                                  values):

@@ -1,4 +1,8 @@
+import logging
 import math
+import sys
+import threading
+import time
 import warnings
 from statistics import NormalDist
 
@@ -11,6 +15,7 @@ from scipy import stats
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
+import mfbia.probabilistic as probabilistic
 from mfbia.models import build_model
 from mfbia.probabilistic import (
     _ndtr,
@@ -384,6 +389,121 @@ class TestMisfitMoments:
             rows = [log_likelihood(self.model, nodes[index], [obs])
                     for index in np.ndindex(nodes.shape[:-1])]
             np.testing.assert_array_equal(grid.ravel(), rows)
+
+
+class TestMisfitThreads:
+    """Row blocks reduced on a thread pool keep every bit."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        # 100x100 nodes x 256 forces; nu up to 0.4999 at E = 1e2 Pa makes
+        # part of the grid inadmissible for the current (NaN -> inf)
+        model = build_model("electromech")
+        nodes = np.stack(np.meshgrid(np.geomspace(1e2, 3e4, 100),
+                                     np.linspace(0.0, 0.4999, 100),
+                                     indexing="ij"), axis=-1)
+        coords = np.linspace(0.0, 0.4, 256)
+        centre = model.outputs(np.array([11e3, 0.35]), 2, coords)
+        return (model, nodes, 2, coords, centre,
+                sobol_standard_normal(centre.size))
+
+    @staticmethod
+    def bits(moments):
+        return (moments.a.view(np.int64), moments.b.view(np.int64),
+                np.array(moments.zz).view(np.int64))
+
+    def test_bits_independent_of_threads_and_block_size(self, problem,
+                                                        monkeypatch):
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 1)
+        reference = self.bits(misfit_moments(*problem))
+        dead = np.isinf(reference[0].view(float))
+        assert dead.any() and not dead.all()
+        # switch threads often, so that a block writing outside its own
+        # rows would show as changed bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for elements in (2 ** 16, 2 ** 17, 99_999):
+                for threads in (1, 2, 3):
+                    monkeypatch.setattr(probabilistic,
+                                        "MISFIT_BLOCK_ELEMENTS", elements)
+                    monkeypatch.setattr(probabilistic, "usable_cpus",
+                                        lambda: threads)
+                    got = self.bits(misfit_moments(*problem))
+                    for want, have in zip(reference, got):
+                        np.testing.assert_array_equal(have, want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_the_call(self, problem, monkeypatch):
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 3)
+        before = threading.active_count()
+        misfit_moments(*problem)
+        assert threading.active_count() == before
+
+    def test_threads_capped_whatever_the_cpu_count(self, monkeypatch):
+        class CountsThreads:
+            """Zero outputs; records the live thread count per batch."""
+
+            def __init__(self):
+                self.live = []
+
+            def outputs(self, x, field_id, coords):
+                self.live.append(threading.active_count())
+                time.sleep(1e-3)  # so the pool starts all its threads
+                return np.zeros(x.shape[:-1] + (len(coords),))
+
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 16)
+        # fifty row blocks of two nodes x four coordinates
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 8)
+        model = CountsThreads()
+        before = threading.active_count()
+        misfit_moments(model, np.arange(100.0)[:, None], 1, np.arange(4.0),
+                       np.zeros(4))
+        assert len(model.live) == 50
+        assert before < max(model.live) <= \
+            before + probabilistic.MISFIT_MAX_THREADS
+
+    def test_raise_in_one_block_fails_every_node(self, monkeypatch, caplog):
+        class FailsInOneBlock:
+            """Zero outputs; raises on the batch that holds node 25."""
+
+            def outputs(self, x, field_id, coords):
+                if np.any(x[..., 0] == 25):
+                    raise ValueError("solver diverged")
+                return np.zeros(x.shape[:-1] + (len(coords),))
+
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 2)
+        nodes = np.arange(100.0)[:, None]
+        with caplog.at_level(logging.WARNING, logger="mfbia.probabilistic"):
+            moments = misfit_moments(FailsInOneBlock(), nodes, 1,
+                                     np.arange(4.0), np.ones(4), np.ones(4))
+        np.testing.assert_array_equal(moments.a, np.inf)
+        np.testing.assert_array_equal(moments.b, 0.0)
+        assert [r.getMessage() for r in caplog.records] == \
+            ["model evaluation failed for field 1: solver diverged"]
+
+    def test_blocks_run_under_the_callers_errstate(self, monkeypatch):
+        class DividesByZero:
+            """1/x[0] at every coordinate: inf at node 0."""
+
+            def outputs(self, x, field_id, coords):
+                return np.ones(len(coords)) / x[..., :1]
+
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 8)
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 2)
+        nodes = np.arange(10.0)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore"):
+                moments = misfit_moments(DividesByZero(), nodes, 1,
+                                         np.arange(4.0), np.zeros(4))
+        assert moments.a[0] == np.inf and np.isfinite(moments.a[1:]).all()
+        with np.errstate(divide="raise"):
+            moments = misfit_moments(DividesByZero(), nodes, 1,
+                                     np.arange(4.0), np.zeros(4))
+        np.testing.assert_array_equal(moments.a, np.inf)
 
 
 class TestPrior:

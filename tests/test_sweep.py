@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +26,7 @@ from mfbia.probabilistic import (
     sobol_standard_normal,
     synthesize_observations,
 )
+import mfbia.probabilistic as probabilistic
 import mfbia.sweep as sweep_module
 from mfbia.sweep import (
     FieldSpec,
@@ -33,7 +38,8 @@ from mfbia.sweep import (
     write_run_manifest,
 )
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def toy_prior() -> TruncatedNormalPrior:
@@ -308,6 +314,83 @@ class TestSharedFieldOne:
         assert len(failed) == 4
         assert {r.status for r in failed} == {f"failed:{raised.value}"}
         assert all(r.ig_single is None and r.riig is None for r in failed)
+
+
+def _blocks_on_the_calling_thread(cells):
+    """Stands in for ``sweep._evaluate_task``: whether ``misfit_moments``
+    evaluated every row block on the thread that called it, once per
+    cell."""
+    caller, seen = threading.get_ident(), set()
+
+    class Recorder:
+        def outputs(self, x, field_id, coords):
+            seen.add(threading.get_ident())
+            return np.zeros(x.shape[:-1] + (len(coords),))
+
+    probabilistic.misfit_moments(Recorder(), np.arange(100.0)[:, None], 1,
+                                 np.arange(4.0), np.zeros(4))
+    return [seen == {caller}] * len(cells)
+
+
+class TestMisfitThreads:
+    """The misfit reduction's threads change no bit of a sweep, and leave
+    nothing behind that a forked pool worker could trip over."""
+
+    def test_sweep_csv_same_bytes_for_one_and_three_threads(
+            self, tmp_path, monkeypatch):
+        config = tmp_path / "config.yaml"
+        config.write_text(TOY_CONFIG + "sweep: {n_obs2: [2, 8], "
+                                       "snr2: [5.0, 50.0]}\n")
+        # blocks of 64 outputs: field 1's 30x30 nodes x 6 forces in 90
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 64)
+        csvs = []
+        for threads in (1, 3):
+            monkeypatch.setattr(probabilistic, "usable_cpus",
+                                lambda: threads)
+            out = tmp_path / f"threads{threads}"
+            assert main(["sweep", "--config", str(config),
+                         "--out", str(out)]) == 0
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].decode().count(",ok\n") == 2 * 2
+
+    def test_pool_worker_reduces_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 3)
+        # ten row blocks of ten nodes x four coordinates
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr(sweep_module, "_evaluate_task",
+                            _blocks_on_the_calling_thread)
+        spec = toy_sweep_spec(grid_shape=(5, 5))
+        assert run_riig_sweep(spec, workers=2) == [True] * 9
+        # the serial path reduces on the thread pool
+        assert run_riig_sweep(spec) == [False] * 9
+
+    def test_pool_sweep_after_threaded_posterior_finishes(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import mfbia.probabilistic as probabilistic\n"
+            "from mfbia.cli import main\n"
+            "config, toy, out = sys.argv[1:]\n"
+            "probabilistic.usable_cpus = lambda: 2\n"
+            "assert main(['synthesize', '--config', config,\n"
+            "             '--out', out + '/obs']) == 0\n"
+            "assert main(['posterior', '--config', config, '--grid', '60',\n"
+            "             '--obs', out + '/obs/observations_field1.csv',\n"
+            "             '--obs', out + '/obs/observations_field2.csv',\n"
+            "             '--out', out + '/post']) == 0\n"
+            "assert main(['sweep', '--config', toy, '--workers', '2',\n"
+            "             '--out', out + '/sweep']) == 0\n"
+            "print('done')\n")
+        toy = tmp_path / "toy.yaml"
+        toy.write_text(TOY_CONFIG + "sweep: {n_obs2: [2, 8], "
+                                    "snr2: [5.0, 50.0]}\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(CONFIGS / "fig9_right.yaml"),
+             str(toy), str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "done"
 
 
 class TestCouplingSweep:

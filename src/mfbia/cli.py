@@ -355,8 +355,9 @@ def _reproduce_fig10(out_dir: Path, full: bool, workers: int) -> int:
 
 
 def _parse_grid(text, dim: int) -> tuple[int, ...] | None:
-    """Point counts of ``--grid``: one for every dimension, or one each."""
-    if not text:
+    """Point counts of ``--grid``: one for every dimension, or one each;
+    None when the flag is absent.  A value without counts is an error."""
+    if text is None:
         return None
     usage = (f"--grid: expected N or {dim} comma-separated counts, each "
              f">= 2, got {text!r}")
@@ -364,8 +365,6 @@ def _parse_grid(text, dim: int) -> tuple[int, ...] | None:
         parts = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(usage) from None
-    if not parts:
-        return None
     if len(parts) not in (1, dim) or min(parts) < 2:
         raise ConfigError(usage)
     return tuple(parts)

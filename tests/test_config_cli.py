@@ -619,7 +619,7 @@ class TestCliSweep:
 
 
 class TestGridFlag:
-    @pytest.mark.parametrize("grid", ["abc", "4,4,4", "1"])
+    @pytest.mark.parametrize("grid", ["abc", "4,4,4", "1", ",", "", " , "])
     def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
         obs = tmp_path / "obs"
         main(["synthesize", "--out", str(obs)])

@@ -253,6 +253,10 @@ def reference_gain(density, prior, axes) -> float:
     return numpy_trapezoid_nd(integrand, axes)
 
 
+#: Agreement of the prior-mass weighted gain with numpy's trapezoid.
+GAIN_RTOL = 1e-12
+
+
 class TestPriorGrid:
     """A grid built once per prior gives the results of plain axes."""
 
@@ -282,8 +286,50 @@ class TestPriorGrid:
         if len(axes[1]) == 2:
             assert built.boundary_mass == 1.0
         assert information_gain(built, prior) \
-            == information_gain(plain, prior) \
-            == reference_gain(plain.density, prior, axes)
+            == information_gain(plain, prior)
+        # the weighted sum rounds differently from numpy's iterated rule
+        assert information_gain(plain, prior) == pytest.approx(
+            reference_gain(plain.density, prior, axes), rel=GAIN_RTOL)
+
+    @pytest.mark.parametrize("axes", [
+        (np.linspace(-0.5, 2.5, 31), np.linspace(0.05, 1.8, 23)),
+        (np.linspace(-0.5, 2.5, 31), np.array([0.4, 0.9])),
+    ])
+    def test_weights_are_the_prior_mass_per_node(self, axes):
+        grid = PriorGrid(self.PRIOR, axes)
+        weights = grid.weights
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        assert np.all(weights >= 0) and np.all(weights[grid.dead] == 0)
+        assert np.all(weights[~grid.dead] > 0)
+        # a weighted sum is the trapezoid of the renormalized prior times it
+        values = np.cos(grid.nodes.sum(axis=-1))
+        assert (weights * values).sum() == pytest.approx(
+            numpy_trapezoid_nd(grid.prior_on_grid * values, axes),
+            rel=0, abs=1e-14)
+        if len(axes[1]) == 2:
+            assert grid.interior_weights is None
+            return
+        interior = grid.interior_weights
+        inner = (slice(1, -1), slice(1, -1))
+        shell = np.ones(interior.shape, dtype=bool)
+        shell[inner] = False
+        assert np.all(interior >= 0) and np.all(interior[grid.dead] == 0)
+        assert np.all(interior[shell] == 0)
+        # the prior's own mass on the interior sub-grid, less than 1
+        prior_inner = numpy_trapezoid_nd(grid.prior_on_grid[inner],
+                                         [axis[1:-1] for axis in axes])
+        assert abs(interior.sum() - prior_inner) <= 1e-14
+        assert prior_inner < 1.0
+
+    def test_arrays_are_read_only(self):
+        grid = PriorGrid(self.PRIOR, (np.linspace(-0.5, 2.5, 31),
+                                      np.linspace(0.05, 1.8, 23)))
+        for name in ("nodes", "log_prior", "dead", "dead_index",
+                     "prior_on_grid", "weights", "interior_weights"):
+            array = getattr(grid, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array.flat[0] = 1
 
     def test_trapezoid_matches_numpy_bit_for_bit(self):
         rng = np.random.default_rng(3)
@@ -297,8 +343,8 @@ class TestPriorGrid:
                                        PriorGrid(self.PRIOR, axes))
         other = TruncatedNormalPrior(mean=[1.3, 0.5], variance=[0.5, 0.3],
                                      lower=[0.0, 0.0], upper=[3.0, 2.0])
-        assert information_gain(posterior, other) \
-            == reference_gain(posterior.density, other, axes)
+        assert information_gain(posterior, other) == pytest.approx(
+            reference_gain(posterior.density, other, axes), rel=GAIN_RTOL)
 
     def test_grid_for_another_prior_is_not_reused(self):
         axes = (np.linspace(-0.5, 2.5, 31), np.linspace(0.05, 1.8, 23))
@@ -311,6 +357,55 @@ class TestPriorGrid:
         np.testing.assert_array_equal(posterior.density, plain.density)
         assert information_gain(posterior, other) \
             == information_gain(plain, other)
+
+
+class TestDeterminism:
+    """The sums behind a posterior and its gain are numpy pairwise
+    reductions, whose bits depend neither on the process nor on where the
+    log-likelihood sits in memory (a BLAS dot may depend on both)."""
+
+    GRIDS = [
+        # CDF-spaced, no dead nodes
+        lambda prior: cdf_spaced_grid(prior, [100, 100]),
+        # dead nodes below the prior's lower bound
+        lambda prior: (np.linspace(-2e3, 16e3, 91),
+                       np.linspace(0.01, 0.6, 77)),
+    ]
+
+    @staticmethod
+    def _evaluate(prior, grid, log_lik):
+        posterior = evaluate_posterior(prior, lambda nodes: log_lik, grid)
+        return (posterior, information_gain(posterior, prior))
+
+    @pytest.mark.parametrize("make_axes", GRIDS, ids=["cdf", "dead"])
+    def test_bits_do_not_depend_on_loglik_memory(self, material_prior,
+                                                 make_axes):
+        grid = PriorGrid(material_prior, make_axes(material_prior))
+        values = gaussian_loglik([11e3, 0.35], [1e6, 0.01])(grid.nodes)
+        values[0, :3] = -np.inf          # failed evaluations
+        fresh = np.array(values)
+        buffer = np.empty(values.size + 1)
+        shifted = buffer[1:].reshape(values.shape)
+        shifted[...] = values
+        assert shifted.ctypes.data % 16 != fresh.ctypes.data % 16
+        first, gain_first = self._evaluate(material_prior, grid, fresh)
+        second, gain_second = self._evaluate(material_prior, grid, shifted)
+        assert first.density.tobytes() == second.density.tobytes()
+        assert first.boundary_mass == second.boundary_mass
+        assert first.log_normalization == second.log_normalization
+        assert gain_first == gain_second
+
+    @pytest.mark.parametrize("make_axes", GRIDS, ids=["cdf", "dead"])
+    def test_sums_are_pairwise_reductions(self, material_prior, make_axes):
+        grid = PriorGrid(material_prior, make_axes(material_prior))
+        log_lik = gaussian_loglik([11e3, 0.35], [1e6, 0.01])(grid.nodes)
+        posterior, gain = self._evaluate(material_prior, grid, log_lik)
+        mass = grid.weights * posterior.ratio
+        assert gain == float(np.add.reduce(
+            (mass * posterior.log_ratio).ravel()))
+        inner = np.add.reduce((grid.interior_weights
+                               * posterior.ratio).ravel())
+        assert posterior.boundary_mass == max(0.0, 1.0 - float(inner))
 
 
 class TestKlGaussians:

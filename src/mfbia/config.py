@@ -194,6 +194,9 @@ class RunConfig:
                 axes[name] = axis.resolve(sizes.get(name))
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"sweep.{name}: {exc}") from exc
+            if name.startswith("n_obs"):
+                axes[name] = tuple(_integer(v, f"sweep.{name}")
+                                   for v in axes[name])
         varied = [name for name in axes if name not in FIELD_AXES]
         for values in itertools.product(*(axes[name] for name in varied)):
             try:
@@ -214,13 +217,15 @@ class RunConfig:
                 truth=self.truth, prior=self.prior, first_field=first,
                 second_field=second, axes=axes, grid_shape=self.grid_shape)
         except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
+            raise ConfigError(f"sweep.{exc}") from exc
 
 
 def _integer(value, where: str) -> int:
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected an integer, got a boolean")
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(
@@ -245,19 +250,23 @@ def _parse_axis(section, where: str) -> AxisSpec:
         for key in ("start", "stop", "num"):
             if key not in section:
                 raise ConfigError(f"{where}.{key}: missing")
+        spacing = section.get("spacing", "log")
+        if spacing not in ("linear", "log"):
+            raise ConfigError(f"{where}.spacing: expected linear or log, "
+                              f"got {spacing!r}")
         return AxisSpec(
             start=parse_quantity(section["start"], f"{where}.start"),
             stop=parse_quantity(section["stop"], f"{where}.stop"),
             num=_integer(section["num"], f"{where}.num"),
-            spacing=section.get("spacing", "log"),
+            spacing=spacing,
             integer=_boolean(section.get("integer", False),
                              f"{where}.integer"))
     raise ConfigError(f"{where}: expected a list or start/stop/num mapping")
 
 
 def _parse_sweep(section) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError("sweep: expected a mapping")
+    if not isinstance(section, dict) or not section:
+        raise ConfigError("sweep: expected a mapping of one or more axes")
     return {name: _parse_axis(axis, f"sweep.{name}")
             for name, axis in section.items()}
 
@@ -305,7 +314,7 @@ def _parse_field(section, index: int) -> FieldSpec:
         return FieldSpec(field_id=field_id, count=count, snr=snr,
                          coord_range=tuple(coord_range))
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def parse_config(data: dict) -> RunConfig:

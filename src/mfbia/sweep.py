@@ -10,14 +10,14 @@ constants, the first axis varying slowest.
 Cells are pure functions of the sweep specification.  They run in tasks: a
 task is every cell that shares all axis values but ``snr1`` and ``snr2``,
 so all its cells share the observation counts and the model constants.  A
-task computes each field's misfit moments on the posterior grid (see
+task computes field 2's misfit moments on the posterior grid (see
 :func:`~mfbia.probabilistic.misfit_moments`) once, and the single-field
 gain once per ``snr1`` value; an SNR value then costs one pass over the
 nodes.  Field 1's moments depend only on the model constants and
-``n_obs1``: a group of them that several tasks share is computed once,
-before dispatch, and handed to every worker.  Tasks can run on any number
-of workers without changing a single bit of the output; failures are
-recorded per cell and never abort the sweep.
+``n_obs1``: tasks that share them are listed next to each other, and each
+process keeps the last field-1 analysis it computed.  Tasks can run on any
+number of workers without changing a single bit of the output; failures
+are recorded per cell and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -58,7 +58,10 @@ SWEEP_METRICS = ("ig_single", "ig_multi", "riig", "boundary_mass", "status")
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Count, SNR, and coordinate range of one field's observations."""
+    """Count, SNR, and coordinate range of one field's observations.
+
+    Each error names the offending setting first, as in ``snr: ...``.
+    """
 
     field_id: int
     count: int
@@ -67,11 +70,11 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
-        if self.count > 0 and not self.snr > 0:
-            raise ValueError(f"snr must be > 0, got {self.snr}")
+            raise ValueError(f"count: must be >= 0, got {self.count}")
+        if self.count > 0 and not 0 < self.snr < math.inf:
+            raise ValueError(f"snr: must be finite and > 0, got {self.snr}")
         if not self.coord_range[1] >= self.coord_range[0]:
-            raise ValueError("range must be increasing")
+            raise ValueError("range: must be increasing")
 
     def coordinates(self) -> np.ndarray:
         return np.linspace(self.coord_range[0], self.coord_range[1],
@@ -83,7 +86,8 @@ class SweepSpec:
     """Two fixed field plans and the named axes that vary them.
 
     ``axes`` maps an axis name from :data:`FIELD_AXES`, or a model
-    constructor argument, to its values; it is stored in cell order.
+    constructor argument, to its values; it is stored in cell order.  Each
+    error names the offending axis first, as in ``snr2: ...``.
     """
 
     model_name: str
@@ -100,7 +104,7 @@ class SweepSpec:
         object.__setattr__(self, "grid_shape",
                            tuple(int(n) for n in self.grid_shape))
         if not self.axes:
-            raise ValueError("a sweep needs at least one axis")
+            raise ValueError("axes: a sweep needs at least one axis")
         names = [n for n in FIELD_AXES if n in self.axes]
         names += [n for n in self.axes if n not in FIELD_AXES]
         axes = {}
@@ -117,9 +121,10 @@ class SweepSpec:
             if min(counts) < 1:
                 raise ValueError(f"n_obs{k}: observation counts must be "
                                  f">= 1, got {min(counts)}")
-            snrs = axes.get(f"snr{k}", (plan.snr,))
-            if not min(snrs) > 0:
-                raise ValueError(f"snr{k}: must be > 0, got {min(snrs)}")
+            for snr in axes.get(f"snr{k}", (plan.snr,)):
+                if not 0 < snr < math.inf:
+                    raise ValueError(f"snr{k}: must be finite and > 0, "
+                                     f"got {snr}")
 
 
 @dataclass(frozen=True)
@@ -145,27 +150,21 @@ class SweepResult:
 NOISE_AXES = ("snr1", "snr2")
 
 
-def sweep_tasks(spec: SweepSpec, workers: int = 1) -> list[list[int]]:
+def sweep_tasks(spec: SweepSpec) -> list[list[int]]:
     """The cells of a sweep, as indices in cell order grouped into tasks.
 
     A task is every cell that shares all axis values but ``snr1`` and
-    ``snr2``, in cell order.  When there are fewer tasks than workers, each
-    task is split into contiguous pieces so that every worker has work;
-    the split depends only on the spec and ``workers``.
+    ``snr2``, in cell order.  Tasks that share a field-1 analysis (see
+    :func:`_field1_key`) are listed next to each other, and otherwise in
+    the order of their first cells.
     """
     shared = [k for k, name in enumerate(spec.axes) if name not in NOISE_AXES]
     groups = {}
     for index, values in enumerate(itertools.product(*spec.axes.values())):
-        groups.setdefault(tuple(values[k] for k in shared), []).append(index)
-    tasks = list(groups.values())
-    if len(tasks) >= workers:
-        return tasks
-    pieces = -(-workers // len(tasks))
-    split = []
-    for task in tasks:
-        bounds = [k * len(task) // pieces for k in range(pieces + 1)]
-        split += [task[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    return split
+        point = dict(zip(spec.axes, values))
+        groups.setdefault(_field1_key(spec, point), {}).setdefault(
+            tuple(values[k] for k in shared), []).append(index)
+    return [task for tasks in groups.values() for task in tasks.values()]
 
 
 def field_moments(model, truth, plan: FieldSpec, nodes):
@@ -201,17 +200,17 @@ class _TaskEvaluator:
     constants, so each field's misfit moments on the node grid are
     computed once per task, and the single-field gain once per field-1
     noise variance; each cell composes the moments at its own noise
-    variances.  A field-1 analysis that several tasks share is not
-    computed in a task at all: ``shared`` holds it, computed once before
-    dispatch by :func:`_shared_field1_analyses`.  The work a task does
-    depends only on its cells, never on which worker ran it.
+    variances.  The evaluator also keeps the last field-1 analysis it
+    computed, so consecutive tasks that share its key compute it once.  In
+    a pool, each worker that runs one of those tasks computes it: the work
+    done depends on scheduling, the bits of a cell do not.
     """
 
-    def __init__(self, spec: SweepSpec, shared: dict):
+    def __init__(self, spec: SweepSpec):
         self.spec = spec
-        self.shared = shared
         self.grid = PriorGrid(spec.prior,
                               cdf_spaced_grid(spec.prior, spec.grid_shape))
+        self.field1 = (None, None)   # last field-1 key, (centre, moments)
 
     def __call__(self, cells: list[tuple]) -> list[SweepResult]:
         # field number -> (truth outputs, misfit moments), and
@@ -219,13 +218,6 @@ class _TaskEvaluator:
         memo = {}
         gains = {}   # field-1 noise variance -> single-field gain
         return [self._cell(values, memo, gains) for values in cells]
-
-    def model(self, point: dict):
-        """The model at the spec's constants and the cell's constant axes."""
-        varied = {name: value for name, value in point.items()
-                  if name not in FIELD_AXES}
-        return build_model(self.spec.model_name,
-                           {**self.spec.model_constants, **varied})
 
     def _plan(self, k: int, point: dict) -> FieldSpec:
         """Field ``k``'s observation plan at the cell's axis values."""
@@ -242,13 +234,11 @@ class _TaskEvaluator:
     def _moments(self, model, k: int, point: dict, memo: dict):
         """Field ``k``'s misfit moments on the grid at the cell's noise."""
         if k not in memo:
-            shared = self.shared.get(_field1_key(self.spec, point)) \
-                if k == 1 else None
-            if isinstance(shared, str):
-                # the shared analysis failed: so does this cell, as it
-                # would had it run the analysis itself
-                raise RuntimeError(shared)
-            memo[k] = shared if shared is not None else \
+            if k == 1:
+                key = _field1_key(self.spec, point)
+                if self.field1[0] != key:
+                    self.field1 = (key, self.analysis(model, 1, point))
+            memo[k] = self.field1[1] if k == 1 else \
                 self.analysis(model, k, point)
         snr = self._plan(k, point).snr
         if (k, snr) not in memo:
@@ -265,7 +255,9 @@ class _TaskEvaluator:
         spec = self.spec
         point = dict(zip(spec.axes, values))
         try:
-            model = self.model(point)
+            constants, _ = _field1_key(spec, point)
+            model = build_model(spec.model_name,
+                                {**spec.model_constants, **dict(constants)})
             moments1 = self._moments(model, 1, point, memo)
             if moments1.noise_variance not in gains:
                 gains[moments1.noise_variance] = information_gain(
@@ -284,44 +276,15 @@ class _TaskEvaluator:
                                status=f"failed:{exc}")
 
 
-def _shared_field1_analyses(
-        spec: SweepSpec, payloads: list) -> tuple[dict, _TaskEvaluator | None]:
-    """Field-1 analyses that two or more tasks share, each computed once.
-
-    ``payloads`` holds each task's cells as axis values.  The first result
-    maps the key of every (model constants, ``n_obs1``) group that at least
-    two tasks or pieces of a task use to its truth outputs and misfit
-    moments, or to the text of the error its analysis raised, so that the
-    group's cells fail as they would had each task computed it.  A group
-    that one task uses is left to that task.  The second is the evaluator
-    that computed them, already holding them, or None if there were none.
-    """
-    points = [dict(zip(spec.axes, cells[0])) for cells in payloads]
-    users = Counter(_field1_key(spec, point) for point in points)
-    shared, evaluator = {}, None
-    for point in points:
-        key = _field1_key(spec, point)
-        if users[key] < 2 or key in shared:
-            continue
-        evaluator = evaluator or _TaskEvaluator(spec, shared)
-        try:
-            shared[key] = evaluator.analysis(evaluator.model(point), 1, point)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            shared[key] = str(exc)
-    return shared, evaluator
-
-
 #: The sweep context of this process, set once by :func:`_install`.
 _evaluator: _TaskEvaluator | None = None
 
 
-def _install(spec: SweepSpec, shared: dict,
-             evaluator: _TaskEvaluator | None = None) -> None:
-    """Set this process's sweep context and shared field-1 analyses; the
-    pool initializer, and the serial path's set-up, which passes the
-    evaluator that computed ``shared`` so its prior grid is built once."""
+def _install(spec: SweepSpec) -> None:
+    """Set this process's sweep context: the pool initializer, and the
+    serial path's set-up."""
     global _evaluator
-    _evaluator = evaluator or _TaskEvaluator(spec, shared)
+    _evaluator = _TaskEvaluator(spec)
 
 
 def _evaluate_task(cells: list[tuple]) -> list[SweepResult]:
@@ -344,19 +307,21 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
                    progress=None) -> list[SweepResult]:
     """Evaluate the relative information-gain increase on every cell.
 
-    Workers run whole tasks (see :func:`sweep_tasks`) and receive only
-    their cells' axis values.  Results come back in cell order, the first
-    axis varying slowest, and are identical for any worker count.
+    Runs in this process, or on a pool of at most ``workers`` processes and
+    never more than there are tasks (see :func:`sweep_tasks`).  Workers
+    receive only their cells' axis values.  Results come back in cell
+    order, the first axis varying slowest, and are identical for any
+    worker count.
     """
     cells = list(itertools.product(*spec.axes.values()))
-    tasks = sweep_tasks(spec, workers)
+    tasks = sweep_tasks(spec)
     payloads = [[cells[index] for index in task] for task in tasks]
-    shared, evaluator = _shared_field1_analyses(spec, payloads)
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        _install(spec, shared, evaluator)
+        _install(spec)
         return _collect(tasks, map(_evaluate_task, payloads), progress)
     with ProcessPoolExecutor(max_workers=workers, initializer=_install,
-                             initargs=(spec, shared)) as pool:
+                             initargs=(spec,)) as pool:
         return _collect(tasks, pool.map(_evaluate_task, payloads), progress)
 
 

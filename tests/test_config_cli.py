@@ -652,6 +652,12 @@ BAD_VALUES = [
     (ANY_MODEL, ("fields", 0, "range"), [0.4], "fields[0].range"),
     (ANY_MODEL, ("fields", 0, "range"), [0.1, 0.2, 0.4], "fields[0].range"),
     (ANY_MODEL, ("fields", 1, "id"), 3, "fields[1].id"),
+    (ANY_MODEL, ("fields", 0, "count"), 2.5, "fields[0].count"),
+    (ANY_MODEL, ("fields", 0, "count"), math.inf, "fields[0].count"),
+    (ANY_MODEL, ("grid",), [100.7, 100], "grid[0]"),
+    (ANY_MODEL, ("workers",), 1.5, "workers"),
+    (ANY_MODEL, ("workers",), math.inf, "workers"),
+    (ANY_MODEL, ("fields", 0, "snr"), math.inf, "fields[0].snr"),
 ]
 
 MUTATIONS = [
@@ -718,6 +724,26 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert f"{key}: " in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("path,value,key,commands", [
+        (("sweep", "snr2", "num"), 10.9, "sweep.snr2.num",
+         ("synthesize", "posterior", "sweep")),
+        (("sweep", "snr2", "spacing"), "cubic", "sweep.snr2.spacing",
+         ("synthesize", "posterior", "sweep")),
+        (("sweep", "snr2"), [80.0, math.inf], "sweep.snr2", ("sweep",)),
+        (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2", ("sweep",)),
+        (("sweep", "n_obs2"), [2.0, math.inf], "sweep.n_obs2", ("sweep",)),
+    ])
+    def test_sweep_value_exits_2(self, tmp_path, capsys, path, value, key,
+                                 commands):
+        config = _mutated_fig9(tmp_path, path, value)
+        for command in commands:
+            out = tmp_path / command
+            assert main([command, "--config", str(config),
+                         "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert f"{key}: " in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_negative_voltage_runs(self, tmp_path):
         config = _mutated_fig9(tmp_path, ("constants", "voltage"), -10.0)

@@ -17,7 +17,7 @@ from mfbia.inference import (
     information_gain,
     riig,
 )
-from mfbia.models import build_model
+from mfbia.models import ToyFullModel, build_model
 from mfbia.probabilistic import (
     DegenerateSignalError,
     TruncatedNormalPrior,
@@ -103,6 +103,9 @@ class TestSpecValidation:
             FieldSpec(field_id=1, count=-1, snr=10.0, coord_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             FieldSpec(field_id=1, count=1, snr=0.0, coord_range=(0.0, 1.0))
+        with pytest.raises(ValueError, match="snr"):
+            FieldSpec(field_id=1, count=1, snr=np.inf,
+                      coord_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             FieldSpec(field_id=1, count=1, snr=1.0, coord_range=(1.0, 0.0))
 
@@ -115,6 +118,8 @@ class TestSpecValidation:
             toy_sweep_spec(snr2_axis=(50.0, 50.0))
         with pytest.raises(ValueError):
             toy_sweep_spec(n_obs2_axis=(0, 2))
+        with pytest.raises(ValueError, match="snr2"):
+            toy_sweep_spec(snr2_axis=(5.0, np.inf))
 
 
 class TestRiigSweep:
@@ -153,11 +158,10 @@ class TestRiigSweep:
     def test_tasks_share_every_axis_but_the_snrs(self):
         spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0, 50.0, 500.0))
         assert sweep_tasks(spec) == [[0, 1, 2], [3, 4, 5]]
-        assert sweep_tasks(spec, workers=2) == sweep_tasks(spec)
         # snr1 x snr2 x coupling: the tasks interleave in cell order, one
         # per coupling value
         spec = load_config(CONFIGS / "toyfull_coupling.yaml").sweep_spec()
-        tasks = sweep_tasks(spec, workers=2)
+        tasks = sweep_tasks(spec)
         assert [len(task) for task in tasks] == [25] * 5
         assert [sorted(task) for task in tasks] == tasks
         assert [task[:2] for task in tasks] == [[k, k + 5] for k in range(5)]
@@ -166,11 +170,6 @@ class TestRiigSweep:
             [6] * 10
         assert [len(task) for task in
                 sweep_tasks(config.sweep_spec(full=True))] == [12] * 42
-        one_task = toy_sweep_spec(n_obs2_axis=(2,))
-        assert [len(task) for task in sweep_tasks(one_task, workers=2)] == \
-            [1, 2]
-        assert [len(task) for task in sweep_tasks(one_task, workers=5)] == \
-            [1, 1, 1]
 
     def test_axis_major_order_and_shared_single_gain(self):
         spec = toy_sweep_spec()
@@ -258,7 +257,8 @@ TOY_CONFIG = (
 
 class TestSharedFieldOne:
     """Tasks that share model constants and ``n_obs1`` share one field-1
-    analysis, computed before dispatch."""
+    analysis; they are listed next to each other, and a process computes
+    it once for a run of them."""
 
     def test_sweep_csv_same_bytes_for_one_and_two_workers(self, tmp_path):
         config = tmp_path / "config.yaml"
@@ -276,7 +276,7 @@ class TestSharedFieldOne:
         assert all(line.endswith(",ok") for line in lines[1:])
 
     def test_serial_sweep_builds_prior_grid_once(self, monkeypatch):
-        # the evaluator that computed the shared analyses runs the tasks
+        # one evaluator runs every task
         builds = []
 
         def counting(*args, **kwargs):
@@ -288,6 +288,27 @@ class TestSharedFieldOne:
         assert len(sweep_tasks(spec)) == 3
         assert all(r.ok for r in run_riig_sweep(spec))
         assert len(builds) == 1
+
+    def test_tasks_sharing_field1_run_together(self):
+        # cells run n_obs2-major, so the tasks of one coupling12 value,
+        # which share a field-1 analysis, are not neighbours in cell order
+        spec = toy_sweep_spec(axes={"n_obs2": (2, 4), "snr2": (5.0, 50.0),
+                                    "coupling12": (0.0, 0.5)})
+        assert sweep_tasks(spec) == [[0, 2], [4, 6], [1, 3], [5, 7]]
+        batches = []
+        original = ToyFullModel.outputs
+
+        def outputs(self, x, field_id, coords):
+            if field_id == 1 and np.ndim(x) > 1:
+                batches.append(len(x))
+            return original(self, x, field_id, coords)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ToyFullModel, "outputs", outputs)
+            results = run_riig_sweep(spec)
+        assert all(r.ok for r in results)
+        # one pass over the grid per coupling12 value
+        assert sum(batches) == 2 * np.prod(spec.grid_shape)
 
     def test_failing_group_fails_only_its_cells(self):
         # at coupling12 = 0.5 the truth's field-1 outputs
@@ -447,14 +468,19 @@ class TestCouplingSweep:
         spec = self.spec()
         assert run_coupling_sweep(spec, workers=2) == run_riig_sweep(spec)
 
-    def test_split_task_matches_serial(self):
-        # only SNR axes and one coupling value: one task, split over two
-        # workers
+    def test_one_task_runs_in_process(self, monkeypatch):
+        # only SNR axes and one coupling value: one task, which two
+        # workers cannot share
         spec = self.spec(snr1=(5.0, 50.0), snr2=(10.0, 100.0, 1000.0),
                          coupling=(0.4,))
         assert len(sweep_tasks(spec)) == 1
-        assert len(sweep_tasks(spec, workers=2)) == 2
-        assert run_riig_sweep(spec, workers=2) == run_riig_sweep(spec)
+        serial = run_riig_sweep(spec)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-task sweep started a process pool")
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+        assert run_riig_sweep(spec, workers=2) == serial
 
     def test_export(self, tmp_path):
         results = run_riig_sweep(self.spec())

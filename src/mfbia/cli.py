@@ -261,7 +261,14 @@ def _run_sweep(spec, out_dir: Path, workers: int, label: str):
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    spec = config.sweep_spec()
+    try:
+        spec = config.sweep_spec()
+    except ConfigError as exc:
+        # the sweep section is parsed only here; name the file, as
+        # load_config does for every other section
+        if not args.config:
+            raise
+        raise ConfigError(f"{args.config}: {exc}") from exc
     workers = args.workers or config.workers
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

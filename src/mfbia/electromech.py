@@ -11,7 +11,18 @@ on the mechanics, so the two fields are one-way coupled.
 grid's nodes against the observed forces.  Each factor that depends on the
 node alone or on the force alone is formed at its input's shape; only the
 terms that depend on both span the node x force shape, and they are
-updated in place.
+updated in place.  The Cardano root takes its trigonometric and its
+hyperbolic branch as masked ufuncs, each on its own entries, and the
+residual check evaluates the cubic in Horner form.
+
+A caller that evaluates many batches of one shape, such as the misfit
+reduction, passes ``work``: an object whose ``floats(slot, shape)`` and
+``bools(slot, shape)`` return scratch arrays of ``shape``, the same memory
+for the same slot.  The kernels then write every node x force array into
+it: float slots 0-2 and bool slots 0-1.  Each kernel returns its result
+in float slot 0, so slots 1 and 2 are free again once it has returned.
+Without ``work``, every such array is new and the result belongs to the
+caller.
 
 All quantities are strict SI (m, N, Pa, V, A, Ohm m).
 """
@@ -157,9 +168,24 @@ def coupled_system(params: ElectromechParams, force: float) -> CoupledSystem:
                          jacobian=_jacobian)
 
 
-def _cardano_displacement(load: np.ndarray, l0: float) -> np.ndarray:
+class _NewArrays:
+    """The workspace of a kernel called without one: every buffer is a new
+    array, so the result belongs to the caller."""
+
+    @staticmethod
+    def floats(slot: int, shape) -> np.ndarray:
+        return np.empty(shape)
+
+    @staticmethod
+    def bools(slot: int, shape) -> np.ndarray:
+        return np.empty(shape, dtype=bool)
+
+
+def _cardano_displacement(load: np.ndarray, l0: float,
+                          work=None) -> np.ndarray:
     """Physical root ``d`` of ``2*l0^2*d + 3*l0*d^2 + d^3 = load``, in
-    closed form and in one new array the shape of ``load``.
+    closed form, in float slot 0 of ``work`` (a new array without one);
+    ``load`` must not lie in that workspace's float slot 0 or 2.
 
     With ``u = l0 + d`` the cubic is ``u^3 - l0^2*u = load``; its physical
     root is the trigonometric (``s <= 1``) or hyperbolic (``s > 1``)
@@ -168,25 +194,31 @@ def _cardano_displacement(load: np.ndarray, l0: float) -> np.ndarray:
     ``u - l0`` and is exactly 0 at zero load.  NaN where ``s`` is NaN or
     below -1 (a compressive load outside the domain).
     """
+    work = _NewArrays if work is None else work
+    shape = np.shape(load)
     # in place: on a posterior grid every temporary is as large as the
     # node x force product; ``out=`` also keeps a 0-d input an array, where
     # a plain ufunc call would return a scalar
     u = np.multiply(load, 1.5 * np.sqrt(3.0) / l0**3,
-                    out=np.empty_like(load))
-    hyperbolic = u > 1.0
+                    out=work.floats(0, shape))
+    hyperbolic = np.greater(u, 1.0, out=work.bools(0, shape))
+    trigonometric = np.logical_not(hyperbolic, out=work.bools(1, shape))
+    # each branch runs on its own entries only: a masked ufunc skips the
+    # others where gathering and scattering them would cost what it saves
     with np.errstate(invalid="ignore"):
-        branch = np.arccosh(u[hyperbolic])
-        np.cosh(np.divide(branch, 3.0, out=branch), out=branch)
-        np.arccos(np.minimum(u, 1.0, out=u), out=u)
-        np.cos(np.divide(u, 3.0, out=u), out=u)
-        u[hyperbolic] = branch
-        del branch, hyperbolic
+        np.arccosh(u, out=u, where=hyperbolic)
+        np.arccos(u, out=u, where=trigonometric)
+        u /= 3.0
+        np.cosh(u, out=u, where=hyperbolic)
+        np.cos(u, out=u, where=trigonometric)
         u *= 2.0 * l0 / np.sqrt(3.0)
-        return np.divide(load, np.multiply(u, u + l0, out=u), out=u)
+        u *= np.add(u, l0, out=work.floats(2, shape))
+        return np.divide(load, u, out=u)
 
 
 def displacement_batch(youngs_modulus, poisson_ratio, force, *,
-                       side_length: float = DEFAULT_SIDE_LENGTH) -> np.ndarray:
+                       side_length: float = DEFAULT_SIDE_LENGTH,
+                       work=None) -> np.ndarray:
     """Solve the mechanical cubic over broadcast inputs.
 
     Each entry is the closed-form root of :func:`_cardano_displacement`,
@@ -196,7 +228,8 @@ def displacement_batch(youngs_modulus, poisson_ratio, force, *,
 
     ``2*F*l0`` and ``1 - nu^2`` are formed at their inputs' shapes and the
     residual check runs in place, with the operations of a fully broadcast
-    evaluation in the same order, so the results are the same bits.
+    evaluation in the same order, so the results are the same bits.  The
+    result is float slot 0 of ``work``, or a new array without one.
     """
     youngs_modulus = np.asarray(youngs_modulus, dtype=float)
     poisson_ratio = np.asarray(poisson_ratio, dtype=float)
@@ -204,53 +237,67 @@ def displacement_batch(youngs_modulus, poisson_ratio, force, *,
     l0 = side_length
     shape = np.broadcast_shapes(youngs_modulus.shape, poisson_ratio.shape,
                                 force.shape)
-    load = np.divide(2.0 * force * l0, youngs_modulus, out=np.empty(shape))
+    fresh = work is None
+    work = _NewArrays if fresh else work
+    load = np.divide(2.0 * force * l0, youngs_modulus,
+                     out=work.floats(1, shape))
     load *= 1.0 - poisson_ratio**2
-    d = _cardano_displacement(load, l0)
-    # residual 2*l0^2*d + 3*l0*d^2 + d^3 - load, against an absolute floor
-    # plus a relative term so the check is scale-aware in the load
-    residual = np.multiply(d, 2.0 * l0**2, out=np.empty(shape))
-    term = np.multiply(d, 3.0 * l0, out=np.empty(shape))
-    residual += np.multiply(term, d, out=term)
-    residual += np.power(d, 3, out=term)
-    del term
+    # without a workspace, the root keeps its two-argument call
+    d = _cardano_displacement(load, l0) if fresh else \
+        _cardano_displacement(load, l0, work)
+    # residual ((d + 3*l0)*d + 2*l0^2)*d - load, the cubic in Horner form,
+    # against an absolute floor plus a relative term so the check is
+    # scale-aware in the load
+    residual = np.add(d, 3.0 * l0, out=work.floats(2, shape))
+    residual *= d
+    residual += 2.0 * l0**2
+    residual *= d
     residual -= load
     np.abs(residual, out=residual)
     tolerance = np.abs(load, out=load)
     tolerance *= 1e-14
     tolerance += 1e-20
-    np.copyto(d, np.nan, where=~(residual <= tolerance))
+    failed = np.less_equal(residual, tolerance, out=work.bools(0, shape))
+    np.copyto(d, np.nan, where=np.logical_not(failed, out=failed))
     return d if d.ndim else np.float64(d)
 
 
 def current_batch(poisson_ratio, displacement, *,
                   side_length: float = DEFAULT_SIDE_LENGTH,
                   voltage: float = DEFAULT_VOLTAGE,
-                  resistivity: float = DEFAULT_RESISTIVITY) -> np.ndarray:
+                  resistivity: float = DEFAULT_RESISTIVITY,
+                  work=None) -> np.ndarray:
     """Vectorized current from displacement; NaN where inadmissible.
 
     ``nu/(1-nu)`` is formed at the Poisson ratio's shape and the rest in
     place at the broadcast shape, with the operations of a fully
-    broadcast evaluation, so the results are the same bits.
+    broadcast evaluation, so the results are the same bits.  The result
+    is float slot 0 of ``work``, or a new array without one.  The
+    displacement may lie in that slot, as :func:`displacement_batch`
+    leaves it, since it is read before the result is written; it must not
+    lie in float slot 1 or 2.
     """
+    work = _NewArrays if work is None else work
     poisson_ratio = np.asarray(poisson_ratio, dtype=float)
     displacement = np.asarray(displacement, dtype=float)
     l0 = side_length
     shape = np.broadcast_shapes(poisson_ratio.shape, displacement.shape)
     # radicand l0^2 - nu/(1-nu) * (2*l0*d + d^2)
-    radicand = np.multiply(displacement, 2.0 * l0, out=np.empty(shape))
-    term = np.square(displacement, out=np.empty(shape))
+    radicand = np.multiply(displacement, 2.0 * l0, out=work.floats(1, shape))
+    term = np.square(displacement, out=work.floats(2, shape))
     radicand += term
     radicand *= poisson_ratio / (1.0 - poisson_ratio)
     np.subtract(l0**2, radicand, out=radicand)
-    bad = ~(radicand >= 0)
+    bad = np.greater_equal(radicand, 0, out=work.bools(0, shape))
+    np.logical_not(bad, out=bad)
     # U*l0*sqrt(radicand) / (rho*(l0 + d)), with 0 for the radicand
     # where it is negative or NaN; those entries come back NaN
     np.copyto(radicand, 0.0, where=bad)
-    current = np.sqrt(radicand, out=radicand)
-    current *= voltage * l0
+    np.sqrt(radicand, out=radicand)
+    radicand *= voltage * l0
     np.add(displacement, l0, out=term)
     term *= resistivity
-    current /= term
+    # the displacement is read for the last time above
+    current = np.divide(radicand, term, out=work.floats(0, shape))
     np.copyto(current, np.nan, where=bad)
     return current if current.ndim else np.float64(current)

@@ -55,10 +55,12 @@ class ElectromechModel:
             raise electromech.DomainError("force", "must be >= 0 and finite",
                                           bad[0])
 
-    def outputs(self, x, field_id: int, coords) -> np.ndarray:
+    def outputs(self, x, field_id: int, coords, work=None) -> np.ndarray:
         """Field outputs at each coordinate, batched over parameter vectors.
 
         ``x`` has shape (..., 2); the result has shape (..., len(coords)).
+        ``work`` is the forward kernels' workspace (see
+        :mod:`mfbia.electromech`); if given, the result is its float slot 0.
         """
         x = np.asarray(x, dtype=float)
         coords = np.asarray(coords, dtype=float)
@@ -66,13 +68,14 @@ class ElectromechModel:
         poisson = x[..., 1][..., None]
         force = coords.reshape((1,) * (x.ndim - 1) + (-1,))
         displacement = electromech.displacement_batch(
-            youngs, poisson, force, side_length=self.side_length)
+            youngs, poisson, force, side_length=self.side_length, work=work)
         if field_id == 1:
             return displacement
         if field_id == 2:
             return electromech.current_batch(
                 poisson, displacement, side_length=self.side_length,
-                voltage=self.voltage, resistivity=self.resistivity)
+                voltage=self.voltage, resistivity=self.resistivity,
+                work=work)
         raise ValueError(f"model {self.name!r} has fields {self.field_ids}, "
                          f"got {field_id}")
 
@@ -132,7 +135,8 @@ class ToyFullModel:
         return CoupledSystem(field_dims=(1, 1), residual=_residual,
                              jacobian=_jacobian)
 
-    def outputs(self, x, field_id: int, coords) -> np.ndarray:
+    def outputs(self, x, field_id: int, coords, work=None) -> np.ndarray:
+        """Field outputs at each coordinate; ``work`` is not used."""
         x = np.asarray(x, dtype=float)
         coords = np.asarray(coords, dtype=float)
         c = coords.reshape((1,) * (x.ndim - 1) + (-1,))

@@ -7,9 +7,10 @@ Sobol' sequence pushed through the inverse normal CDF, so synthesis is
 fully deterministic: there is no random seed anywhere in the pipeline.
 
 Every misfit reduction on a node batch goes through :func:`misfit_moments`,
-which evaluates the nodes in row blocks, on a few threads, and keeps
-Gaussian sufficient statistics, so data synthesized at any SNR reuse one
-pass over the nodes.
+which evaluates the nodes in row blocks, on a few threads that each
+reuse one workspace for the call, and keeps Gaussian sufficient
+statistics, so data synthesized at any SNR reuse one pass over the
+nodes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import logging
 import math
 import multiprocessing
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
@@ -295,7 +298,7 @@ MISFIT_BLOCK_ELEMENTS = 2 ** 16
 
 #: Most threads :func:`misfit_moments` reduces its row blocks on, whatever
 #: the machine: the blocks in flight then hold at most 2^18 outputs
-#: (2 MB) per temporary array.
+#: (2 MB) per workspace slot.
 MISFIT_MAX_THREADS = 4
 
 
@@ -335,6 +338,32 @@ class MisfitMoments:
         return self.a - 2.0 * sigma * self.b + self.noise_variance * self.zz
 
 
+class _Workspace:
+    """Scratch arrays that one reduction thread reuses from block to block.
+
+    ``floats(slot, shape)`` and ``bools(slot, shape)`` return the slot's
+    buffer as an array of ``shape``.  A slot is allocated when it is first
+    requested, and again only if a request outgrows it; a smaller request,
+    such as the short last block's, gets a leading view of it.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def floats(self, slot: int, shape) -> np.ndarray:
+        return self._buffer(float, slot, shape)
+
+    def bools(self, slot: int, shape) -> np.ndarray:
+        return self._buffer(bool, slot, shape)
+
+    def _buffer(self, dtype, slot: int, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get((dtype, slot))
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[dtype, slot] = np.empty(size, dtype=dtype)
+        return buffer[:size].reshape(shape)
+
+
 def misfit_moments(model, x, field_id: int, coords, centre,
                    deviates=None) -> MisfitMoments:
     """Misfit moments of ``model`` about ``centre`` on the nodes ``x``.
@@ -346,11 +375,14 @@ def misfit_moments(model, x, field_id: int, coords, centre,
     :data:`MISFIT_BLOCK_ELEMENTS` outputs, on one thread per usable CPU
     up to :data:`MISFIT_MAX_THREADS`, each block in a copy of the caller's
     context (so its ``np.errstate`` holds); a process that multiprocessing
-    started, such as a sweep's pool worker, uses one thread.  Each node's
-    sums are taken along its own row, so they depend neither on the block
-    size nor on the thread that computed them.  A node with a non-finite
-    output or sum gets ``a = inf`` and ``b = 0``; a model that raises in
-    any block gives that at every node.
+    started, such as a sweep's pool worker, uses one thread.  Each thread
+    keeps one workspace for the call, which the model's ``outputs`` gets
+    as ``work`` and whose float slots 1 and 2 the reduction uses once
+    ``outputs`` has returned (a model leaves its result, if there, in slot
+    0), so no block allocates a node x coordinate array.  Each node's sums are taken along its own row, so they depend
+    neither on the block size nor on the thread that computed them.  A
+    node with a non-finite output or sum gets ``a = inf`` and ``b = 0``;
+    a model that raises in any block gives that at every node.
     """
     x = np.asarray(x, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
@@ -363,30 +395,51 @@ def misfit_moments(model, x, field_id: int, coords, centre,
     blocks = [slice(start, start + step)
               for start in range(0, rows.shape[0], step)]
 
-    def reduce(block: slice) -> None:
-        outputs = np.asarray(model.outputs(rows[block], field_id, coords),
-                             dtype=float)
-        residual = outputs.reshape(outputs.shape[0], -1) - centre
+    def reduce(block: slice, work: _Workspace) -> None:
+        outputs = np.asarray(
+            model.outputs(rows[block], field_id, coords, work=work),
+            dtype=float)
+        outputs = outputs.reshape(outputs.shape[0], -1)
+        shape = np.broadcast_shapes(outputs.shape, centre.shape)
+        residual = np.subtract(outputs, centre, out=work.floats(1, shape))
         if z is not None:
-            b[block] = (residual * z).sum(axis=-1)
+            b[block] = np.multiply(residual, z,
+                                   out=work.floats(2, shape)).sum(axis=-1)
         np.square(residual, out=residual)
         a[block] = residual.sum(axis=-1)
+
+    pending = queue.SimpleQueue()
+    for block in blocks:
+        pending.put((contextvars.copy_context(), block))
+    failed = threading.Event()
+
+    def drain() -> None:
+        """Reduce pending blocks in one workspace until none is left; a
+        block that raises cancels the blocks not yet started."""
+        work = _Workspace()
+        while not failed.is_set():
+            try:
+                context, block = pending.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                context.run(reduce, block, work)
+            except BaseException:
+                failed.set()
+                raise
 
     # a pool worker shares the CPUs with its siblings already
     threads = 1 if multiprocessing.parent_process() is not None else \
         min(len(blocks), usable_cpus(), MISFIT_MAX_THREADS)
     try:
         if threads <= 1:
-            for block in blocks:
-                reduce(block)
+            drain()
         else:
             # the pool lives only for this call, so no thread outlives it
-            # into a forked sweep worker; map raises the first failing
-            # block's exception and cancels the blocks not yet started
-            contexts = [contextvars.copy_context() for _ in blocks]
+            # into a forked sweep worker
             with ThreadPoolExecutor(threads) as pool:
-                list(pool.map(lambda ctx, block: ctx.run(reduce, block),
-                              contexts, blocks))
+                for done in [pool.submit(drain) for _ in range(threads)]:
+                    done.result()
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         logger.warning("model evaluation failed for field %d: %s",
                        field_id, exc)

@@ -276,7 +276,8 @@ class _TaskEvaluator:
                                status=f"failed:{exc}")
 
 
-#: The sweep context of this process, set once by :func:`_install`.
+#: The sweep context of this process, set by :func:`_install`; the
+#: in-process path clears it again when its sweep ends.
 _evaluator: _TaskEvaluator | None = None
 
 
@@ -313,13 +314,18 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
     order, the first axis varying slowest, and are identical for any
     worker count.
     """
+    global _evaluator
     cells = list(itertools.product(*spec.axes.values()))
     tasks = sweep_tasks(spec)
     payloads = [[cells[index] for index in task] for task in tasks]
     workers = min(workers, len(tasks))
     if workers <= 1:
         _install(spec)
-        return _collect(tasks, map(_evaluate_task, payloads), progress)
+        try:
+            return _collect(tasks, map(_evaluate_task, payloads), progress)
+        finally:
+            # the grid and the last field-1 analysis end with the sweep
+            _evaluator = None
     with ProcessPoolExecutor(max_workers=workers, initializer=_install,
                              initargs=(spec,)) as pool:
         return _collect(tasks, pool.map(_evaluate_task, payloads), progress)

@@ -113,10 +113,10 @@ def _field1_grid_batches(run):
     batches = []
     original = ElectromechModel.outputs
 
-    def outputs(self, x, field_id, coords):
+    def outputs(self, x, field_id, coords, work=None):
         if field_id == 1 and np.ndim(x) > 1:
             batches.append(len(x))
-        return original(self, x, field_id, coords)
+        return original(self, x, field_id, coords, work)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ElectromechModel, "outputs", outputs)

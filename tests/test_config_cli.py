@@ -745,6 +745,20 @@ class TestNonFiniteInputs:
             assert f"{key}: " in err and "Traceback" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("path,value,key", [
+        (("sweep", "snr2"), [10.0, math.inf], "sweep.snr2"),
+        (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2"),
+        (("sweep",), {"side_length": [0.01, math.inf]}, "sweep.side_length"),
+        (("sweep", "snr2", "num"), 10.9, "sweep.snr2.num"),
+    ])
+    def test_sweep_error_names_the_config_file(self, tmp_path, capsys, path,
+                                               value, key):
+        config = _mutated_fig9(tmp_path, path, value)
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {config}: {key}: ")
+
     def test_negative_voltage_runs(self, tmp_path):
         config = _mutated_fig9(tmp_path, ("constants", "voltage"), -10.0)
         obs = tmp_path / "obs"

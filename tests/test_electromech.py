@@ -18,6 +18,7 @@ from mfbia.electromech import (
     residual_mech,
 )
 from mfbia.models import ElectromechModel
+from mfbia.probabilistic import _Workspace
 
 L0 = DEFAULT_SIDE_LENGTH
 
@@ -298,6 +299,15 @@ class TestClosedForm:
             d = displacement_batch(youngs, poisson, [force, force])
         assert np.all(np.isnan(d))
 
+    def test_no_nan_on_a_million_random_points(self):
+        # every entry passes the residual check over the README's ranges
+        rng = np.random.default_rng(2024)
+        youngs = 10.0 ** rng.uniform(-3.0, 12.0, 10**6)
+        poisson = rng.uniform(0.0, 0.5, 10**6)
+        force = 10.0 ** rng.uniform(-8.0, 3.0, 10**6)
+        d = displacement_batch(youngs, poisson, force)
+        assert not np.isnan(d).any()
+
     def test_root_failing_the_residual_check_gives_nan(self, monkeypatch):
         # the residual check is the only verification of the closed form:
         # a root off by 1e-6 relative must come back NaN, not be repaired
@@ -460,6 +470,50 @@ class TestOwnShapeFactors:
                 seen["nan"] += int(np.sum(np.isnan(expected)))
                 seen["0-d"] += np.ndim(expected) == 0
         assert all(seen.values()), seen
+
+    def test_workspace_changes_no_bit(self):
+        # one workspace for every batch, as a reduction thread keeps it:
+        # its slots grow, hold the last batch's values and serve smaller
+        # batches (a short last block) as leading views
+        work = _Workspace()
+        seen = {"s < -1": 0, "zero force": 0, "nan": 0, "0-d": 0,
+                "smaller batch": 0}
+        largest = 0
+        with np.errstate(all="ignore"):
+            for youngs, poisson, force in self.inputs(25):
+                fresh = displacement_batch(youngs, poisson, force)
+                d = displacement_batch(youngs, poisson, force, work=work)
+                assert_same_bits(d, fresh)
+                # the model's chain: the current reads the displacement
+                # from the same workspace
+                assert_same_bits(current_batch(poisson, d, work=work),
+                                 current_batch(poisson, fresh))
+                seen["s < -1"] += int(np.sum(
+                    cardano_s(youngs, poisson, force) < -1))
+                seen["zero force"] += int(np.sum(force == 0.0))
+                seen["nan"] += int(np.sum(np.isnan(fresh)))
+                seen["0-d"] += np.ndim(fresh) == 0
+                seen["smaller batch"] += 0 < np.size(fresh) < largest
+                largest = max(largest, np.size(fresh))
+        assert all(seen.values()), seen
+
+    def test_model_outputs_same_bits_with_a_workspace(self):
+        model = ElectromechModel()
+        rng = np.random.default_rng(26)
+        forces = np.linspace(0.0, 0.4, 33)
+        work = _Workspace()
+        for rows in (40, 40, 17, 1):
+            x = np.stack([10.0 ** rng.uniform(2.0, 5.0, rows),
+                          rng.uniform(0.0, 0.4999, rows)], axis=-1)
+            for field_id in (1, 2, 1):
+                assert_same_bits(
+                    model.outputs(x, field_id, forces, work=work),
+                    model.outputs(x, field_id, forces))
+        truth = np.array([11e3, 0.35])
+        for field_id in (1, 2):
+            assert_same_bits(model.outputs(truth, field_id, forces,
+                                           work=work),
+                             model.outputs(truth, field_id, forces))
 
     def test_rig_constants_match_broadcast_oracle(self):
         rng = np.random.default_rng(24)

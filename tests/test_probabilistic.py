@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from statistics import NormalDist
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestSynthesize:
 
     def test_model_failure_reports_coordinate(self):
         class Broken:
-            def outputs(self, x, field_id, coords):
+            def outputs(self, x, field_id, coords, work=None):
                 out = np.asarray(coords, dtype=float).copy()
                 out[1] = np.nan
                 return out
@@ -263,7 +264,7 @@ class TestLogLikelihood:
 
     def test_raising_model_yields_sentinel(self):
         class Raising:
-            def outputs(self, x, field_id, coords):
+            def outputs(self, x, field_id, coords, work=None):
                 raise RuntimeError("solver blew up")
 
         obs = FieldObservations(field_id=1, coordinates=np.array([0.1]),
@@ -327,7 +328,7 @@ class TestMisfitMoments:
         class Broken:
             """Outputs 1.0, with NaN at node 1 and +-inf at nodes 2 and 3."""
 
-            def outputs(self, x, field_id, coords):
+            def outputs(self, x, field_id, coords, work=None):
                 x = np.asarray(x, dtype=float)
                 out = np.ones(x.shape[:-1] + (len(coords),))
                 out[..., 0] = np.where(x[..., 0] == 1, np.nan, out[..., 0])
@@ -359,8 +360,8 @@ class TestMisfitMoments:
             def __init__(self, model):
                 self.model, self.sizes = model, []
 
-            def outputs(self, x, field_id, coords):
-                out = self.model.outputs(x, field_id, coords)
+            def outputs(self, x, field_id, coords, work=None):
+                out = self.model.outputs(x, field_id, coords, work)
                 self.sizes.append(out.size)
                 return out
 
@@ -448,7 +449,7 @@ class TestMisfitThreads:
             def __init__(self):
                 self.live = []
 
-            def outputs(self, x, field_id, coords):
+            def outputs(self, x, field_id, coords, work=None):
                 self.live.append(threading.active_count())
                 time.sleep(1e-3)  # so the pool starts all its threads
                 return np.zeros(x.shape[:-1] + (len(coords),))
@@ -464,11 +465,99 @@ class TestMisfitThreads:
         assert before < max(model.live) <= \
             before + probabilistic.MISFIT_MAX_THREADS
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_thread_reuses_one_workspace(self, monkeypatch, threads):
+        class Spy:
+            """Zero outputs in float slot 0 of the workspace; records each
+            block's thread, outputs and workspace."""
+
+            def __init__(self):
+                self.calls = []
+
+            def outputs(self, x, field_id, coords, work=None):
+                out = work.floats(0, x.shape[:-1] + (len(coords),))
+                out[...] = 0.0
+                self.calls.append((threading.get_ident(), out,
+                                   weakref.ref(work)))
+                time.sleep(1e-3)  # so that every thread takes blocks
+                return out
+
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: threads)
+        # eleven row blocks of two nodes x four coordinates, the last one
+        # a single node
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 8)
+        model = Spy()
+        moments = misfit_moments(model, np.arange(21.0)[:, None], 1,
+                                 np.arange(4.0), np.ones(4), np.ones(4))
+        np.testing.assert_array_equal(moments.a, 4.0)
+        np.testing.assert_array_equal(moments.b, -4.0)
+        assert len(model.calls) == 11
+        assert sorted(len(out) for _, out, _ in model.calls) == \
+            [1] + [2] * 10
+        by_thread = {}
+        for thread, out, _ in model.calls:
+            by_thread.setdefault(thread, []).append(out)
+        # a thread that starts late may find no block left
+        assert 1 <= len(by_thread) <= threads
+        for outs in by_thread.values():
+            assert all(np.shares_memory(first, later)
+                       for first, later in zip(outs, outs[1:]))
+        firsts = [outs[0] for outs in by_thread.values()]
+        assert not any(np.shares_memory(one, other)
+                       for one, other in zip(firsts, firsts[1:]))
+        assert all(work() is None for _, _, work in model.calls)
+
+    def test_reduction_allocates_only_the_buffers_requested(self,
+                                                            monkeypatch):
+        made = []
+
+        class Recorded(probabilistic._Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(probabilistic, "_Workspace", Recorded)
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 2)
+        nodes = np.stack(np.meshgrid(np.linspace(0.1, 1.0, 60),
+                                     np.linspace(0.1, 1.0, 60),
+                                     indexing="ij"), axis=-1)
+        coords = np.linspace(0.0, 1.0, 64)
+        truth = np.array([0.5, 0.5])
+        # the toy model ignores the workspace: the reduction's residual
+        # and its product with the deviates are all it holds
+        toy = build_model("toy-full")
+        centre = toy.outputs(truth, 1, coords)
+        misfit_moments(toy, nodes, 1, coords, centre,
+                       sobol_standard_normal(centre.size))
+        # a thread that started after the last block was taken holds none
+        assert len(made) == 2
+        assert [set(work._buffers) for work in made if work._buffers] in (
+            [{(float, 1), (float, 2)}], [{(float, 1), (float, 2)}] * 2)
+        rows = MISFIT_BLOCK_ELEMENTS // coords.size
+        assert all(buffer.size <= rows * coords.size for work in made
+                   for buffer in work._buffers.values())
+        made.clear()
+        misfit_moments(toy, nodes, 1, coords, centre)
+        assert {(float, 1)} in [set(work._buffers) for work in made]
+        assert all(set(work._buffers) <= {(float, 1)} for work in made)
+        # the electromech kernels add their own result, to three floats and
+        # two masks per thread
+        made.clear()
+        model = build_model("electromech")
+        grid = nodes * [3e4, 0.49]
+        centre = model.outputs(truth * [3e4, 0.49], 2, coords)
+        misfit_moments(model, grid, 2, coords, centre,
+                       sobol_standard_normal(centre.size))
+        assert len(made) == 2
+        full = {(float, 0), (float, 1), (float, 2), (bool, 0), (bool, 1)}
+        assert full in [set(work._buffers) for work in made]
+        assert all(set(work._buffers) in (set(), full) for work in made)
+
     def test_raise_in_one_block_fails_every_node(self, monkeypatch, caplog):
         class FailsInOneBlock:
             """Zero outputs; raises on the batch that holds node 25."""
 
-            def outputs(self, x, field_id, coords):
+            def outputs(self, x, field_id, coords, work=None):
                 if np.any(x[..., 0] == 25):
                     raise ValueError("solver diverged")
                 return np.zeros(x.shape[:-1] + (len(coords),))
@@ -488,7 +577,7 @@ class TestMisfitThreads:
         class DividesByZero:
             """1/x[0] at every coordinate: inf at node 0."""
 
-            def outputs(self, x, field_id, coords):
+            def outputs(self, x, field_id, coords, work=None):
                 return np.ones(len(coords)) / x[..., :1]
 
         monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 8)

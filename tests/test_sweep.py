@@ -298,10 +298,10 @@ class TestSharedFieldOne:
         batches = []
         original = ToyFullModel.outputs
 
-        def outputs(self, x, field_id, coords):
+        def outputs(self, x, field_id, coords, work=None):
             if field_id == 1 and np.ndim(x) > 1:
                 batches.append(len(x))
-            return original(self, x, field_id, coords)
+            return original(self, x, field_id, coords, work)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ToyFullModel, "outputs", outputs)
@@ -336,6 +336,22 @@ class TestSharedFieldOne:
         assert {r.status for r in failed} == {f"failed:{raised.value}"}
         assert all(r.ig_single is None and r.riig is None for r in failed)
 
+    def test_serial_sweep_keeps_no_evaluator(self, monkeypatch):
+        # the prior grid and the last field-1 moments end with the sweep,
+        # also when it is interrupted
+        spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0,))
+        assert all(r.ok for r in run_riig_sweep(spec))
+        assert sweep_module._evaluator is None
+
+        def interrupted(self, cells):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweep_module._TaskEvaluator, "__call__",
+                            interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_riig_sweep(spec)
+        assert sweep_module._evaluator is None
+
 
 def _blocks_on_the_calling_thread(cells):
     """Stands in for ``sweep._evaluate_task``: whether ``misfit_moments``
@@ -344,7 +360,7 @@ def _blocks_on_the_calling_thread(cells):
     caller, seen = threading.get_ident(), set()
 
     class Recorder:
-        def outputs(self, x, field_id, coords):
+        def outputs(self, x, field_id, coords, work=None):
             seen.add(threading.get_ident())
             return np.zeros(x.shape[:-1] + (len(coords),))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import logging
 import math
@@ -75,6 +74,9 @@ class ProvenanceError(ValueError):
 
 
 def _hash_payload(payload) -> str:
+    # imported here: hashlib loads libcrypto, which only provenance needs
+    import hashlib
+
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 

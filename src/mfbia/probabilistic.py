@@ -19,7 +19,6 @@ import contextvars
 import csv
 import logging
 import math
-import multiprocessing
 import os
 import queue
 import threading
@@ -365,24 +364,26 @@ class _Workspace:
 
 
 def misfit_moments(model, x, field_id: int, coords, centre,
-                   deviates=None) -> MisfitMoments:
+                   deviates=None, threads=None) -> MisfitMoments:
     """Misfit moments of ``model`` about ``centre`` on the nodes ``x``.
 
     ``x`` has shape (..., n_params); ``centre`` and ``deviates`` have the
     shape of one node's outputs at ``coords``.  Without ``deviates``,
     ``b`` and ``zz`` are zero and ``a`` is the squared misfit to
     ``centre``.  The nodes are evaluated in row blocks of about
-    :data:`MISFIT_BLOCK_ELEMENTS` outputs, on one thread per usable CPU
-    up to :data:`MISFIT_MAX_THREADS`, each block in a copy of the caller's
-    context (so its ``np.errstate`` holds); a process that multiprocessing
-    started, such as a sweep's pool worker, uses one thread.  Each thread
-    keeps one workspace for the call, which the model's ``outputs`` gets
-    as ``work`` and whose float slots 1 and 2 the reduction uses once
-    ``outputs`` has returned (a model leaves its result, if there, in slot
-    0), so no block allocates a node x coordinate array.  Each node's sums are taken along its own row, so they depend
-    neither on the block size nor on the thread that computed them.  A
-    node with a non-finite output or sum gets ``a = inf`` and ``b = 0``;
-    a model that raises in any block gives that at every node.
+    :data:`MISFIT_BLOCK_ELEMENTS` outputs, on at most ``threads``
+    threads (by default one per usable CPU up to
+    :data:`MISFIT_MAX_THREADS`; ``1`` runs every block on the calling
+    thread), each block in a copy of the caller's context (so its
+    ``np.errstate`` holds).  Each thread keeps one workspace for the
+    call, which the model's ``outputs`` gets as ``work`` and whose float
+    slots 1 and 2 the reduction uses once ``outputs`` has returned (a
+    model leaves its result, if there, in slot 0), so no block allocates
+    a node x coordinate array.  Each node's sums are taken along its own
+    row, so they depend neither on the block size nor on the thread that
+    computed them.  A node with a non-finite output or sum gets
+    ``a = inf`` and ``b = 0``; a model that raises in any block gives
+    that at every node.
     """
     x = np.asarray(x, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
@@ -428,9 +429,9 @@ def misfit_moments(model, x, field_id: int, coords, centre,
                 failed.set()
                 raise
 
-    # a pool worker shares the CPUs with its siblings already
-    threads = 1 if multiprocessing.parent_process() is not None else \
-        min(len(blocks), usable_cpus(), MISFIT_MAX_THREADS)
+    if threads is None:
+        threads = min(usable_cpus(), MISFIT_MAX_THREADS)
+    threads = min(threads, len(blocks))
     try:
         if threads <= 1:
             drain()
@@ -464,7 +465,7 @@ def log_likelihood(model, x, observations) -> np.ndarray | float:
     already computed on ``x`` and carrying their noise variance.  ``x`` may
     carry leading batch axes.  Failed model evaluations make the affected
     entries -inf instead of raising, so a pathological grid node cannot
-    abort a scan; the count of such nodes is logged.
+    abort a scan; the count of such nodes is logged at DEBUG level.
     """
     x = np.asarray(x, dtype=float)
     scalar_input = x.ndim == 1
@@ -478,10 +479,11 @@ def log_likelihood(model, x, observations) -> np.ndarray | float:
                                  obs.values).with_noise(obs.noise_variance)
         sum_sq = obs.sum_sq()
         total = total - 0.5 / obs.noise_variance * sum_sq
-    n_failed = int(np.count_nonzero(~np.isfinite(np.atleast_1d(total))))
-    if n_failed:
-        logger.debug("log-likelihood is -inf at %d of %d points",
-                     n_failed, max(1, int(np.prod(batch_shape))))
+    if logger.isEnabledFor(logging.DEBUG):
+        n_failed = int(np.count_nonzero(~np.isfinite(np.atleast_1d(total))))
+        if n_failed:
+            logger.debug("log-likelihood is -inf at %d of %d points",
+                         n_failed, max(1, int(np.prod(batch_shape))))
     return float(total) if scalar_input else total
 
 

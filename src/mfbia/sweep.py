@@ -16,7 +16,7 @@ gain once per ``snr1`` value; an SNR value then costs one pass over the
 nodes.  Field 1's moments depend only on the model constants and
 ``n_obs1``: tasks that share them are listed next to each other, and each
 process keeps the last field-1 analysis it computed.  Tasks can run on any
-number of workers without changing a single bit of the output; failures
+number of processes without changing a single bit of the output; failures
 are recorded per cell and never abort the sweep.
 """
 
@@ -26,8 +26,9 @@ import csv
 import itertools
 import json
 import math
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -167,13 +168,15 @@ def sweep_tasks(spec: SweepSpec) -> list[list[int]]:
     return [task for tasks in groups.values() for task in tasks.values()]
 
 
-def field_moments(model, truth, plan: FieldSpec, nodes):
+def field_moments(model, truth, plan: FieldSpec, nodes, threads=None):
     """Observations of ``plan``, their truth outputs, and misfit moments.
 
     Synthesis checks the truth outputs.  The moments of ``model`` on
     ``nodes`` are taken about them with the deviates synthesis adds, and
     carry no noise variance; at an SNR it is :func:`sigma_from_snr` of the
     truth outputs, the observations' ``noise_variance`` at the plan's SNR.
+    ``threads`` bounds the reduction's threads, as in
+    :func:`~mfbia.probabilistic.misfit_moments`.
     """
     truth = np.asarray(truth, dtype=float)
     coords = plan.coordinates()
@@ -181,7 +184,7 @@ def field_moments(model, truth, plan: FieldSpec, nodes):
                                            coords, plan.snr)
     centre = model.outputs(truth, plan.field_id, coords)
     moments = misfit_moments(model, nodes, plan.field_id, coords, centre,
-                             sobol_standard_normal(centre.size))
+                             sobol_standard_normal(centre.size), threads)
     return observations, centre, moments
 
 
@@ -193,6 +196,30 @@ def _field1_key(spec: SweepSpec, point: dict) -> tuple:
     return constants, point.get("n_obs1", spec.first_field.count)
 
 
+class _TaskIndex:
+    """Hands out the numbers of a sweep's ``tasks`` (see
+    :func:`sweep_tasks`), each once and in order.  Made for more than one
+    process, it keeps the next number in shared memory, so the pool
+    workers forked after it draw from the same sequence as the process
+    that made it."""
+
+    def __init__(self, tasks: list[list[int]], processes: int = 1):
+        self.tasks = tasks
+        self._next = 0
+        self._shared = multiprocessing.Value("l", 0) if processes > 1 \
+            else None
+
+    def claim(self) -> int | None:
+        """The next unclaimed task number, or None once all are claimed."""
+        if self._shared is None:
+            number, self._next = self._next, self._next + 1
+        else:
+            with self._shared.get_lock():
+                number = self._shared.value
+                self._shared.value = number + 1
+        return number if number < len(self.tasks) else None
+
+
 class _TaskEvaluator:
     """Evaluates the tasks of one sweep in one process.
 
@@ -201,13 +228,20 @@ class _TaskEvaluator:
     computed once per task, and the single-field gain once per field-1
     noise variance; each cell composes the moments at its own noise
     variances.  The evaluator also keeps the last field-1 analysis it
-    computed, so consecutive tasks that share its key compute it once.  In
-    a pool, each worker that runs one of those tasks computes it: the work
-    done depends on scheduling, the bits of a cell do not.
+    computed, so consecutive tasks that share its key compute it once.  On
+    several processes, each one that runs one of those tasks computes it:
+    the work done depends on scheduling, the bits of a cell do not.
+    ``index`` hands out the sweep's tasks, and ``threads`` bounds each
+    misfit reduction's threads, as in
+    :func:`~mfbia.probabilistic.misfit_moments`.
     """
 
-    def __init__(self, spec: SweepSpec):
+    def __init__(self, spec: SweepSpec, index: _TaskIndex,
+                 threads: int | None = None):
         self.spec = spec
+        self.index = index
+        self.threads = threads
+        self.cells = list(itertools.product(*spec.axes.values()))
         self.grid = PriorGrid(spec.prior,
                               cdf_spaced_grid(spec.prior, spec.grid_shape))
         self.field1 = (None, None)   # last field-1 key, (centre, moments)
@@ -229,7 +263,7 @@ class _TaskEvaluator:
         """Field ``k``'s truth outputs and misfit moments at the cell's
         observation count."""
         return field_moments(model, self.spec.truth, self._plan(k, point),
-                             self.grid.nodes)[1:]
+                             self.grid.nodes, self.threads)[1:]
 
     def _moments(self, model, k: int, point: dict, memo: dict):
         """Field ``k``'s misfit moments on the grid at the cell's noise."""
@@ -276,59 +310,95 @@ class _TaskEvaluator:
                                status=f"failed:{exc}")
 
 
-#: The sweep context of this process, set by :func:`_install`; the
-#: in-process path clears it again when its sweep ends.
+#: The sweep context of this process, set by :func:`_install`;
+#: :func:`run_riig_sweep` clears it again when its sweep ends.
 _evaluator: _TaskEvaluator | None = None
 
 
-def _install(spec: SweepSpec) -> None:
-    """Set this process's sweep context: the pool initializer, and the
-    serial path's set-up."""
+def _install(spec: SweepSpec, index: _TaskIndex,
+             threads: int | None = None) -> None:
+    """Set this process's sweep context: the sweep's own set-up, and the
+    pool initializer.  A worker forked from the sweep's process keeps the
+    context it inherits, so it builds no second prior grid."""
     global _evaluator
-    _evaluator = _TaskEvaluator(spec)
+    if _evaluator is None or _evaluator.index is not index:
+        _evaluator = _TaskEvaluator(spec, index, threads)
 
 
 def _evaluate_task(cells: list[tuple]) -> list[SweepResult]:
     return _evaluator(cells)
 
 
-def _collect(tasks, task_results, progress) -> list[SweepResult]:
-    """Task results put back in cell order; progress once per cell."""
-    collected = [None] * sum(len(task) for task in tasks)
-    pairs = (pair for task, results in zip(tasks, task_results)
-             for pair in zip(task, results))
-    for done, (index, result) in enumerate(pairs, 1):
-        collected[index] = result
-        if progress is not None:
-            progress(done, len(collected))
-    return collected
+def _evaluate_next() -> tuple[int, list[SweepResult]] | None:
+    """Claim the next task of the sweep and evaluate it: the task number
+    and its cells' results, or None once every task is claimed."""
+    index = _evaluator.index
+    number = index.claim()
+    if number is None:
+        return None
+    return number, _evaluate_task([_evaluator.cells[cell]
+                                   for cell in index.tasks[number]])
 
 
 def run_riig_sweep(spec: SweepSpec, workers: int = 1,
                    progress=None) -> list[SweepResult]:
     """Evaluate the relative information-gain increase on every cell.
 
-    Runs in this process, or on a pool of at most ``workers`` processes and
-    never more than there are tasks (see :func:`sweep_tasks`).  Workers
-    receive only their cells' axis values.  Results come back in cell
-    order, the first axis varying slowest, and are identical for any
-    worker count.
+    Runs on ``min(workers, tasks)`` processes (see :func:`sweep_tasks`),
+    this one included: it forks a pool of the others, sends the pool one
+    claim per task, and runs tasks itself.  Each process claims its next
+    task from one shared :class:`_TaskIndex` whenever it is free, so none
+    idles while a task is unclaimed; a claim made once all are claimed
+    does nothing.  A claim carries no cell values.  On more than one
+    process, every misfit reduction runs on one thread.  Progress is
+    reported once per cell as its task's results arrive.  Results come
+    back in cell order, the first axis varying slowest, and are identical
+    for any worker count.  A task that raises, or a pool that breaks,
+    stops the sweep with that error.
     """
     global _evaluator
-    cells = list(itertools.product(*spec.axes.values()))
     tasks = sweep_tasks(spec)
-    payloads = [[cells[index] for index in task] for task in tasks]
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        _install(spec)
-        try:
-            return _collect(tasks, map(_evaluate_task, payloads), progress)
-        finally:
-            # the grid and the last field-1 analysis end with the sweep
-            _evaluator = None
-    with ProcessPoolExecutor(max_workers=workers, initializer=_install,
-                             initargs=(spec,)) as pool:
-        return _collect(tasks, pool.map(_evaluate_task, payloads), progress)
+    processes = min(workers, len(tasks))
+    index = _TaskIndex(tasks, processes)
+    threads = 1 if processes > 1 else None
+    collected = [None] * sum(len(task) for task in tasks)
+    done = 0
+
+    def record(number: int, results: list[SweepResult]) -> None:
+        nonlocal done
+        for cell, result in zip(tasks[number], results):
+            collected[cell] = result
+            done += 1
+            if progress is not None:
+                progress(done, len(collected))
+
+    def record_claim(claim) -> None:
+        if (claimed := claim.result()) is not None:
+            record(*claimed)
+
+    pool, pending = None, set()
+    try:
+        _install(spec, index, threads)
+        if processes > 1:
+            pool = ProcessPoolExecutor(processes - 1, initializer=_install,
+                                       initargs=(spec, index, threads))
+            pending = {pool.submit(_evaluate_next) for _ in tasks}
+        while (claimed := _evaluate_next()) is not None:
+            record(*claimed)
+            finished, pending = wait(pending, timeout=0)
+            for claim in finished:
+                record_claim(claim)
+        for claim in as_completed(pending):
+            record_claim(claim)
+        return collected
+    finally:
+        # a sweep that failed leaves no task for its pool to start
+        while index.claim() is not None:
+            pass
+        if pool is not None:
+            pool.shutdown()
+        # the grid and the last field-1 analysis end with the sweep
+        _evaluator = None
 
 
 def run_coupling_sweep(spec: SweepSpec, workers: int = 1,

@@ -19,6 +19,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mfbia.cli as cli
 from mfbia.cli import build_parser, main
 from mfbia.config import (
     AxisSpec,
@@ -28,7 +29,8 @@ from mfbia.config import (
     parse_config,
     parse_quantity,
 )
-from mfbia.probabilistic import observations_from_csv
+from mfbia.models import build_model
+from mfbia.probabilistic import observations_from_csv, synthesize_observations
 
 
 class TestQuantities:
@@ -830,6 +832,32 @@ def test_cli_import_loads_no_yaml_parser():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_cli_import_loads_no_hashlib():
+    # hashlib loads libcrypto; only the posterior provenance hashes need it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mfbia.cli; print('hashlib' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_provenance_hashes_are_stable():
+    # sidecars written by earlier versions must stay comparable by riig
+    config = default_config()
+    model = build_model(config.model, config.constants)
+    obs = synthesize_observations(model, np.array(config.truth), 1,
+                                  np.linspace(0.0, 0.4, 4), 50.0)
+    assert cli._prior_hash(config.prior) == \
+        "a698069864f0cc48f2c4d64b8e83b76d4995b4e0d133ac165598f8e4a5b49ebf"
+    assert cli._observations_hash(None) == \
+        "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"
+    assert cli._observations_hash(obs) == \
+        "4f0d23c3378823647f494d968343d361fd095c9ca99b84098a547525e4226efd"
 
 
 def test_sweep_axes_load_no_numpy_ma():

@@ -262,6 +262,17 @@ class TestLogLikelihood:
         one = log_likelihood(self.model, grid[2, 3], [obs])
         np.testing.assert_allclose(values[2, 3], one, rtol=1e-14)
 
+    def test_failed_nodes_counted_in_debug_log(self, caplog):
+        coords = np.array([0.4])
+        obs = synthesize_observations(self.model, self.truth, 2, coords, 100.0)
+        nodes = np.array([self.truth, [1e2, 0.4999], self.truth])
+        with caplog.at_level(logging.DEBUG, logger="mfbia.probabilistic"):
+            values = log_likelihood(self.model, nodes, [obs])
+        assert np.isfinite(values[[0, 2]]).all() and values[1] == -np.inf
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno == logging.DEBUG] == \
+            ["log-likelihood is -inf at 1 of 3 points"]
+
     def test_raising_model_yields_sentinel(self):
         class Raising:
             def outputs(self, x, field_id, coords, work=None):

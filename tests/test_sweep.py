@@ -1,7 +1,11 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -353,20 +357,50 @@ class TestSharedFieldOne:
         assert sweep_module._evaluator is None
 
 
-def _blocks_on_the_calling_thread(cells):
-    """Stands in for ``sweep._evaluate_task``: whether ``misfit_moments``
-    evaluated every row block on the thread that called it, once per
+#: Threads that ``ToyFullModel.outputs`` ran on in this process, while
+#: a test records them.
+_OUTPUT_THREADS = set()
+
+
+def _task_threads(cells):
+    """Stands in for ``sweep._evaluate_task``: runs the task, then returns
+    once per cell the process that ran it and whether every model
+    evaluation of the task ran on that process's calling thread."""
+    _OUTPUT_THREADS.clear()
+    sweep_module._evaluator(cells)
+    return [(os.getpid(), _OUTPUT_THREADS == {threading.get_ident()})] \
+        * len(cells)
+
+
+def _in_worker() -> bool:
+    """Whether this is a pool worker.  The calling process sleeps 100 ms
+    each time it asks, so that a worker has started before the caller has
+    claimed every task of a test sweep."""
+    if multiprocessing.parent_process() is not None:
+        return True
+    time.sleep(0.1)
+    return False
+
+
+def _task_pids(cells):
+    """Stands in for ``sweep._evaluate_task``: the process that ran each
     cell."""
-    caller, seen = threading.get_ident(), set()
+    _in_worker()
+    return [os.getpid()] * len(cells)
 
-    class Recorder:
-        def outputs(self, x, field_id, coords, work=None):
-            seen.add(threading.get_ident())
-            return np.zeros(x.shape[:-1] + (len(coords),))
 
-    probabilistic.misfit_moments(Recorder(), np.arange(100.0)[:, None], 1,
-                                 np.arange(4.0), np.zeros(4))
-    return [seen == {caller}] * len(cells)
+def _fail_in_worker(cells):
+    """Stands in for ``sweep._evaluate_task``: raises in a pool worker."""
+    if _in_worker():
+        raise LookupError("task failed in a pool worker")
+    return sweep_module._evaluator(cells)
+
+
+def _exit_in_worker(cells):
+    """Stands in for ``sweep._evaluate_task``: a pool worker dies."""
+    if _in_worker():
+        os._exit(3)
+    return sweep_module._evaluator(cells)
 
 
 class TestMisfitThreads:
@@ -392,15 +426,25 @@ class TestMisfitThreads:
         assert csvs[0].decode().count(",ok\n") == 2 * 2
 
     def test_pool_worker_reduces_on_one_thread(self, monkeypatch):
+        # and so does the calling process of a pooled sweep
         monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 3)
-        # ten row blocks of ten nodes x four coordinates
+        # field 1's 25 nodes x 6 forces in five row blocks
         monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 40)
-        monkeypatch.setattr(sweep_module, "_evaluate_task",
-                            _blocks_on_the_calling_thread)
+        original = ToyFullModel.outputs
+
+        def outputs(self, x, field_id, coords, work=None):
+            _OUTPUT_THREADS.add(threading.get_ident())
+            return original(self, x, field_id, coords, work)
+
+        monkeypatch.setattr(ToyFullModel, "outputs", outputs)
+        monkeypatch.setattr(sweep_module, "_evaluate_task", _task_threads)
         spec = toy_sweep_spec(grid_shape=(5, 5))
-        assert run_riig_sweep(spec, workers=2) == [True] * 9
+        pooled = run_riig_sweep(spec, workers=2)
+        assert {one_thread for _, one_thread in pooled} == {True}
+        assert os.getpid() in {pid for pid, _ in pooled}
         # the serial path reduces on the thread pool
-        assert run_riig_sweep(spec) == [False] * 9
+        assert {one_thread for _, one_thread in run_riig_sweep(spec)} == \
+            {False}
 
     def test_pool_sweep_after_threaded_posterior_finishes(self, tmp_path):
         script = (
@@ -428,6 +472,82 @@ class TestMisfitThreads:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "done"
+
+
+class TestDispatch:
+    """The calling process claims tasks from the task index that feeds
+    the pool; no bit depends on the worker count or on which process ran
+    a task."""
+
+    def test_sweep_csv_same_bytes_for_any_worker_count(self, tmp_path):
+        # eight tasks, whose cost grows with n_obs2
+        config = tmp_path / "config.yaml"
+        config.write_text(TOY_CONFIG + "sweep: {n_obs2: [2, 4, 8, 16, 32, "
+                                       "64, 128, 256], snr2: [5.0, 50.0]}\n")
+        csvs = {}
+        for workers in (1, 2, 3, 8):
+            out = tmp_path / f"workers{workers}"
+            assert main(["sweep", "--config", str(config), "--workers",
+                         str(workers), "--out", str(out)]) == 0
+            csvs[workers] = (out / "sweep.csv").read_bytes()
+        assert len(set(csvs.values())) == 1
+        assert csvs[1].decode().count(",ok\n") == 8 * 2
+
+    def test_calling_process_runs_tasks(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_evaluate_task", _task_pids)
+        spec = toy_sweep_spec(grid_shape=(5, 5))
+        pids = run_riig_sweep(spec, workers=2)
+        assert os.getpid() in pids
+        assert len(set(pids)) == 2
+        assert all(len({pids[index] for index in task}) == 1
+                   for task in sweep_tasks(spec))
+        assert sweep_module._evaluator is None
+
+    def test_pool_gets_one_empty_claim_per_task(self, monkeypatch):
+        # so the bytes dispatched do not depend on who runs which task
+        submitted = []
+
+        class Recording(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append((fn, args, kwargs))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Recording)
+        spec = toy_sweep_spec(grid_shape=(5, 5))
+        assert run_riig_sweep(spec, workers=2) == run_riig_sweep(spec)
+        assert submitted == [(sweep_module._evaluate_next, (), {})] * 3
+
+    def test_progress_is_reported_as_tasks_finish(self, monkeypatch):
+        spec = toy_sweep_spec(grid_shape=(5, 5))
+        seen, started = [], []
+
+        def record(done, total):
+            seen.append((done, total, threading.get_ident()))
+
+        def evaluate(cells):
+            started.append(len(seen))
+            return sweep_module._evaluator(cells)
+
+        expected = [(done, 9, threading.get_ident()) for done in range(1, 10)]
+        assert all(r.ok for r in run_riig_sweep(spec, workers=2,
+                                                progress=record))
+        assert seen == expected
+        seen.clear()
+        monkeypatch.setattr(sweep_module, "_evaluate_task", evaluate)
+        run_riig_sweep(spec, progress=record)
+        # each task of three cells starts once those before it are reported
+        assert started == [0, 3, 6]
+        assert seen == expected
+
+    @pytest.mark.parametrize("stand_in,error", [
+        (_fail_in_worker, LookupError),
+        (_exit_in_worker, BrokenProcessPool),
+    ])
+    def test_pool_failure_propagates(self, monkeypatch, stand_in, error):
+        monkeypatch.setattr(sweep_module, "_evaluate_task", stand_in)
+        with pytest.raises(error):
+            run_riig_sweep(toy_sweep_spec(grid_shape=(5, 5)), workers=2)
+        assert sweep_module._evaluator is None
 
 
 class TestCouplingSweep:

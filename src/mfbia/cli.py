@@ -292,6 +292,9 @@ def _write_summary_csv(path, rows) -> None:
 
 
 def cmd_reproduce(args) -> int:
+    if args.figure == "fig9" and (args.full or args.workers):
+        flag = "--full" if args.full else "--workers"
+        raise ConfigError(f"{flag}: applies to reproduce fig10 only")
     out_dir = Path(args.out) / args.figure
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.figure == "fig9":

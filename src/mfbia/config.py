@@ -194,9 +194,6 @@ class RunConfig:
                 axes[name] = axis.resolve(sizes.get(name))
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"sweep.{name}: {exc}") from exc
-            if name.startswith("n_obs"):
-                axes[name] = tuple(_integer(v, f"sweep.{name}")
-                                   for v in axes[name])
         varied = [name for name in axes if name not in FIELD_AXES]
         for values in itertools.product(*(axes[name] for name in varied)):
             try:

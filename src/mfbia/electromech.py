@@ -15,14 +15,14 @@ updated in place.  The Cardano root takes its trigonometric and its
 hyperbolic branch as masked ufuncs, each on its own entries, and the
 residual check evaluates the cubic in Horner form.
 
-A caller that evaluates many batches of one shape, such as the misfit
-reduction, passes ``work``: an object whose ``floats(slot, shape)`` and
-``bools(slot, shape)`` return scratch arrays of ``shape``, the same memory
-for the same slot.  The kernels then write every node x force array into
-it: float slots 0-2 and bool slots 0-1.  Each kernel returns its result
-in float slot 0, so slots 1 and 2 are free again once it has returned.
-Without ``work``, every such array is new and the result belongs to the
-caller.
+The kernels write every node x force array into a workspace ``work``: an
+object whose ``floats(slot, shape)`` and ``bools(slot, shape)`` return
+scratch arrays of ``shape``, the same memory for the same slot.  They use
+float slots 0-2 and bool slots 0-1, and each returns its result in float
+slot 0, so slots 1 and 2 are free again once it has returned.  A caller
+that evaluates many batches of one shape, such as the misfit reduction,
+passes one workspace to every call; a kernel called without one builds
+its own, so its result belongs to the caller.
 
 All quantities are strict SI (m, N, Pa, V, A, Ohm m).
 """
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupled import CoupledSystem
+from .probabilistic import _Workspace
 
 DEFAULT_SIDE_LENGTH = 0.01   # m
 DEFAULT_VOLTAGE = 10.0       # V
@@ -168,24 +169,11 @@ def coupled_system(params: ElectromechParams, force: float) -> CoupledSystem:
                          jacobian=_jacobian)
 
 
-class _NewArrays:
-    """The workspace of a kernel called without one: every buffer is a new
-    array, so the result belongs to the caller."""
-
-    @staticmethod
-    def floats(slot: int, shape) -> np.ndarray:
-        return np.empty(shape)
-
-    @staticmethod
-    def bools(slot: int, shape) -> np.ndarray:
-        return np.empty(shape, dtype=bool)
-
-
 def _cardano_displacement(load: np.ndarray, l0: float,
                           work=None) -> np.ndarray:
     """Physical root ``d`` of ``2*l0^2*d + 3*l0*d^2 + d^3 = load``, in
-    closed form, in float slot 0 of ``work`` (a new array without one);
-    ``load`` must not lie in that workspace's float slot 0 or 2.
+    closed form, in float slot 0 of ``work``; ``load`` must not lie in
+    that workspace's float slot 0 or 2.
 
     With ``u = l0 + d`` the cubic is ``u^3 - l0^2*u = load``; its physical
     root is the trigonometric (``s <= 1``) or hyperbolic (``s > 1``)
@@ -194,7 +182,7 @@ def _cardano_displacement(load: np.ndarray, l0: float,
     ``u - l0`` and is exactly 0 at zero load.  NaN where ``s`` is NaN or
     below -1 (a compressive load outside the domain).
     """
-    work = _NewArrays if work is None else work
+    work = _Workspace() if work is None else work
     shape = np.shape(load)
     # in place: on a posterior grid every temporary is as large as the
     # node x force product; ``out=`` also keeps a 0-d input an array, where
@@ -229,7 +217,7 @@ def displacement_batch(youngs_modulus, poisson_ratio, force, *,
     ``2*F*l0`` and ``1 - nu^2`` are formed at their inputs' shapes and the
     residual check runs in place, with the operations of a fully broadcast
     evaluation in the same order, so the results are the same bits.  The
-    result is float slot 0 of ``work``, or a new array without one.
+    result is float slot 0 of ``work``.
     """
     youngs_modulus = np.asarray(youngs_modulus, dtype=float)
     poisson_ratio = np.asarray(poisson_ratio, dtype=float)
@@ -237,14 +225,11 @@ def displacement_batch(youngs_modulus, poisson_ratio, force, *,
     l0 = side_length
     shape = np.broadcast_shapes(youngs_modulus.shape, poisson_ratio.shape,
                                 force.shape)
-    fresh = work is None
-    work = _NewArrays if fresh else work
+    work = _Workspace() if work is None else work
     load = np.divide(2.0 * force * l0, youngs_modulus,
                      out=work.floats(1, shape))
     load *= 1.0 - poisson_ratio**2
-    # without a workspace, the root keeps its two-argument call
-    d = _cardano_displacement(load, l0) if fresh else \
-        _cardano_displacement(load, l0, work)
+    d = _cardano_displacement(load, l0, work)
     # residual ((d + 3*l0)*d + 2*l0^2)*d - load, the cubic in Horner form,
     # against an absolute floor plus a relative term so the check is
     # scale-aware in the load
@@ -272,12 +257,11 @@ def current_batch(poisson_ratio, displacement, *,
     ``nu/(1-nu)`` is formed at the Poisson ratio's shape and the rest in
     place at the broadcast shape, with the operations of a fully
     broadcast evaluation, so the results are the same bits.  The result
-    is float slot 0 of ``work``, or a new array without one.  The
-    displacement may lie in that slot, as :func:`displacement_batch`
-    leaves it, since it is read before the result is written; it must not
-    lie in float slot 1 or 2.
+    is float slot 0 of ``work``.  The displacement may lie in that slot,
+    as :func:`displacement_batch` leaves it, since it is read before the
+    result is written; it must not lie in float slot 1 or 2.
     """
-    work = _NewArrays if work is None else work
+    work = _Workspace() if work is None else work
     poisson_ratio = np.asarray(poisson_ratio, dtype=float)
     displacement = np.asarray(displacement, dtype=float)
     l0 = side_length

@@ -59,8 +59,8 @@ class ElectromechModel:
         """Field outputs at each coordinate, batched over parameter vectors.
 
         ``x`` has shape (..., 2); the result has shape (..., len(coords)).
-        ``work`` is the forward kernels' workspace (see
-        :mod:`mfbia.electromech`); if given, the result is its float slot 0.
+        ``work`` is the forward kernels' workspace; see
+        :mod:`mfbia.electromech`.
         """
         x = np.asarray(x, dtype=float)
         coords = np.asarray(coords, dtype=float)

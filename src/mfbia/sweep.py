@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed, wait
 from dataclasses import dataclass, field, replace
@@ -57,6 +58,15 @@ FIELD_AXES = ("n_obs1", "snr1", "n_obs2", "snr2")
 SWEEP_METRICS = ("ig_single", "ig_multi", "riig", "boundary_mass", "status")
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an
+    integral, finite number."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Count, SNR, and coordinate range of one field's observations.
@@ -70,6 +80,7 @@ class FieldSpec:
     coord_range: tuple[float, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "count", _count("count", self.count))
         if self.count < 0:
             raise ValueError(f"count: must be >= 0, got {self.count}")
         if self.count > 0 and not 0 < self.snr < math.inf:
@@ -110,8 +121,8 @@ class SweepSpec:
         names += [n for n in self.axes if n not in FIELD_AXES]
         axes = {}
         for name in names:
-            cast = int if name.startswith("n_obs") else float
-            values = tuple(cast(v) for v in self.axes[name])
+            values = tuple(_count(name, v) if name.startswith("n_obs")
+                           else float(v) for v in self.axes[name])
             if not values or not all(np.diff(values) > 0):
                 raise ValueError(f"{name}: axis must be non-empty and "
                                  f"strictly increasing, got {list(values)}")

@@ -802,6 +802,14 @@ class TestWorkersFlag:
         assert "--workers" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--full"], "--full"), (["--workers", "3"], "--workers"),
+        (["--full", "--workers", "3"], "--full")])
+    def test_fig9_flag_exits_2(self, tmp_path, capsys, flags, named):
+        assert main(["reproduce", "fig9", *flags, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
+        assert not any(tmp_path.iterdir())
+
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is a test oracle only; the runtime never imports it

@@ -314,7 +314,7 @@ class TestClosedForm:
         cardano = _cardano_displacement
         monkeypatch.setattr(
             "mfbia.electromech._cardano_displacement",
-            lambda load, l0: cardano(load, l0) * (1 + 1e-6))
+            lambda load, l0, work: cardano(load, l0, work) * (1 + 1e-6))
         d = displacement_batch(11e3, 0.35, [0.0, 0.1, 0.4])
         assert d[0] == 0.0          # zero load: the root is exactly 0
         assert np.all(np.isnan(d[1:]))
@@ -514,6 +514,18 @@ class TestOwnShapeFactors:
             assert_same_bits(model.outputs(truth, field_id, forces,
                                            work=work),
                              model.outputs(truth, field_id, forces))
+
+    def test_result_without_a_workspace_belongs_to_the_caller(self):
+        forces = np.linspace(0.0, 0.4, 9)
+        first = displacement_batch(11e3, 0.35, forces)
+        kept = first.copy()
+        second = displacement_batch(12e3, 0.3, forces)
+        current = current_batch(0.35, first)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(current, first)
+        assert_same_bits(first, kept)
+        assert type(displacement_batch(11e3, 0.35, 0.4)) is np.float64
+        assert type(current_batch(0.35, DSTAR)) is np.float64
 
     def test_rig_constants_match_broadcast_oracle(self):
         rng = np.random.default_rng(24)

@@ -125,6 +125,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="snr2"):
             toy_sweep_spec(snr2_axis=(5.0, np.inf))
 
+    @pytest.mark.parametrize("count", [2.5, np.inf, np.nan, True, "3"])
+    def test_counts_must_be_integral(self, count):
+        with pytest.raises(ValueError, match="^count: "):
+            FieldSpec(field_id=1, count=count, snr=10.0,
+                      coord_range=(0.0, 1.0))
+        with pytest.raises(ValueError, match="^n_obs2: "):
+            toy_sweep_spec(n_obs2_axis=(2.0, count))
+
+    def test_integral_counts_become_ints(self):
+        plan = FieldSpec(field_id=1, count=3.0, snr=10.0,
+                         coord_range=(0.0, 1.0))
+        assert type(plan.count) is int
+        np.testing.assert_allclose(plan.coordinates(), [0.0, 0.5, 1.0])
+        spec = replace(toy_sweep_spec(), axes={"n_obs2": [2.0, np.int64(4)],
+                                               "snr2": [80.0]})
+        assert spec.axes["n_obs2"] == (2, 4)
+        assert all(type(n) is int for n in spec.axes["n_obs2"])
+
 
 class TestRiigSweep:
     def test_single_cell_matches_manual_composition(self):

@@ -16,9 +16,14 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 import time
 from pathlib import Path
+
+# before numpy loads: mfbia runs its parallel work on its own threads and
+# processes, and an idle OpenBLAS pool would only spin beside them
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

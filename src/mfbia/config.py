@@ -47,7 +47,10 @@ def parse_quantity(value, where: str = "value") -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if isinstance(value, str):
         text = value.strip()
         if text.lower() in _INF_TOKENS:

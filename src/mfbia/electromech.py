@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import CoupledSystem
 from .probabilistic import _Workspace
 
 DEFAULT_SIDE_LENGTH = 0.01   # m
@@ -154,6 +153,8 @@ def jacobian(state, params: ElectromechParams, force) -> np.ndarray:
 
 def coupled_system(params: ElectromechParams, force: float) -> CoupledSystem:
     """The model as a generic two-field coupled system with state [d, I]."""
+    # imported here: only the tests run the reference solver
+    from .coupled import CoupledSystem
 
     def _residual(state):
         d, current = state

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import electromech
-from .coupled import CoupledSystem
 
 
 class ElectromechModel:
@@ -119,6 +118,9 @@ class ToyFullModel:
         """Every coordinate lies in the domain."""
 
     def coupled_system(self, x, coord: float) -> CoupledSystem:
+        # imported here: only the tests run the reference solver
+        from .coupled import CoupledSystem
+
         x = np.asarray(x, dtype=float)
         k12, k21 = self.coupling12, self.coupling21
         load = x * float(coord)

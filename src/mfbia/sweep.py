@@ -61,9 +61,12 @@ SWEEP_METRICS = ("ig_single", "ig_multi", "riig", "boundary_mass", "status")
 def _count(name: str, value) -> int:
     """``value`` as an int; a ValueError naming ``name`` unless it is an
     integral, finite number."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and float(value).is_integer()):
-        return int(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if float(value).is_integer():
+                return int(value)
+        except OverflowError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 

@@ -716,6 +716,9 @@ class TestNonFiniteInputs:
         (("constants", "resistivity"), math.inf, "constants.resistivity"),
         (("sweep",), {"voltage": [0.0, 10.0]}, "sweep.voltage"),
         (("sweep",), {"side_length": [0.01, math.inf]}, "sweep.side_length"),
+        pytest.param(("truth", 0), 10 ** 400, "truth[0]", id="truth-1e400"),
+        pytest.param(("fields", 0, "count"), 10 ** 400, "fields[0].count",
+                     id="count-1e400"),
     ])
     def test_electromech_value_exits_2(self, tmp_path, capsys, path, value,
                                        key):
@@ -735,6 +738,8 @@ class TestNonFiniteInputs:
         (("sweep", "snr2"), [80.0, math.inf], "sweep.snr2", ("sweep",)),
         (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2", ("sweep",)),
         (("sweep", "n_obs2"), [2.0, math.inf], "sweep.n_obs2", ("sweep",)),
+        pytest.param(("sweep", "n_obs2"), [2, 10 ** 400], "sweep.n_obs2[1]",
+                     ("synthesize", "sweep"), id="n_obs2-1e400"),
     ])
     def test_sweep_value_exits_2(self, tmp_path, capsys, path, value, key,
                                  commands):
@@ -852,6 +857,40 @@ def test_cli_import_loads_no_hashlib():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_cli_import_loads_no_reference_solver():
+    # only the tests run the coupled systems' Newton solver
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mfbia.cli; print('mfbia.coupled' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_cli_import_keeps_blas_to_one_thread(preset, expected):
+    # mfbia runs its parallel work itself; a preset value is the user's
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, mfbia.cli\n"
+         "tasks = '/proc/self/task'\n"
+         "print(os.environ['OPENBLAS_NUM_THREADS'],\n"
+         "      len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    variable, threads = proc.stdout.split()
+    assert variable == expected
+    if preset is None:
+        assert threads == "1"
 
 
 def test_provenance_hashes_are_stable():

@@ -125,7 +125,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="snr2"):
             toy_sweep_spec(snr2_axis=(5.0, np.inf))
 
-    @pytest.mark.parametrize("count", [2.5, np.inf, np.nan, True, "3"])
+    @pytest.mark.parametrize("count", [2.5, np.inf, np.nan, True, "3",
+                                       pytest.param(10 ** 400, id="1e400")])
     def test_counts_must_be_integral(self, count):
         with pytest.raises(ValueError, match="^count: "):
             FieldSpec(field_id=1, count=count, snr=10.0,

@@ -271,8 +271,8 @@ def cmd_sweep(args) -> int:
     try:
         spec = config.sweep_spec()
     except ConfigError as exc:
-        # the sweep section is parsed only here; name the file, as
-        # load_config does for every other section
+        # the sweep's values are checked only here; name the file, as
+        # load_config does for the rest of the config
         if not args.config:
             raise
         raise ConfigError(f"{args.config}: {exc}") from exc
@@ -345,8 +345,7 @@ def _reproduce_fig9(out_dir: Path) -> int:
 
 
 def _reproduce_fig10(out_dir: Path, full: bool, workers: int) -> int:
-    config = default_config()
-    spec = config.sweep_spec(full=full)
+    spec = default_config(full=full).sweep_spec()
     results, _ = _run_sweep(spec, out_dir, workers, "fig10")
 
     by_cell = {(r.point["n_obs2"], r.point["snr2"]): r for r in results}

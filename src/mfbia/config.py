@@ -37,10 +37,6 @@ UNIT_FACTORS = {
 
 _INF_TOKENS = {"inf", ".inf", "infinity", "+inf"}
 
-#: Point counts of the ``n_obs2`` and ``snr2`` axes of ``reproduce fig10
-#: --full``.
-FULL_NUM = {"n_obs2": 50, "snr2": 12}
-
 
 def parse_quantity(value, where: str = "value") -> float:
     """Parse a number, an infinity token, or a ``<number> <unit>`` string."""
@@ -81,31 +77,15 @@ def _quantity_list(values, where: str) -> list[float]:
     return [parse_quantity(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    """Explicit values or a generated linear/log axis."""
-
-    values: tuple[float, ...] | None = None
-    start: float | None = None
-    stop: float | None = None
-    num: int | None = None
-    spacing: str = "log"
-    integer: bool = False
-
-    def resolve(self, num_override: int | None = None) -> tuple:
-        if self.values is not None:
-            vals = np.asarray(self.values, dtype=float)
-        else:
-            num = num_override or self.num
-            if self.spacing == "log":
-                vals = np.geomspace(self.start, self.stop, num)
-            elif self.spacing == "linear":
-                vals = np.linspace(self.start, self.stop, num)
-            else:
-                raise ConfigError(f"unknown axis spacing {self.spacing!r}")
-        if self.integer:
-            return tuple(sorted({int(round(v)) for v in vals.tolist()}))
-        return tuple(float(v) for v in vals)
+def _axis_values(start, stop, num: int, spacing: str = "log",
+                 integer: bool = False) -> tuple:
+    """The points of a generated axis.  Integer axes round half to even,
+    as ``np.round`` does, and keep each count once."""
+    space = np.geomspace if spacing == "log" else np.linspace
+    values = space(start, stop, num).tolist()
+    if integer:
+        return tuple(sorted({int(round(v)) for v in values}))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -118,7 +98,7 @@ class RunConfig:
     prior: TruncatedNormalPrior
     fields: tuple[FieldSpec, ...]
     grid_shape: tuple[int, ...]
-    sweep: dict | None = None     # the ``sweep:`` axes by name, in order
+    sweep: dict | None = None     # axis name -> values, in order
     output_dir: str = "out"
     workers: int = 1
 
@@ -185,20 +165,12 @@ class RunConfig:
                 return spec
         raise ConfigError(f"no field {field_id} configured")
 
-    def sweep_spec(self, full: bool = False) -> SweepSpec:
-        """The configured sweep; ``full`` resizes the generated field-2
-        axes to :data:`FULL_NUM`."""
+    def sweep_spec(self) -> SweepSpec:
+        """The configured sweep, with its axis values checked."""
         if self.sweep is None:
             raise ConfigError("this configuration has no sweep section")
-        sizes = FULL_NUM if full else {}
-        axes = {}
-        for name, axis in self.sweep.items():
-            try:
-                axes[name] = axis.resolve(sizes.get(name))
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"sweep.{name}: {exc}") from exc
-        varied = [name for name in axes if name not in FIELD_AXES]
-        for values in itertools.product(*(axes[name] for name in varied)):
+        varied = [name for name in self.sweep if name not in FIELD_AXES]
+        for values in itertools.product(*(self.sweep[n] for n in varied)):
             try:
                 build_model(self.model, {**self.constants,
                                          **dict(zip(varied, values))}
@@ -215,7 +187,8 @@ class RunConfig:
             return SweepSpec(
                 model_name=self.model, model_constants=dict(self.constants),
                 truth=self.truth, prior=self.prior, first_field=first,
-                second_field=second, axes=axes, grid_shape=self.grid_shape)
+                second_field=second, axes=self.sweep,
+                grid_shape=self.grid_shape)
         except ValueError as exc:
             raise ConfigError(f"sweep.{exc}") from exc
 
@@ -238,10 +211,10 @@ def _boolean(value, where: str) -> bool:
     return value
 
 
-def _parse_axis(section, where: str) -> AxisSpec:
+def _parse_axis(section, where: str) -> tuple:
     if isinstance(section, (list, tuple)):
-        return AxisSpec(values=tuple(
-            parse_quantity(v, f"{where}[{i}]") for i, v in enumerate(section)))
+        return tuple(parse_quantity(v, f"{where}[{i}]")
+                     for i, v in enumerate(section))
     if isinstance(section, dict):
         known = {"start", "stop", "num", "spacing", "integer"}
         unknown = set(section) - known
@@ -254,13 +227,14 @@ def _parse_axis(section, where: str) -> AxisSpec:
         if spacing not in ("linear", "log"):
             raise ConfigError(f"{where}.spacing: expected linear or log, "
                               f"got {spacing!r}")
-        return AxisSpec(
-            start=parse_quantity(section["start"], f"{where}.start"),
-            stop=parse_quantity(section["stop"], f"{where}.stop"),
-            num=_integer(section["num"], f"{where}.num"),
-            spacing=spacing,
-            integer=_boolean(section.get("integer", False),
-                             f"{where}.integer"))
+        start = parse_quantity(section["start"], f"{where}.start")
+        stop = parse_quantity(section["stop"], f"{where}.stop")
+        num = _integer(section["num"], f"{where}.num")
+        integer = _boolean(section.get("integer", False), f"{where}.integer")
+        try:
+            return _axis_values(start, stop, num, spacing, integer)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: expected a list or start/stop/num mapping")
 
 
@@ -367,15 +341,20 @@ def load_config(path) -> RunConfig:
             data = yaml.safe_load(handle)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+        except ValueError as exc:
+            # a non-UTF-8 file, or an integer past Python's digit limit
+            raise ConfigError(f"{path}: {exc}") from None
     try:
         return parse_config(data)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def default_config() -> RunConfig:
+def default_config(full: bool = False) -> RunConfig:
     """Built-in tensile-test configuration: 16 displacement observations at
-    SNR 50 plus 2 current observations at SNR 1.2e4, forces on [0, 0.4] N."""
+    SNR 50 plus 2 current observations at SNR 1.2e4, forces on [0, 0.4] N.
+    Its sweep has 10x6 ``n_obs2`` x ``snr2`` points, or 50x12 when ``full``
+    (``reproduce fig10 --full``)."""
     return RunConfig(
         model="electromech",
         constants={},
@@ -389,10 +368,9 @@ def default_config() -> RunConfig:
                 FieldSpec(field_id=2, count=2, snr=1.2e4,
                           coord_range=(0.0, 0.4))),
         grid_shape=(100, 100),
-        sweep={
-            "n_obs2": AxisSpec(start=2, stop=256, num=10, spacing="log",
-                               integer=True),
-            "snr2": AxisSpec(start=80.0, stop=1.2e4, num=6, spacing="log")},
+        sweep={"n_obs2": _axis_values(2, 256, 50 if full else 10,
+                                      integer=True),
+               "snr2": _axis_values(80.0, 1.2e4, 12 if full else 6)},
         output_dir="out",
         workers=1)
 

@@ -539,12 +539,15 @@ def observations_from_csv(path) -> FieldObservations | None:
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != OBSERVATION_CSV_HEADER:
-            raise ObservationFileError(
-                f"{path}: expected header "
-                f"{','.join(OBSERVATION_CSV_HEADER)}, got {header}")
-        rows = [(reader.line_num, row) for row in reader if row]
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != OBSERVATION_CSV_HEADER:
+                raise ObservationFileError(
+                    f"{path}: expected header "
+                    f"{','.join(OBSERVATION_CSV_HEADER)}, got {header}")
+            rows = [(reader.line_num, row) for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise ObservationFileError(f"{path}: {exc}") from None
     if not rows:
         return None
     for line, row in rows:

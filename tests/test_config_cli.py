@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +21,8 @@ from hypothesis import strategies as st
 import mfbia.cli as cli
 from mfbia.cli import build_parser, main
 from mfbia.config import (
-    AxisSpec,
     ConfigError,
+    _parse_axis,
     default_config,
     load_config,
     parse_config,
@@ -64,38 +63,44 @@ class TestQuantities:
 
 
 class TestAxisSpec:
+    """A ``sweep:`` entry becomes its tuple of values at parse time."""
+
     def test_log_integer_axis_dedupes(self):
-        axis = AxisSpec(start=2, stop=256, num=10, spacing="log",
-                        integer=True).resolve()
+        data = TestConfigParsing().minimal()
+        data["sweep"] = {"n_obs2": {"start": 2, "stop": 256, "num": 10,
+                                    "spacing": "log", "integer": True}}
+        axis = parse_config(data).sweep["n_obs2"]
         assert axis[0] == 2 and axis[-1] == 256
         assert all(b > a for a, b in zip(axis, axis[1:]))
 
     def test_integer_axis_matches_numpy_rounding(self):
         # ties round half to even, as np.round does, and repeats collapse
-        for axis in (AxisSpec(values=(0.5, 1.5, 2.5, 2.5, 3.0, -0.5),
-                              integer=True),
-                     AxisSpec(start=2, stop=256, num=10, integer=True),
-                     AxisSpec(start=2, stop=256, num=40, integer=True),
-                     AxisSpec(start=0.0, stop=7.0, num=15, spacing="linear",
-                              integer=True)):
-            unrounded = replace(axis, integer=False).resolve()
+        for section in ({"start": -0.5, "stop": 3.0, "num": 8,
+                         "spacing": "linear"},
+                        {"start": 2, "stop": 256, "num": 10},
+                        {"start": 2, "stop": 256, "num": 40},
+                        {"start": 0.0, "stop": 7.0, "num": 15,
+                         "spacing": "linear"}):
+            unrounded = _parse_axis(section, "axis")
             expected = tuple(int(v) for v in np.unique(np.round(unrounded)))
-            assert axis.resolve() == expected
+            assert _parse_axis({**section, "integer": True}, "axis") == \
+                expected
         assert default_config().sweep_spec().axes["n_obs2"] == \
             (2, 3, 6, 10, 17, 30, 51, 87, 149, 256)
 
     def test_non_finite_integer_axis_is_config_error(self):
-        config = replace(default_config(), sweep={"n_obs2": AxisSpec(
-            values=(2.0, math.inf), integer=True)})
-        with pytest.raises(ConfigError, match="sweep.n_obs2"):
-            config.sweep_spec()
+        data = TestConfigParsing().minimal()
+        data["sweep"] = {"n_obs2": {"start": 2, "stop": ".inf", "num": 3,
+                                    "integer": True}}
+        # numpy warns about the infinite step before rounding fails
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ConfigError, match=r"^sweep\.n_obs2: "):
+            parse_config(data)
 
     def test_explicit_values(self):
-        assert AxisSpec(values=(1.0, 2.0)).resolve() == (1.0, 2.0)
-
-    def test_num_override(self):
-        axis = AxisSpec(start=1.0, stop=100.0, num=3, spacing="log").resolve(5)
-        assert len(axis) == 5
+        axis = _parse_axis([1, "2 kPa", 3.5], "axis")
+        assert axis == (1.0, 2000.0, 3.5)
+        assert all(type(v) is float for v in axis)
 
 
 class TestConfigParsing:
@@ -168,7 +173,7 @@ class TestConfigParsing:
     def test_sweep_spec_full_resolution(self):
         # 50 requested log-spaced counts on [2, 256] collide when rounded
         # to integers; the axis keeps the 42 unique values
-        spec = default_config().sweep_spec(full=True)
+        spec = default_config(full=True).sweep_spec()
         counts, snrs = spec.axes["n_obs2"], spec.axes["snr2"]
         assert len(snrs) == 12
         assert snrs[0] == 80.0 and snrs[-1] == 1.2e4
@@ -238,6 +243,22 @@ class TestCliSynthesize:
         err = capsys.readouterr().err
         assert str(config) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("prefix,count,message", [
+        # PyYAML's int() refuses integer literals past 4300 digits
+        pytest.param(b"", b"1" * 5001, "4300", id="count-past-digit-limit"),
+        pytest.param(b"\xff\xfe", b"16", "utf-8", id="not-utf8"),
+    ])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, prefix, count,
+                                       message):
+        config = tmp_path / "config.yaml"
+        config.write_bytes(prefix + (CONFIG_DIR / "fig9.yaml").read_bytes()
+                           .replace(b"count: 16", b"count: " + count))
+        assert main(["synthesize", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and message in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliPosterior:
     @pytest.fixture
@@ -306,6 +327,17 @@ class TestCliPosterior:
                      "--out", str(tmp_path / "post")]) == 2
         err = capsys.readouterr().err
         assert f"--obs {bad}: " in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "post").exists()
+
+    def test_non_utf8_observation_file_exits_2(self, tmp_path, capsys,
+                                               observation_files):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"\xff\xfe" + observation_files[0].read_bytes())
+        assert main(["posterior", "--obs", str(bad), "--grid", "20",
+                     "--out", str(tmp_path / "post")]) == 2
+        err = capsys.readouterr().err
+        assert f"--obs {bad}: " in err and "utf-8" in err
         assert "Traceback" not in err
         assert not (tmp_path / "post").exists()
 
@@ -740,6 +772,10 @@ class TestNonFiniteInputs:
         (("sweep", "n_obs2"), [2.0, math.inf], "sweep.n_obs2", ("sweep",)),
         pytest.param(("sweep", "n_obs2"), [2, 10 ** 400], "sweep.n_obs2[1]",
                      ("synthesize", "sweep"), id="n_obs2-1e400"),
+        pytest.param(("sweep", "n_obs2"),
+                     {"start": 0, "stop": 256, "num": 10, "integer": True},
+                     "sweep.n_obs2", ("synthesize", "posterior", "sweep"),
+                     id="n_obs2-log-from-0"),
     ])
     def test_sweep_value_exits_2(self, tmp_path, capsys, path, value, key,
                                  commands):
@@ -914,7 +950,7 @@ def test_sweep_axes_load_no_numpy_ma():
         [sys.executable, "-c",
          "import sys\n"
          "from mfbia.config import default_config\n"
-         "spec = default_config().sweep_spec(full=True)\n"
+         "spec = default_config(full=True).sweep_spec()\n"
          "print(spec.axes['n_obs2'], 'numpy.ma' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120)

@@ -188,11 +188,11 @@ class TestRiigSweep:
         assert [len(task) for task in tasks] == [25] * 5
         assert [sorted(task) for task in tasks] == tasks
         assert [task[:2] for task in tasks] == [[k, k + 5] for k in range(5)]
-        config = default_config()
-        assert [len(task) for task in sweep_tasks(config.sweep_spec())] == \
-            [6] * 10
         assert [len(task) for task in
-                sweep_tasks(config.sweep_spec(full=True))] == [12] * 42
+                sweep_tasks(default_config().sweep_spec())] == [6] * 10
+        assert [len(task) for task in
+                sweep_tasks(default_config(full=True).sweep_spec())] == \
+            [12] * 42
 
     def test_axis_major_order_and_shared_single_gain(self):
         spec = toy_sweep_spec()

@@ -229,6 +229,10 @@ def _parse_axis(section, where: str) -> tuple:
                               f"got {spacing!r}")
         start = parse_quantity(section["start"], f"{where}.start")
         stop = parse_quantity(section["stop"], f"{where}.stop")
+        for key, value in (("start", start), ("stop", stop)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}.{key}: must be finite, "
+                                  f"got {value}")
         num = _integer(section["num"], f"{where}.num")
         integer = _boolean(section.get("integer", False), f"{where}.integer")
         try:

@@ -116,9 +116,9 @@ class PriorGrid(tuple):
     """The axes of a tensor grid with the terms of one prior on them.
 
     It iterates as its validated axes, so it can stand wherever axes are
-    accepted; :func:`evaluate_posterior` and :func:`information_gain` take
-    its prior terms as they are when it was built for the same prior
-    object, and build a new grid from its axes otherwise.  It holds the
+    accepted; :func:`evaluate_posterior` and :func:`information_gain`
+    accept it with its own prior only, or an equal one, and take its prior
+    terms as they are.  It holds the
     node array, the prior's log-density ``log_prior`` on the nodes, the
     ``dead`` nodes where that is -inf (``dead_index`` holds their flat
     indices), the prior density
@@ -166,14 +166,6 @@ class PriorGrid(tuple):
         return self
 
 
-def _prior_grid(prior: TruncatedNormalPrior, axes) -> PriorGrid:
-    """``axes`` when it is a :class:`PriorGrid` built for ``prior``, else a
-    grid built from them."""
-    if isinstance(axes, PriorGrid) and axes.prior is prior:
-        return axes
-    return PriorGrid(prior, axes)
-
-
 def cdf_spaced_grid(prior: TruncatedNormalPrior, points_per_dim) -> tuple[np.ndarray, ...]:
     """Axes evenly spaced in prior-quantile space, one per parameter.
 
@@ -203,13 +195,15 @@ def evaluate_posterior(prior: TruncatedNormalPrior, log_likelihood_fn,
     """Normalized posterior of prior x likelihood on a tensor grid.
 
     ``axes`` are the grid's axes, named ``x1``, ``x2``, ..., or a
-    :class:`PriorGrid`, which carries its axis names and is used as it is
-    when it was built for ``prior``.  ``log_likelihood_fn``
-    receives the full node array of shape grid_shape + (n_params,) and
-    returns log-likelihoods of shape grid_shape; -inf entries are allowed
-    and mark dead nodes.
+    :class:`PriorGrid`, which carries its axis names and is used as it is;
+    it must have been built for ``prior`` or an equal prior.
+    ``log_likelihood_fn`` receives the full node array of shape
+    grid_shape + (n_params,) and returns log-likelihoods of shape
+    grid_shape; -inf entries are allowed and mark dead nodes.
     """
-    grid = _prior_grid(prior, axes)
+    grid = axes if isinstance(axes, PriorGrid) else PriorGrid(prior, axes)
+    if grid.prior is not prior and grid.prior != prior:
+        raise ValueError("axes: a PriorGrid built for another prior")
     log_lik = np.asarray(log_likelihood_fn(grid.nodes), dtype=float)
     if log_lik.shape != grid.log_prior.shape:
         log_lik = np.broadcast_to(log_lik, grid.log_prior.shape)
@@ -257,31 +251,19 @@ def evaluate_posterior(prior: TruncatedNormalPrior, log_likelihood_fn,
 
 
 def information_gain(posterior: PosteriorGrid, prior: TruncatedNormalPrior) -> float:
-    """KL divergence of the posterior from the prior, in nats.
+    """KL divergence of the posterior from its prior, in nats.
 
     Both densities are taken as the grid represents them, the prior
     renormalized over the grid: the gain is the sum over the nodes of
     posterior mass times the log of the posterior-to-prior density ratio,
-    with the grid's prior-mass weights.  The integrand is defined as zero
-    wherever the posterior density vanishes.  The posterior's grid
-    supplies the prior terms when ``prior`` is the posterior's prior.
+    with the grid's prior-mass weights.  The integrand is zero wherever
+    the posterior density vanishes.  ``prior`` must be the prior of the
+    posterior's grid or equal to it.
     """
     grid = posterior.grid
-    mass = grid.weights * posterior.ratio
-    if grid.prior is prior:
-        return float((mass * posterior.log_ratio).sum())
-    other = _prior_grid(prior, grid)
-    alive = posterior.density > 0
-    if np.any(alive & other.dead):
-        raise InferenceError(
-            "posterior has mass where the prior density is zero; "
-            "KL divergence is undefined")
-    with np.errstate(invalid="ignore"):   # -inf - -inf at dead nodes
-        log_ratio = posterior.log_ratio + (
-            grid.log_prior - other.log_prior
-            - (grid.log_prior_mass - other.log_prior_mass))
-    return float(np.multiply(mass, log_ratio, out=np.zeros_like(mass),
-                             where=alive).sum())
+    if grid.prior is not prior and grid.prior != prior:
+        raise ValueError("prior: not the prior of the posterior's grid")
+    return float((grid.weights * posterior.ratio * posterior.log_ratio).sum())
 
 
 def _as_covariance(cov, k: int) -> np.ndarray:

@@ -77,6 +77,12 @@ class TruncatedNormalPrior:
                           ("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, arr)
 
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedNormalPrior):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("mean", "variance", "lower", "upper"))
+
     @property
     def dim(self) -> int:
         return self.mean.size
@@ -159,9 +165,9 @@ class FieldObservations:
         if values.shape[0] != coords.shape[0]:
             raise ValueError(
                 f"{values.shape[0]} values for {coords.shape[0]} coordinates")
-        if not self.noise_variance > 0:
-            raise ValueError(
-                f"noise_variance must be > 0, got {self.noise_variance}")
+        if not 0 < self.noise_variance < math.inf:
+            raise ValueError(f"noise_variance must be finite and > 0, "
+                             f"got {self.noise_variance}")
         if coords.size and not np.all(np.isfinite(values)):
             raise ValueError("observed values must be finite")
         object.__setattr__(self, "coordinates", coords)
@@ -562,9 +568,9 @@ def observations_from_csv(path) -> FieldObservations | None:
         raise ObservationFileError(
             f"{path}: mixed field_id/sigma2/snr in one file")
     (sigma2,) = _column(path, rows[:1], "sigma2")
-    if not sigma2 > 0:
+    if not 0 < sigma2 < math.inf:
         raise ObservationFileError(
-            f"{path}: column 'sigma2' must be > 0, got {sigma2!r}")
+            f"{path}: column 'sigma2' must be finite and > 0, got {sigma2!r}")
     snr_text = snrs.pop()
     coordinates = np.array(_column(path, rows, "coordinate"))
     values = np.array(_column(path, rows, "value"))

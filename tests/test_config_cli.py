@@ -92,9 +92,7 @@ class TestAxisSpec:
         data = TestConfigParsing().minimal()
         data["sweep"] = {"n_obs2": {"start": 2, "stop": ".inf", "num": 3,
                                     "integer": True}}
-        # numpy warns about the infinite step before rounding fails
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ConfigError, match=r"^sweep\.n_obs2: "):
+        with pytest.raises(ConfigError, match=r"^sweep\.n_obs2\.stop: "):
             parse_config(data)
 
     def test_explicit_values(self):
@@ -136,6 +134,14 @@ class TestConfigParsing:
         np.testing.assert_array_equal(parsed.prior.mean, builtin.prior.mean)
         np.testing.assert_array_equal(parsed.prior.upper, builtin.prior.upper)
         assert parsed.fields == builtin.fields
+
+    def test_configs_compare_by_value(self):
+        assert default_config() == default_config()
+        assert parse_config(self.minimal()).prior == default_config().prior
+        assert default_config() != default_config(full=True)
+        data = self.minimal()
+        data["prior"]["sd"] = ["3 kPa", 0.15]
+        assert parse_config(data).prior != default_config().prior
 
     def test_unknown_model(self):
         data = self.minimal()
@@ -307,8 +313,9 @@ class TestCliPosterior:
 
     @pytest.mark.parametrize("column,text,message", [
         (1, "abc", "column 'coordinate': expected a number, got 'abc'"),
-        (3, "-1e-09", "column 'sigma2' must be > 0, got -1e-09"),
-        (3, "0.0", "column 'sigma2' must be > 0, got 0.0"),
+        (3, "-1e-09", "column 'sigma2' must be finite and > 0, got -1e-09"),
+        (3, "0.0", "column 'sigma2' must be finite and > 0, got 0.0"),
+        (3, "inf", "column 'sigma2' must be finite and > 0, got inf"),
     ])
     def test_malformed_observation_cell_exits_2(
             self, tmp_path, capsys, observation_files, column, text,
@@ -776,6 +783,12 @@ class TestNonFiniteInputs:
                      {"start": 0, "stop": 256, "num": 10, "integer": True},
                      "sweep.n_obs2", ("synthesize", "posterior", "sweep"),
                      id="n_obs2-log-from-0"),
+        pytest.param(("sweep", "snr2", "stop"), "1e400", "sweep.snr2.stop",
+                     ("synthesize", "posterior", "sweep"),
+                     id="snr2-stop-1e400"),
+        pytest.param(("sweep", "snr2", "start"), -math.inf,
+                     "sweep.snr2.start", ("synthesize", "posterior", "sweep"),
+                     id="snr2-start--inf"),
     ])
     def test_sweep_value_exits_2(self, tmp_path, capsys, path, value, key,
                                  commands):

@@ -715,6 +715,32 @@ class TestPrior:
             TruncatedNormalPrior(mean=[0.0, 1.0], variance=[1.0],
                                  lower=[-1.0], upper=[1.0])
 
+    FIELDS = ("mean", "variance", "lower", "upper")
+
+    def test_equality_compares_values(self, material_prior):
+        twin = TruncatedNormalPrior(**{
+            name: getattr(material_prior, name).tolist()
+            for name in self.FIELDS})
+        assert twin is not material_prior
+        assert twin == material_prior and not twin != material_prior
+
+    @pytest.mark.parametrize("field,value", [
+        ("mean", [10e3, 0.31]),
+        ("variance", [4e6, 0.04]),
+        ("lower", [-np.inf, 0.0]),
+        ("upper", [np.inf, 0.6]),
+    ])
+    def test_inequality(self, material_prior, field, value):
+        values = {name: getattr(material_prior, name) for name in self.FIELDS}
+        other = TruncatedNormalPrior(**{**values, field: value})
+        assert other != material_prior and not other == material_prior
+
+    def test_inequality_across_dimensions_and_types(self, material_prior):
+        one_d = TruncatedNormalPrior(mean=[10e3], variance=[4e6],
+                                     lower=[0.0], upper=[np.inf])
+        assert one_d != material_prior
+        assert material_prior != tuple(material_prior.mean)
+
     def test_marginal_ppf_rejects_boundary_quantiles(self, material_prior):
         with pytest.raises(ValueError):
             material_prior.marginal_ppf(0, 0.0)
@@ -768,7 +794,8 @@ class TestObservationCsv:
     @pytest.mark.parametrize("row,message", [
         ("x,0.0,1.0,1.0,", "line 2, column 'field_id': expected a number"),
         ("1,0.0,1.0,1.0,high", "line 2, column 'snr': expected a number"),
-        ("1,0.0,1.0,nan,", "column 'sigma2' must be > 0, got nan"),
+        ("1,0.0,1.0,nan,", "column 'sigma2' must be finite and > 0, got nan"),
+        ("1,0.0,1.0,inf,", "column 'sigma2' must be finite and > 0, got inf"),
         ("1,0.0,1.0", "line 2: expected 5 columns, got 3"),
         ("0,0.0,1.0,1.0,", "field_id must be >= 1"),
     ])
@@ -798,6 +825,13 @@ class TestFieldObservationsValidation:
         with pytest.raises(ValueError):
             FieldObservations(field_id=1, coordinates=np.array([0.1]),
                               values=np.array([1.0]), noise_variance=0.0)
+
+    @pytest.mark.parametrize("variance", [np.inf, np.nan])
+    def test_non_finite_variance(self, variance):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            FieldObservations(field_id=1, coordinates=np.array([0.1]),
+                              values=np.array([1.0]),
+                              noise_variance=variance)
 
     def test_bad_field_id(self):
         with pytest.raises(ValueError):

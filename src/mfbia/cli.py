@@ -154,9 +154,14 @@ def _load_run_json(path) -> dict:
     if type(gain) not in (int, float) or not math.isfinite(gain):
         raise ProvenanceError(f"{path}: information_gain must be a finite "
                               f"number, got {gain!r}")
-    if not isinstance(data.get("provenance"), dict):
+    provenance = data.get("provenance")
+    if not isinstance(provenance, dict):
         raise ProvenanceError(f"{path}: provenance must be a mapping, got "
-                              f"{data.get('provenance')!r}")
+                              f"{provenance!r}")
+    for key in ("prior_hash", "first_field_hash"):
+        if not isinstance(provenance.get(key), str):
+            raise ProvenanceError(f"{path}: provenance.{key} must be a "
+                                  f"string, got {provenance.get(key)!r}")
     return data
 
 
@@ -221,7 +226,7 @@ def cmd_riig(args) -> int:
     single = _load_run_json(args.single_run)
     multi = _load_run_json(args.multi_run)
     for key in ("prior_hash", "first_field_hash"):
-        if single["provenance"].get(key) != multi["provenance"].get(key):
+        if single["provenance"][key] != multi["provenance"][key]:
             raise ProvenanceError(
                 f"{key} differs between {args.single_run} and "
                 f"{args.multi_run}; the runs are not comparable")
@@ -253,33 +258,28 @@ def _progress_printer(label: str):
     return callback
 
 
-def _run_sweep(spec, out_dir: Path, workers: int, label: str):
-    """Run ``spec`` and write ``sweep.csv`` and ``sweep_manifest.json``;
-    returns the results and the seconds the sweep itself took."""
+def _run_sweep(config: RunConfig, out_dir: Path, workers: int, label: str):
+    """Run the sweep of ``config`` and write ``sweep.csv`` and
+    ``sweep_manifest.json``; returns the results and the sweep's seconds."""
     started = time.perf_counter()
-    results = run_riig_sweep(spec, workers=workers,
+    results = run_riig_sweep(config, workers=workers,
                              progress=_progress_printer(label))
     runtime = time.perf_counter() - started
     export_sweep_csv(results, out_dir / "sweep.csv")
-    write_run_manifest(out_dir / "sweep_manifest.json", spec, results,
+    write_run_manifest(out_dir / "sweep_manifest.json", config, results,
                        workers=workers, runtime_seconds=runtime)
     return results, runtime
 
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    try:
-        spec = config.sweep_spec()
-    except ConfigError as exc:
-        # the sweep's values are checked only here; name the file, as
-        # load_config does for the rest of the config
-        if not args.config:
-            raise
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    if config.sweep is None:   # only a config file can lack one
+        raise ConfigError(f"{args.config}: this configuration has no sweep "
+                          f"section")
     workers = args.workers or config.workers
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results, runtime = _run_sweep(spec, out_dir, workers, "sweep")
+    results, runtime = _run_sweep(config, out_dir, workers, "sweep")
     failed = [r for r in results if not r.ok]
     print(f"{len(results)} cells, {len(failed)} failed, "
           f"{runtime:.1f} s with {workers} worker(s)")
@@ -345,11 +345,11 @@ def _reproduce_fig9(out_dir: Path) -> int:
 
 
 def _reproduce_fig10(out_dir: Path, full: bool, workers: int) -> int:
-    spec = default_config(full=full).sweep_spec()
-    results, _ = _run_sweep(spec, out_dir, workers, "fig10")
+    config = default_config(full=full)
+    results, _ = _run_sweep(config, out_dir, workers, "fig10")
 
     by_cell = {(r.point["n_obs2"], r.point["snr2"]): r for r in results}
-    counts, snrs = spec.axes["n_obs2"], spec.axes["snr2"]
+    counts, snrs = config.sweep["n_obs2"], config.sweep["snr2"]
     anchors = [
         ("point1", counts[0], snrs[-1], REFERENCE_RIIG["fig9_middle"]),
         ("point2", counts[-1], snrs[0], REFERENCE_RIIG["fig9_right"]),

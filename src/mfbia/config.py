@@ -18,7 +18,7 @@ import numpy as np
 from .electromech import DomainError
 from .models import build_model, registered_models
 from .probabilistic import TruncatedNormalPrior
-from .sweep import FIELD_AXES, FieldSpec, SweepSpec
+from .sweep import FIELD_AXES, FieldSpec, _count
 
 
 class ConfigError(ValueError):
@@ -90,7 +90,8 @@ def _axis_values(start, stop, num: int, spacing: str = "log",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs: model, truth, prior, observations, grid."""
+    """Everything a command needs: model, truth, prior, observations, grid,
+    and the sweep.  Construction checks every value, the sweep's too."""
 
     model: str
     constants: dict
@@ -98,7 +99,7 @@ class RunConfig:
     prior: TruncatedNormalPrior
     fields: tuple[FieldSpec, ...]
     grid_shape: tuple[int, ...]
-    sweep: dict | None = None     # axis name -> values, in order
+    sweep: dict | None = None     # axis name -> values, in cell order
     output_dir: str = "out"
     workers: int = 1
 
@@ -152,12 +153,7 @@ class RunConfig:
             except DomainError as exc:
                 raise ConfigError(f"fields[{i}].range: {exc}") from None
         if self.sweep is not None:
-            unknown = set(self.sweep) - accepted - set(FIELD_AXES)
-            if unknown:
-                raise ConfigError(
-                    f"sweep: unknown keys {sorted(unknown, key=str)}; an "
-                    f"axis is one of {', '.join(FIELD_AXES)} or a constant "
-                    f"of model {self.model!r}: {', '.join(sorted(accepted))}")
+            object.__setattr__(self, "sweep", self._checked_sweep(accepted))
 
     def field_spec(self, field_id: int) -> FieldSpec:
         for spec in self.fields:
@@ -165,32 +161,51 @@ class RunConfig:
                 return spec
         raise ConfigError(f"no field {field_id} configured")
 
-    def sweep_spec(self) -> SweepSpec:
-        """The configured sweep, with its axis values checked."""
-        if self.sweep is None:
-            raise ConfigError("this configuration has no sweep section")
+    def sweep_plans(self) -> tuple[FieldSpec, FieldSpec]:
+        """Fields 1 and 2 as a sweep observes them; without a configured
+        field 2, field 2 makes no observations, on field 1's range."""
+        first = self.field_spec(1)
+        return first, next((f for f in self.fields if f.field_id == 2),
+                           replace(first, field_id=2, count=0, snr=math.nan))
+
+    def _checked_sweep(self, constant_names: set) -> dict:
+        """The sweep's axes in cell order, ``n_obs`` values as ints."""
+        unknown = set(self.sweep) - constant_names - set(FIELD_AXES)
+        if unknown:
+            raise ConfigError(
+                f"sweep: unknown keys {sorted(unknown, key=str)}; an axis "
+                f"is one of {', '.join(FIELD_AXES)} or a constant of "
+                f"model {self.model!r}: {', '.join(sorted(constant_names))}")
         varied = [name for name in self.sweep if name not in FIELD_AXES]
         for values in itertools.product(*(self.sweep[n] for n in varied)):
+            constants = {**self.constants, **dict(zip(varied, values))}
             try:
-                build_model(self.model, {**self.constants,
-                                         **dict(zip(varied, values))}
-                            ).check_params(self.truth)
+                build_model(self.model, constants).check_params(self.truth)
             except ValueError as exc:
                 name = (exc.name if isinstance(exc, DomainError)
                         else "/".join(varied))
                 raise ConfigError(f"sweep.{name}: {exc}") from None
-        first = self.field_spec(1)
-        second = next((f for f in self.fields if f.field_id == 2),
-                      FieldSpec(field_id=2, count=0, snr=math.nan,
-                                coord_range=first.coord_range))
-        try:
-            return SweepSpec(
-                model_name=self.model, model_constants=dict(self.constants),
-                truth=self.truth, prior=self.prior, first_field=first,
-                second_field=second, axes=self.sweep,
-                grid_shape=self.grid_shape)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.{exc}") from exc
+        axes = {}
+        for name in [n for n in FIELD_AXES if n in self.sweep] + varied:
+            try:
+                values = tuple(_count(name, v) if name.startswith("n_obs")
+                               else float(v) for v in self.sweep[name])
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{exc}") from None
+            if not values or not all(np.diff(values) > 0):
+                raise ConfigError(f"sweep.{name}: axis must be non-empty and "
+                                  f"strictly increasing, got {list(values)}")
+            axes[name] = values
+        for k, plan in enumerate(self.sweep_plans(), 1):
+            counts = axes.get(f"n_obs{k}", (plan.count,))
+            if min(counts) < 1:
+                raise ConfigError(f"sweep.n_obs{k}: observation counts must "
+                                  f"be >= 1, got {min(counts)}")
+            for snr in axes.get(f"snr{k}", (plan.snr,)):
+                if not 0 < snr < math.inf:
+                    raise ConfigError(f"sweep.snr{k}: must be finite and > 0, "
+                                      f"got {snr}")
+        return axes
 
 
 def _integer(value, where: str) -> int:
@@ -203,12 +218,6 @@ def _integer(value, where: str) -> int:
     except (TypeError, ValueError):
         raise ConfigError(
             f"{where}: expected an integer, got {value!r}") from None
-
-
-def _boolean(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
 
 
 def _parse_axis(section, where: str) -> tuple:
@@ -234,7 +243,10 @@ def _parse_axis(section, where: str) -> tuple:
                 raise ConfigError(f"{where}.{key}: must be finite, "
                                   f"got {value}")
         num = _integer(section["num"], f"{where}.num")
-        integer = _boolean(section.get("integer", False), f"{where}.integer")
+        integer = section.get("integer", False)
+        if not isinstance(integer, bool):
+            raise ConfigError(f"{where}.integer: expected true or false, "
+                              f"got {integer!r}")
         try:
             return _axis_values(start, stop, num, spacing, integer)
         except (ValueError, OverflowError) as exc:

@@ -115,7 +115,12 @@ class ToyFullModel:
         """Every parameter vector lies in the domain."""
 
     def check_coords(self, coords) -> None:
-        """Every coordinate lies in the domain."""
+        """Raise DomainError if a coordinate in ``coords`` is not finite."""
+        coords = np.asarray(coords, dtype=float)
+        bad = coords[~np.isfinite(coords)]
+        if bad.size:
+            raise electromech.DomainError("coordinate", "must be finite",
+                                          bad[0])
 
     def coupled_system(self, x, coord: float) -> CoupledSystem:
         # imported here: only the tests run the reference solver

@@ -1,13 +1,14 @@
 """Parameter studies over observation configurations.
 
-A sweep fixes two field observation plans and lists several values for some
-of their settings, or for model constants, on named axes.  Each cell of the
-axis grid compares the single-field information gain of field 1 with the
+A sweep, the ``sweep`` of a :class:`~mfbia.config.RunConfig`, fixes two
+field observation plans and lists several values for some of their
+settings, or for model constants, on named axes.  Each cell of the axis
+grid compares the single-field information gain of field 1 with the
 two-field gain, and reports their relative increase (RIIG).  Cells run in one
 fixed order: ``n_obs1``, ``snr1``, ``n_obs2``, ``snr2``, then the model
 constants, the first axis varying slowest.
 
-Cells are pure functions of the sweep specification.  They run in tasks: a
+Cells are pure functions of the run configuration.  They run in tasks: a
 task is every cell that shares all axis values but ``snr1`` and ``snr2``,
 so all its cells share the observation counts and the model constants.  A
 task computes field 2's misfit moments on the posterior grid (see
@@ -30,7 +31,8 @@ import multiprocessing
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,13 +46,15 @@ from .inference import (
 )
 from .models import build_model
 from .probabilistic import (
-    TruncatedNormalPrior,
     log_likelihood,
     misfit_moments,
     sigma_from_snr,
     sobol_standard_normal,
     synthesize_observations,
 )
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 #: Axis names that set an observation plan; any other axis names a model
 #: constant.  Cells iterate in this order, then the constants.
@@ -97,52 +101,6 @@ class FieldSpec:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Two fixed field plans and the named axes that vary them.
-
-    ``axes`` maps an axis name from :data:`FIELD_AXES`, or a model
-    constructor argument, to its values; it is stored in cell order.  Each
-    error names the offending axis first, as in ``snr2: ...``.
-    """
-
-    model_name: str
-    truth: tuple[float, ...]
-    prior: TruncatedNormalPrior
-    first_field: FieldSpec
-    second_field: FieldSpec
-    axes: dict
-    grid_shape: tuple[int, ...]
-    model_constants: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "truth", tuple(float(v) for v in self.truth))
-        object.__setattr__(self, "grid_shape",
-                           tuple(int(n) for n in self.grid_shape))
-        if not self.axes:
-            raise ValueError("axes: a sweep needs at least one axis")
-        names = [n for n in FIELD_AXES if n in self.axes]
-        names += [n for n in self.axes if n not in FIELD_AXES]
-        axes = {}
-        for name in names:
-            values = tuple(_count(name, v) if name.startswith("n_obs")
-                           else float(v) for v in self.axes[name])
-            if not values or not all(np.diff(values) > 0):
-                raise ValueError(f"{name}: axis must be non-empty and "
-                                 f"strictly increasing, got {list(values)}")
-            axes[name] = values
-        object.__setattr__(self, "axes", axes)
-        for k, plan in enumerate((self.first_field, self.second_field), 1):
-            counts = axes.get(f"n_obs{k}", (plan.count,))
-            if min(counts) < 1:
-                raise ValueError(f"n_obs{k}: observation counts must be "
-                                 f">= 1, got {min(counts)}")
-            for snr in axes.get(f"snr{k}", (plan.snr,)):
-                if not 0 < snr < math.inf:
-                    raise ValueError(f"snr{k}: must be finite and > 0, "
-                                     f"got {snr}")
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """One cell of the study; numeric fields are None when status != ok.
 
@@ -165,19 +123,20 @@ class SweepResult:
 NOISE_AXES = ("snr1", "snr2")
 
 
-def sweep_tasks(spec: SweepSpec) -> list[list[int]]:
-    """The cells of a sweep, as indices in cell order grouped into tasks.
+def sweep_tasks(config: RunConfig) -> list[list[int]]:
+    """The cells of the sweep, as indices in cell order grouped into tasks.
 
     A task is every cell that shares all axis values but ``snr1`` and
     ``snr2``, in cell order.  Tasks that share a field-1 analysis (see
     :func:`_field1_key`) are listed next to each other, and otherwise in
     the order of their first cells.
     """
-    shared = [k for k, name in enumerate(spec.axes) if name not in NOISE_AXES]
+    shared = [k for k, name in enumerate(config.sweep)
+              if name not in NOISE_AXES]
     groups = {}
-    for index, values in enumerate(itertools.product(*spec.axes.values())):
-        point = dict(zip(spec.axes, values))
-        groups.setdefault(_field1_key(spec, point), {}).setdefault(
+    for index, values in enumerate(itertools.product(*config.sweep.values())):
+        point = dict(zip(config.sweep, values))
+        groups.setdefault(_field1_key(point), {}).setdefault(
             tuple(values[k] for k in shared), []).append(index)
     return [task for tasks in groups.values() for task in tasks.values()]
 
@@ -202,12 +161,12 @@ def field_moments(model, truth, plan: FieldSpec, nodes, threads=None):
     return observations, centre, moments
 
 
-def _field1_key(spec: SweepSpec, point: dict) -> tuple:
-    """What a cell's field-1 analysis depends on: its model constants and
-    its field-1 observation count."""
+def _field1_key(point: dict) -> tuple:
+    """What a cell's field-1 analysis depends on within its sweep: its
+    model constants and its ``n_obs1`` value, None without that axis."""
     constants = tuple((name, value) for name, value in point.items()
                       if name not in FIELD_AXES)
-    return constants, point.get("n_obs1", spec.first_field.count)
+    return constants, point.get("n_obs1")
 
 
 class _TaskIndex:
@@ -250,14 +209,15 @@ class _TaskEvaluator:
     :func:`~mfbia.probabilistic.misfit_moments`.
     """
 
-    def __init__(self, spec: SweepSpec, index: _TaskIndex,
+    def __init__(self, config: RunConfig, index: _TaskIndex,
                  threads: int | None = None):
-        self.spec = spec
+        self.config = config
+        self.plans = config.sweep_plans()
         self.index = index
         self.threads = threads
-        self.cells = list(itertools.product(*spec.axes.values()))
-        self.grid = PriorGrid(spec.prior,
-                              cdf_spaced_grid(spec.prior, spec.grid_shape))
+        self.cells = list(itertools.product(*config.sweep.values()))
+        self.grid = PriorGrid(config.prior, cdf_spaced_grid(
+            config.prior, config.grid_shape))
         self.field1 = (None, None)   # last field-1 key, (centre, moments)
 
     def __call__(self, cells: list[tuple]) -> list[SweepResult]:
@@ -269,21 +229,21 @@ class _TaskEvaluator:
 
     def _plan(self, k: int, point: dict) -> FieldSpec:
         """Field ``k``'s observation plan at the cell's axis values."""
-        plan = self.spec.first_field if k == 1 else self.spec.second_field
+        plan = self.plans[k - 1]
         return replace(plan, count=point.get(f"n_obs{k}", plan.count),
                        snr=point.get(f"snr{k}", plan.snr))
 
     def analysis(self, model, k: int, point: dict) -> tuple:
         """Field ``k``'s truth outputs and misfit moments at the cell's
         observation count."""
-        return field_moments(model, self.spec.truth, self._plan(k, point),
+        return field_moments(model, self.config.truth, self._plan(k, point),
                              self.grid.nodes, self.threads)[1:]
 
     def _moments(self, model, k: int, point: dict, memo: dict):
         """Field ``k``'s misfit moments on the grid at the cell's noise."""
         if k not in memo:
             if k == 1:
-                key = _field1_key(self.spec, point)
+                key = _field1_key(point)
                 if self.field1[0] != key:
                     self.field1 = (key, self.analysis(model, 1, point))
             memo[k] = self.field1[1] if k == 1 else \
@@ -296,24 +256,24 @@ class _TaskEvaluator:
 
     def _posterior(self, model, moments: list):
         return evaluate_posterior(
-            self.spec.prior,
+            self.config.prior,
             lambda nodes: log_likelihood(model, nodes, moments), self.grid)
 
     def _cell(self, values: tuple, memo: dict, gains: dict) -> SweepResult:
-        spec = self.spec
-        point = dict(zip(spec.axes, values))
+        config = self.config
+        point = dict(zip(config.sweep, values))
         try:
-            constants, _ = _field1_key(spec, point)
-            model = build_model(spec.model_name,
-                                {**spec.model_constants, **dict(constants)})
+            constants, _ = _field1_key(point)
+            model = build_model(config.model,
+                                {**config.constants, **dict(constants)})
             moments1 = self._moments(model, 1, point, memo)
             if moments1.noise_variance not in gains:
                 gains[moments1.noise_variance] = information_gain(
-                    self._posterior(model, [moments1]), spec.prior)
+                    self._posterior(model, [moments1]), config.prior)
             ig_single = gains[moments1.noise_variance]
             moments2 = self._moments(model, 2, point, memo)
             posterior = self._posterior(model, [moments1, moments2])
-            ig_multi = information_gain(posterior, spec.prior)
+            ig_multi = information_gain(posterior, config.prior)
             return SweepResult(point=point, ig_single=ig_single,
                                ig_multi=ig_multi,
                                riig=riig(ig_single, ig_multi),
@@ -329,14 +289,14 @@ class _TaskEvaluator:
 _evaluator: _TaskEvaluator | None = None
 
 
-def _install(spec: SweepSpec, index: _TaskIndex,
+def _install(config: RunConfig, index: _TaskIndex,
              threads: int | None = None) -> None:
     """Set this process's sweep context: the sweep's own set-up, and the
     pool initializer.  A worker forked from the sweep's process keeps the
     context it inherits, so it builds no second prior grid."""
     global _evaluator
     if _evaluator is None or _evaluator.index is not index:
-        _evaluator = _TaskEvaluator(spec, index, threads)
+        _evaluator = _TaskEvaluator(config, index, threads)
 
 
 def _evaluate_task(cells: list[tuple]) -> list[SweepResult]:
@@ -354,7 +314,7 @@ def _evaluate_next() -> tuple[int, list[SweepResult]] | None:
                                    for cell in index.tasks[number]])
 
 
-def run_riig_sweep(spec: SweepSpec, workers: int = 1,
+def run_riig_sweep(config: RunConfig, workers: int = 1,
                    progress=None) -> list[SweepResult]:
     """Evaluate the relative information-gain increase on every cell.
 
@@ -371,7 +331,7 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
     stops the sweep with that error.
     """
     global _evaluator
-    tasks = sweep_tasks(spec)
+    tasks = sweep_tasks(config)
     processes = min(workers, len(tasks))
     index = _TaskIndex(tasks, processes)
     threads = 1 if processes > 1 else None
@@ -392,10 +352,10 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
 
     pool, pending = None, set()
     try:
-        _install(spec, index, threads)
+        _install(config, index, threads)
         if processes > 1:
             pool = ProcessPoolExecutor(processes - 1, initializer=_install,
-                                       initargs=(spec, index, threads))
+                                       initargs=(config, index, threads))
             pending = {pool.submit(_evaluate_next) for _ in tasks}
         while (claimed := _evaluate_next()) is not None:
             record(*claimed)
@@ -415,11 +375,11 @@ def run_riig_sweep(spec: SweepSpec, workers: int = 1,
         _evaluator = None
 
 
-def run_coupling_sweep(spec: SweepSpec, workers: int = 1,
+def run_coupling_sweep(config: RunConfig, workers: int = 1,
                        progress=None) -> list[SweepResult]:
     """Same as :func:`run_riig_sweep`; a separate function, not an alias,
     because ``bench/layertrace.py`` wraps both names."""
-    return run_riig_sweep(spec, workers, progress)
+    return run_riig_sweep(config, workers, progress)
 
 
 def _format(value) -> str:
@@ -446,34 +406,34 @@ def export_sweep_csv(results, path) -> None:
                              res.status])
 
 
-def _spec_payload(spec: SweepSpec) -> dict:
+def _spec_payload(config: RunConfig) -> dict:
     return {
-        "model": spec.model_name,
-        "model_constants": dict(spec.model_constants),
-        "truth": list(spec.truth),
+        "model": config.model,
+        "model_constants": dict(config.constants),
+        "truth": list(config.truth),
         "prior": {
-            "mean": spec.prior.mean.tolist(),
-            "variance": spec.prior.variance.tolist(),
-            "lower": spec.prior.lower.tolist(),
+            "mean": config.prior.mean.tolist(),
+            "variance": config.prior.variance.tolist(),
+            "lower": config.prior.lower.tolist(),
             "upper": [v if np.isfinite(v) else None
-                      for v in spec.prior.upper.tolist()],
+                      for v in config.prior.upper.tolist()],
         },
-        "grid_shape": list(spec.grid_shape),
+        "grid_shape": list(config.grid_shape),
         "fields": [{"id": plan.field_id, "count": plan.count,
                     "snr": plan.snr, "range": list(plan.coord_range)}
-                   for plan in (spec.first_field, spec.second_field)],
-        "axes": {name: list(values) for name, values in spec.axes.items()},
+                   for plan in config.sweep_plans()],
+        "axes": {name: list(axis) for name, axis in config.sweep.items()},
     }
 
 
-def write_run_manifest(path, spec, results, *, workers: int,
+def write_run_manifest(path, config: RunConfig, results, *, workers: int,
                        runtime_seconds: float | None = None) -> None:
     """JSON record of what ran: spec echo, tool version, timing, outcome."""
     results = list(results)
     payload = {
         "tool": "mfbia",
         "version": __version__,
-        "spec": _spec_payload(spec),
+        "spec": _spec_payload(config),
         "workers": workers,
         "cells": len(results),
         "failed_cells": sum(0 if r.ok else 1 for r in results),

@@ -126,7 +126,7 @@ def _field1_grid_batches(run):
 @pytest.fixture(scope="module")
 def sweep_serial_batches():
     """The serial fig10 sweep, and its field-1 grid batch sizes."""
-    spec = default_config().sweep_spec()
+    spec = default_config()
     results, batches = _field1_grid_batches(
         lambda: run_riig_sweep(spec, workers=1))
     return spec, results, batches
@@ -140,7 +140,7 @@ def sweep_serial(sweep_serial_batches):
 
 @pytest.fixture(scope="module")
 def sweep_parallel():
-    spec = default_config().sweep_spec()
+    spec = default_config()
     return run_riig_sweep(spec, workers=8)
 
 
@@ -191,8 +191,8 @@ def test_criterion_03_concentrated_corner(sweep_serial):
     """Fig. 10 point 3: (N2=256, SNR2=1.2e4) gives RIIG = 3.65 +/- 0.4."""
     spec, results = sweep_serial
     cell = next(r for r in results
-                if r.point["n_obs2"] == spec.axes["n_obs2"][-1]
-                and r.point["snr2"] == spec.axes["snr2"][-1])
+                if r.point["n_obs2"] == spec.sweep["n_obs2"][-1]
+                and r.point["snr2"] == spec.sweep["snr2"][-1])
     assert cell.ok
     assert cell.point["n_obs2"] == 256 \
         and cell.point["snr2"] == pytest.approx(1.2e4)
@@ -205,7 +205,7 @@ def test_criterion_03_concentrated_corner(sweep_serial):
 def test_criterion_04_sweep_trend(sweep_serial):
     """RIIG non-decreasing in SNR2 per row and in N2 per column (slack 0.02)."""
     spec, results = sweep_serial
-    n_rows, n_cols = len(spec.axes["n_obs2"]), len(spec.axes["snr2"])
+    n_rows, n_cols = len(spec.sweep["n_obs2"]), len(spec.sweep["snr2"])
     assert len(results) == n_rows * n_cols == 60
     assert all(r.ok for r in results)
     table = np.array([r.riig for r in results]).reshape(n_rows, n_cols)
@@ -365,7 +365,7 @@ def test_fig10_anchors_match_seed_values(sweep_serial):
     """The fig10 anchors stay within 1e-9 relative of the seed code's."""
     spec, results = sweep_serial
     riig_at = {(r.point["n_obs2"], r.point["snr2"]): r.riig for r in results}
-    counts, snrs = spec.axes["n_obs2"], spec.axes["snr2"]
+    counts, snrs = spec.sweep["n_obs2"], spec.sweep["snr2"]
     anchors = {"point1": (counts[0], snrs[-1]),
                "point2": (counts[-1], snrs[0]),
                "point3": (counts[-1], snrs[-1])}
@@ -409,7 +409,7 @@ def test_fig10_evaluates_field1_grid_once(sweep_serial_batches):
     """fig10's ten tasks share one pass over the 100x100 grid for field 1:
     three row blocks of nodes."""
     spec, _, batches = sweep_serial_batches
-    assert len(spec.axes["n_obs2"]) == 10
+    assert len(spec.sweep["n_obs2"]) == 10
     assert len(batches) == 3
     assert sum(batches) == 100 * 100
 

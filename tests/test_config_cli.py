@@ -85,7 +85,7 @@ class TestAxisSpec:
             expected = tuple(int(v) for v in np.unique(np.round(unrounded)))
             assert _parse_axis({**section, "integer": True}, "axis") == \
                 expected
-        assert default_config().sweep_spec().axes["n_obs2"] == \
+        assert default_config().sweep["n_obs2"] == \
             (2, 3, 6, 10, 17, 30, 51, 87, 149, 256)
 
     def test_non_finite_integer_axis_is_config_error(self):
@@ -173,14 +173,13 @@ class TestConfigParsing:
         assert config.truth == builtin.truth
         assert config.fields == builtin.fields
         assert config.grid_shape == builtin.grid_shape
-        spec = config.sweep_spec()
-        assert spec.axes == builtin.sweep_spec().axes
+        assert config.sweep == builtin.sweep
 
-    def test_sweep_spec_full_resolution(self):
+    def test_sweep_full_resolution(self):
         # 50 requested log-spaced counts on [2, 256] collide when rounded
         # to integers; the axis keeps the 42 unique values
-        spec = default_config(full=True).sweep_spec()
-        counts, snrs = spec.axes["n_obs2"], spec.axes["snr2"]
+        sweep = default_config(full=True).sweep
+        counts, snrs = sweep["n_obs2"], sweep["snr2"]
         assert len(snrs) == 12
         assert snrs[0] == 80.0 and snrs[-1] == 1.2e4
         assert len(counts) == 42
@@ -507,10 +506,17 @@ class TestCliRiig:
         ('{"information_gain": "1.5", "provenance": {}}', "information_gain"),
         ('{"information_gain": true, "provenance": {}}', "information_gain"),
         ('{"information_gain": 1.5, "provenance": "abc"}', "provenance"),
+        ('{"information_gain": 1.5, "provenance": {}}',
+         "provenance.prior_hash"),
+        ('{"information_gain": 1.5, "provenance": {"prior_hash": 3, '
+         '"first_field_hash": "b"}}', "provenance.prior_hash"),
+        ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
+         '"first_field_hash": null}}', "provenance.first_field_hash"),
     ])
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys, text, key):
         good = tmp_path / "good.json"
-        good.write_text('{"information_gain": 2.0, "provenance": {}}')
+        good.write_text('{"information_gain": 2.0, "provenance": '
+                        '{"prior_hash": "a", "first_field_hash": "b"}}')
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         for runs in ([bad, good], [good, bad]):
@@ -577,16 +583,52 @@ class TestCliSweep:
     def test_constant_axes_checked_together(self, tmp_path, capsys):
         # 3.5 * 0.25 (the config's coupling21) would be out of range, but
         # the sweep pairs 3.5 only with 0.1 and 0.2
-        config = tmp_path / "config.yaml"
-        config.write_text(TOY_CONFIG + "sweep: {coupling12: [3.5], "
-                                       "coupling21: [0.1, 0.2]}\n")
-        assert main(["sweep", "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 0
-        config.write_text(TOY_CONFIG + "sweep: {coupling12: [3.5], "
-                                       "coupling21: [0.1, 0.3]}\n")
-        assert main(["sweep", "--config", str(config),
-                     "--out", str(tmp_path / "bad")]) == 2
-        assert "sweep.coupling12/coupling21" in capsys.readouterr().err
+        good = tmp_path / "good.yaml"
+        good.write_text(TOY_CONFIG + "sweep: {coupling12: [3.5], "
+                                     "coupling21: [0.1, 0.2]}\n")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TOY_CONFIG + "sweep: {coupling12: [3.5], "
+                                    "coupling21: [0.1, 0.3]}\n")
+        for command in ("synthesize", "posterior", "sweep"):
+            assert main([command, "--config", str(good),
+                         "--out", str(tmp_path / command)]) == 0, command
+            capsys.readouterr()
+            out = tmp_path / f"bad_{command}"
+            assert main([command, "--config", str(bad),
+                         "--out", str(out)]) == 2, command
+            assert "sweep.coupling12/coupling21" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_sweep_without_field_2(self, tmp_path, capsys):
+        # field 2 then makes no observations, on field 1's range, so a
+        # sweep over both its axes gives the cells of an explicit field 2
+        # on that range
+        no_field2 = TOY_CONFIG.replace(
+            "  - {id: 2, count: 3, snr: 50, range: [0.1, 1.0]}\n", "")
+        assert no_field2 != TOY_CONFIG
+        axes = "sweep: {n_obs2: [2, 4], snr2: [5.0, 50.0]}\n"
+        csvs = []
+        for name, text in (("implicit", no_field2), ("explicit", TOY_CONFIG)):
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(text + axes)
+            out = tmp_path / name
+            assert main(["sweep", "--config", str(config),
+                         "--out", str(out)]) == 0
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].decode().count(",ok\n") == 2 * 2
+        # without an n_obs2 axis, field 2 would have no observations
+        config = tmp_path / "snr2_only.yaml"
+        config.write_text(no_field2 + "sweep: {snr2: [5.0, 50.0]}\n")
+        capsys.readouterr()
+        for command in ("synthesize", "posterior", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(config),
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {config}: sweep.n_obs2: observation counts must "
+                f"be >= 1, got 0\n")
+            assert not out.exists()
 
     def test_single_axis_sweep_keeps_field_plans(self, tmp_path):
         config = tmp_path / "config.yaml"
@@ -657,6 +699,48 @@ class TestCliSweep:
             "  - {id: 1, count: 4, snr: 50, range: [0 N, 0.4 N]}\n")
         assert main(["sweep", "--config", str(config),
                      "--out", str(tmp_path)]) == 2
+
+
+class TestToyCoordinates:
+    """A toy-full coordinate that is not finite exits 2, naming where it
+    came from."""
+
+    @pytest.mark.parametrize("command", ["synthesize", "posterior", "sweep"])
+    def test_non_finite_range_exits_2(self, tmp_path, capsys, command):
+        config = tmp_path / "config.yaml"
+        config.write_text(TOY_CONFIG.replace("range: [0.1, 1.0]",
+                                             "range: [0.1, .inf]", 1)
+                          + "sweep: {snr2: [5.0, 50.0]}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {config}: fields[0].range: coordinate must "
+                       f"be finite, got inf\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coordinate", ["inf", "-inf", "nan"])
+    def test_non_finite_observation_coordinate_exits_2(
+            self, tmp_path, capsys, coordinate):
+        config = tmp_path / "config.yaml"
+        config.write_text(TOY_CONFIG)
+        obs = tmp_path / "obs"
+        assert main(["synthesize", "--config", str(config),
+                     "--out", str(obs)]) == 0
+        lines = (obs / "observations_field1.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = coordinate
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["posterior", "--config", str(config), "--obs", str(bad),
+                     "--out", str(tmp_path / "post")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --obs {bad}: coordinate must be "
+                              f"finite, got ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "post").exists()
 
 
 class TestGridFlag:
@@ -762,21 +846,27 @@ class TestNonFiniteInputs:
     def test_electromech_value_exits_2(self, tmp_path, capsys, path, value,
                                        key):
         config = _mutated_fig9(tmp_path, path, value)
-        out = tmp_path / "out"
-        command = "sweep" if path == ("sweep",) else "synthesize"
-        assert main([command, "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"{key}: " in err and "Traceback" not in err
-        assert not out.exists()
+        commands = ("synthesize", "posterior", "sweep") \
+            if path == ("sweep",) else ("synthesize",)
+        for command in commands:
+            out = tmp_path / command
+            assert main([command, "--config", str(config),
+                         "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert f"{key}: " in err and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("path,value,key,commands", [
         (("sweep", "snr2", "num"), 10.9, "sweep.snr2.num",
          ("synthesize", "posterior", "sweep")),
         (("sweep", "snr2", "spacing"), "cubic", "sweep.snr2.spacing",
          ("synthesize", "posterior", "sweep")),
-        (("sweep", "snr2"), [80.0, math.inf], "sweep.snr2", ("sweep",)),
-        (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2", ("sweep",)),
-        (("sweep", "n_obs2"), [2.0, math.inf], "sweep.n_obs2", ("sweep",)),
+        (("sweep", "snr2"), [80.0, math.inf], "sweep.snr2",
+         ("synthesize", "posterior", "sweep")),
+        (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2",
+         ("synthesize", "posterior", "sweep")),
+        (("sweep", "n_obs2"), [2.0, math.inf], "sweep.n_obs2",
+         ("synthesize", "posterior", "sweep")),
         pytest.param(("sweep", "n_obs2"), [2, 10 ** 400], "sweep.n_obs2[1]",
                      ("synthesize", "sweep"), id="n_obs2-1e400"),
         pytest.param(("sweep", "n_obs2"),
@@ -963,8 +1053,8 @@ def test_sweep_axes_load_no_numpy_ma():
         [sys.executable, "-c",
          "import sys\n"
          "from mfbia.config import default_config\n"
-         "spec = default_config(full=True).sweep_spec()\n"
-         "print(spec.axes['n_obs2'], 'numpy.ma' in sys.modules)"],
+         "config = default_config(full=True)\n"
+         "print(config.sweep['n_obs2'], 'numpy.ma' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ from mfbia.coupled import (
     assemble_block_jacobian,
     newton_solve,
 )
-from mfbia.electromech import coupled_system
+from mfbia.electromech import DomainError, coupled_system
 from mfbia.models import ToyFullModel, build_model, registered_models
 
 
@@ -81,3 +81,11 @@ class TestToyFullModel:
     def test_unknown_field(self):
         with pytest.raises(ValueError):
             ToyFullModel().outputs(np.array([1.0, 1.0]), 5, [0.1])
+
+    def test_coordinates_must_be_finite(self):
+        model = ToyFullModel()
+        model.check_coords([-2.0, 0.0, 1e300])
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DomainError, match="^coordinate must be "
+                                                  "finite, got "):
+                model.check_coords([0.1, bad])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mfbia.cli import main
-from mfbia.config import default_config, load_config
+from mfbia.config import RunConfig, default_config, load_config
 from mfbia.inference import (
     PriorGrid,
     cdf_spaced_grid,
@@ -34,7 +34,6 @@ import mfbia.probabilistic as probabilistic
 import mfbia.sweep as sweep_module
 from mfbia.sweep import (
     FieldSpec,
-    SweepSpec,
     export_sweep_csv,
     run_coupling_sweep,
     run_riig_sweep,
@@ -53,24 +52,25 @@ def toy_prior() -> TruncatedNormalPrior:
                                 upper=np.array([np.inf, np.inf]))
 
 
-def toy_sweep_spec(n_obs2_axis=(2, 4, 8), snr2_axis=(5.0, 50.0, 500.0),
-                   second_field_range=(0.0, 1.0), **overrides) -> SweepSpec:
+def toy_sweep_config(n_obs2_axis=(2, 4, 8), snr2_axis=(5.0, 50.0, 500.0),
+                     first_field_range=(0.0, 1.0),
+                     second_field_range=(0.0, 1.0), **overrides) -> RunConfig:
     base = dict(
-        model_name="toy-full",
-        model_constants={"coupling12": 0.5, "coupling21": 0.25},
+        model="toy-full",
+        constants={"coupling12": 0.5, "coupling21": 0.25},
         truth=(1.2, 0.7),
         prior=toy_prior(),
-        first_field=FieldSpec(field_id=1, count=6, snr=30.0,
-                              coord_range=(0.0, 1.0)),
-        second_field=FieldSpec(field_id=2, count=1, snr=1.0,
-                               coord_range=second_field_range),
-        axes={"n_obs2": n_obs2_axis, "snr2": snr2_axis},
+        fields=(FieldSpec(field_id=1, count=6, snr=30.0,
+                          coord_range=first_field_range),
+                FieldSpec(field_id=2, count=1, snr=1.0,
+                          coord_range=second_field_range)),
+        sweep={"n_obs2": n_obs2_axis, "snr2": snr2_axis},
         grid_shape=(40, 40))
     base.update(overrides)
-    return SweepSpec(**base)
+    return RunConfig(**base)
 
 
-def manual_gains(spec: SweepSpec, model, obs1, obs2):
+def manual_gains(spec: RunConfig, model, obs1, obs2):
     """Single- and two-field gains composed by hand from the public misfit
     moments, and the two-field posterior.
 
@@ -115,15 +115,15 @@ class TestSpecValidation:
 
     def test_axes_must_be_increasing_and_nonempty(self):
         with pytest.raises(ValueError):
-            toy_sweep_spec(n_obs2_axis=())
+            toy_sweep_config(n_obs2_axis=())
         with pytest.raises(ValueError):
-            toy_sweep_spec(n_obs2_axis=(4, 2))
+            toy_sweep_config(n_obs2_axis=(4, 2))
         with pytest.raises(ValueError):
-            toy_sweep_spec(snr2_axis=(50.0, 50.0))
+            toy_sweep_config(snr2_axis=(50.0, 50.0))
         with pytest.raises(ValueError):
-            toy_sweep_spec(n_obs2_axis=(0, 2))
+            toy_sweep_config(n_obs2_axis=(0, 2))
         with pytest.raises(ValueError, match="snr2"):
-            toy_sweep_spec(snr2_axis=(5.0, np.inf))
+            toy_sweep_config(snr2_axis=(5.0, np.inf))
 
     @pytest.mark.parametrize("count", [2.5, np.inf, np.nan, True, "3",
                                        pytest.param(10 ** 400, id="1e400")])
@@ -131,30 +131,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^count: "):
             FieldSpec(field_id=1, count=count, snr=10.0,
                       coord_range=(0.0, 1.0))
-        with pytest.raises(ValueError, match="^n_obs2: "):
-            toy_sweep_spec(n_obs2_axis=(2.0, count))
+        with pytest.raises(ValueError, match="^sweep.n_obs2: "):
+            toy_sweep_config(n_obs2_axis=(2.0, count))
 
     def test_integral_counts_become_ints(self):
         plan = FieldSpec(field_id=1, count=3.0, snr=10.0,
                          coord_range=(0.0, 1.0))
         assert type(plan.count) is int
         np.testing.assert_allclose(plan.coordinates(), [0.0, 0.5, 1.0])
-        spec = replace(toy_sweep_spec(), axes={"n_obs2": [2.0, np.int64(4)],
-                                               "snr2": [80.0]})
-        assert spec.axes["n_obs2"] == (2, 4)
-        assert all(type(n) is int for n in spec.axes["n_obs2"])
+        spec = replace(toy_sweep_config(),
+                       sweep={"n_obs2": [2.0, np.int64(4)], "snr2": [80.0]})
+        assert spec.sweep["n_obs2"] == (2, 4)
+        assert all(type(n) is int for n in spec.sweep["n_obs2"])
 
 
 class TestRiigSweep:
     def test_single_cell_matches_manual_composition(self):
-        spec = toy_sweep_spec(n_obs2_axis=(4,), snr2_axis=(50.0,))
+        spec = toy_sweep_config(n_obs2_axis=(4,), snr2_axis=(50.0,))
         (cell,) = run_riig_sweep(spec)
         assert cell.ok
 
-        model = build_model(spec.model_name, spec.model_constants)
+        model = build_model(spec.model, spec.constants)
         truth = np.array(spec.truth)
         obs1 = synthesize_observations(model, truth, 1,
-                                       spec.first_field.coordinates(), 30.0)
+                                       spec.field_spec(1).coordinates(), 30.0)
         obs2 = synthesize_observations(model, truth, 2,
                                        np.linspace(0.0, 1.0, 4), 50.0)
         ig1, igm, _ = manual_gains(spec, model, obs1, obs2)
@@ -165,7 +165,8 @@ class TestRiigSweep:
 
         # the last cell of each task reuses the task's field-1 analysis and
         # its field-2 misfit moments on the grid
-        spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0, 50.0, 500.0))
+        spec = toy_sweep_config(n_obs2_axis=(2, 4),
+                                snr2_axis=(5.0, 50.0, 500.0))
         results = run_riig_sweep(spec)
         for cell in (results[2], results[5]):
             assert cell.ok and cell.point["snr2"] == 500.0
@@ -179,31 +180,32 @@ class TestRiigSweep:
             assert cell.boundary_mass == postm.boundary_mass
 
     def test_tasks_share_every_axis_but_the_snrs(self):
-        spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0, 50.0, 500.0))
+        spec = toy_sweep_config(n_obs2_axis=(2, 4),
+                                snr2_axis=(5.0, 50.0, 500.0))
         assert sweep_tasks(spec) == [[0, 1, 2], [3, 4, 5]]
         # snr1 x snr2 x coupling: the tasks interleave in cell order, one
         # per coupling value
-        spec = load_config(CONFIGS / "toyfull_coupling.yaml").sweep_spec()
+        spec = load_config(CONFIGS / "toyfull_coupling.yaml")
         tasks = sweep_tasks(spec)
         assert [len(task) for task in tasks] == [25] * 5
         assert [sorted(task) for task in tasks] == tasks
         assert [task[:2] for task in tasks] == [[k, k + 5] for k in range(5)]
         assert [len(task) for task in
-                sweep_tasks(default_config().sweep_spec())] == [6] * 10
+                sweep_tasks(default_config())] == [6] * 10
         assert [len(task) for task in
-                sweep_tasks(default_config(full=True).sweep_spec())] == \
+                sweep_tasks(default_config(full=True))] == \
             [12] * 42
 
     def test_axis_major_order_and_shared_single_gain(self):
-        spec = toy_sweep_spec()
+        spec = toy_sweep_config()
         results = run_riig_sweep(spec)
         assert [(r.point["n_obs2"], r.point["snr2"]) for r in results] == \
-            [(n, s) for n in spec.axes["n_obs2"] for s in spec.axes["snr2"]]
+            [(n, s) for n in spec.sweep["n_obs2"] for s in spec.sweep["snr2"]]
         singles = {r.ig_single for r in results}
         assert len(singles) == 1
 
     def test_monotone_in_snr2(self):
-        results = run_riig_sweep(toy_sweep_spec())
+        results = run_riig_sweep(toy_sweep_config())
         table = {}
         for r in results:
             table.setdefault(r.point["n_obs2"], []).append(r.riig)
@@ -211,26 +213,26 @@ class TestRiigSweep:
             assert all(b >= a - 0.02 for a, b in zip(row, row[1:]))
 
     def test_zero_information_limit(self):
-        spec = toy_sweep_spec(n_obs2_axis=(4,), snr2_axis=(1e-9,))
+        spec = toy_sweep_config(n_obs2_axis=(4,), snr2_axis=(1e-9,))
         (cell,) = run_riig_sweep(spec)
         assert cell.ok
         assert abs(cell.riig) <= 0.02
 
     def test_zero_information_limit_electromech(self, material_prior):
-        spec = SweepSpec(
-            model_name="electromech", truth=(11e3, 0.35),
+        spec = RunConfig(
+            model="electromech", constants={}, truth=(11e3, 0.35),
             prior=material_prior,
-            first_field=FieldSpec(field_id=1, count=16, snr=50.0,
-                                  coord_range=(0.0, 0.4)),
-            second_field=FieldSpec(field_id=2, count=2, snr=1.0,
-                                   coord_range=(0.0, 0.4)),
-            axes={"snr2": (1e-9,)}, grid_shape=(50, 50))
+            fields=(FieldSpec(field_id=1, count=16, snr=50.0,
+                              coord_range=(0.0, 0.4)),
+                    FieldSpec(field_id=2, count=2, snr=1.0,
+                              coord_range=(0.0, 0.4))),
+            sweep={"snr2": (1e-9,)}, grid_shape=(50, 50))
         (cell,) = run_riig_sweep(spec)
         assert cell.ok
         assert abs(cell.riig) <= 0.02
 
     def test_worker_count_does_not_change_bits(self):
-        spec = toy_sweep_spec()
+        spec = toy_sweep_config()
         serial = run_riig_sweep(spec, workers=1)
         parallel = run_riig_sweep(spec, workers=2)
         assert serial == parallel
@@ -238,21 +240,19 @@ class TestRiigSweep:
     def test_failed_cell_recorded_not_raised(self):
         # second-field coordinates all at the origin give an all-zero truth
         # signal, which cannot define a noise variance
-        spec = toy_sweep_spec(model_constants={"coupling12": 0.0,
-                                               "coupling21": 0.0},
-                              n_obs2_axis=(2,), snr2_axis=(10.0,),
-                              second_field_range=(0.0, 0.0))
+        spec = toy_sweep_config(constants={"coupling12": 0.0,
+                                           "coupling21": 0.0},
+                                n_obs2_axis=(2,), snr2_axis=(10.0,),
+                                second_field_range=(0.0, 0.0))
         (cell,) = run_riig_sweep(spec)
         assert not cell.ok
         assert cell.status.startswith("failed:")
         assert cell.ig_multi is None and cell.riig is None
 
     def test_failed_first_field_fails_each_cell(self):
-        spec = toy_sweep_spec(model_constants={"coupling12": 0.0,
-                                               "coupling21": 0.0},
-                              first_field=FieldSpec(field_id=1, count=6,
-                                                    snr=30.0,
-                                                    coord_range=(0.0, 0.0)))
+        spec = toy_sweep_config(constants={"coupling12": 0.0,
+                                           "coupling21": 0.0},
+                                first_field_range=(0.0, 0.0))
         results = run_riig_sweep(spec, workers=2)
         assert len(results) == 9
         assert all(r.status.startswith("failed:") and r.ig_single is None
@@ -260,7 +260,8 @@ class TestRiigSweep:
 
     def test_progress_callback(self):
         seen = []
-        run_riig_sweep(toy_sweep_spec(n_obs2_axis=(2,), snr2_axis=(5.0, 50.0)),
+        run_riig_sweep(toy_sweep_config(n_obs2_axis=(2,),
+                                        snr2_axis=(5.0, 50.0)),
                        progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 2), (2, 2)]
 
@@ -307,7 +308,7 @@ class TestSharedFieldOne:
             return PriorGrid(*args, **kwargs)
 
         monkeypatch.setattr(sweep_module, "PriorGrid", counting)
-        spec = toy_sweep_spec()
+        spec = toy_sweep_config()
         assert len(sweep_tasks(spec)) == 3
         assert all(r.ok for r in run_riig_sweep(spec))
         assert len(builds) == 1
@@ -315,8 +316,8 @@ class TestSharedFieldOne:
     def test_tasks_sharing_field1_run_together(self):
         # cells run n_obs2-major, so the tasks of one coupling12 value,
         # which share a field-1 analysis, are not neighbours in cell order
-        spec = toy_sweep_spec(axes={"n_obs2": (2, 4), "snr2": (5.0, 50.0),
-                                    "coupling12": (0.0, 0.5)})
+        spec = toy_sweep_config(sweep={"n_obs2": (2, 4), "snr2": (5.0, 50.0),
+                                       "coupling12": (0.0, 0.5)})
         assert sweep_tasks(spec) == [[0, 2], [4, 6], [1, 3], [5, 7]]
         batches = []
         original = ToyFullModel.outputs
@@ -337,20 +338,20 @@ class TestSharedFieldOne:
         # at coupling12 = 0.5 the truth's field-1 outputs
         # (x1 - 0.5*x2)*c/det are all zero, so no SNR defines a noise
         # variance; coupling12 = 0 is a healthy group
-        spec = toy_sweep_spec(truth=(0.35, 0.7),
-                              model_constants={"coupling21": 0.25},
-                              axes={"n_obs2": (2, 4), "snr2": (5.0, 50.0),
-                                    "coupling12": (0.0, 0.5)})
+        spec = toy_sweep_config(truth=(0.35, 0.7),
+                                constants={"coupling21": 0.25},
+                                sweep={"n_obs2": (2, 4), "snr2": (5.0, 50.0),
+                                       "coupling12": (0.0, 0.5)})
         assert len(sweep_tasks(spec)) == 4
         model = build_model("toy-full", {"coupling12": 0.5,
                                          "coupling21": 0.25})
         with pytest.raises(DegenerateSignalError) as raised:
             synthesize_observations(model, np.array(spec.truth), 1,
-                                    spec.first_field.coordinates(), 30.0)
+                                    spec.field_spec(1).coordinates(), 30.0)
         results = run_riig_sweep(spec)
         assert run_riig_sweep(spec, workers=2) == results
         healthy = run_riig_sweep(
-            replace(spec, axes={**spec.axes, "coupling12": (0.0,)}))
+            replace(spec, sweep={**spec.sweep, "coupling12": (0.0,)}))
         assert [r for r in results if r.point["coupling12"] == 0.0] == \
             healthy
         assert all(r.ok for r in healthy)
@@ -362,7 +363,7 @@ class TestSharedFieldOne:
     def test_serial_sweep_keeps_no_evaluator(self, monkeypatch):
         # the prior grid and the last field-1 moments end with the sweep,
         # also when it is interrupted
-        spec = toy_sweep_spec(n_obs2_axis=(2, 4), snr2_axis=(5.0,))
+        spec = toy_sweep_config(n_obs2_axis=(2, 4), snr2_axis=(5.0,))
         assert all(r.ok for r in run_riig_sweep(spec))
         assert sweep_module._evaluator is None
 
@@ -457,7 +458,7 @@ class TestMisfitThreads:
 
         monkeypatch.setattr(ToyFullModel, "outputs", outputs)
         monkeypatch.setattr(sweep_module, "_evaluate_task", _task_threads)
-        spec = toy_sweep_spec(grid_shape=(5, 5))
+        spec = toy_sweep_config(grid_shape=(5, 5))
         pooled = run_riig_sweep(spec, workers=2)
         assert {one_thread for _, one_thread in pooled} == {True}
         assert os.getpid() in {pid for pid, _ in pooled}
@@ -514,7 +515,7 @@ class TestDispatch:
 
     def test_calling_process_runs_tasks(self, monkeypatch):
         monkeypatch.setattr(sweep_module, "_evaluate_task", _task_pids)
-        spec = toy_sweep_spec(grid_shape=(5, 5))
+        spec = toy_sweep_config(grid_shape=(5, 5))
         pids = run_riig_sweep(spec, workers=2)
         assert os.getpid() in pids
         assert len(set(pids)) == 2
@@ -532,12 +533,12 @@ class TestDispatch:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Recording)
-        spec = toy_sweep_spec(grid_shape=(5, 5))
+        spec = toy_sweep_config(grid_shape=(5, 5))
         assert run_riig_sweep(spec, workers=2) == run_riig_sweep(spec)
         assert submitted == [(sweep_module._evaluate_next, (), {})] * 3
 
     def test_progress_is_reported_as_tasks_finish(self, monkeypatch):
-        spec = toy_sweep_spec(grid_shape=(5, 5))
+        spec = toy_sweep_config(grid_shape=(5, 5))
         seen, started = [], []
 
         def record(done, total):
@@ -565,22 +566,23 @@ class TestDispatch:
     def test_pool_failure_propagates(self, monkeypatch, stand_in, error):
         monkeypatch.setattr(sweep_module, "_evaluate_task", stand_in)
         with pytest.raises(error):
-            run_riig_sweep(toy_sweep_spec(grid_shape=(5, 5)), workers=2)
+            run_riig_sweep(toy_sweep_config(grid_shape=(5, 5)), workers=2)
         assert sweep_module._evaluator is None
 
 
 class TestCouplingSweep:
-    def spec(self, **axes) -> SweepSpec:
-        return SweepSpec(
-            model_name="toy-full",
+    def spec(self, **axes) -> RunConfig:
+        return RunConfig(
+            model="toy-full",
+            constants={},
             truth=(1.2, 0.7),
             prior=toy_prior(),
-            first_field=FieldSpec(field_id=1, count=5, snr=30.0,
-                                  coord_range=(0.1, 1.0)),
-            second_field=FieldSpec(field_id=2, count=4, snr=30.0,
-                                   coord_range=(0.1, 1.0)),
-            axes=axes or {"coupling": (0.1, 0.4, 0.7),
-                          "snr1": (5.0, 50.0), "snr2": (10.0, 1000.0)},
+            fields=(FieldSpec(field_id=1, count=5, snr=30.0,
+                              coord_range=(0.1, 1.0)),
+                    FieldSpec(field_id=2, count=4, snr=30.0,
+                              coord_range=(0.1, 1.0))),
+            sweep=axes or {"coupling": (0.1, 0.4, 0.7),
+                           "snr1": (5.0, 50.0), "snr2": (10.0, 1000.0)},
             grid_shape=(30, 30))
 
     def test_axis_major_cells_all_ok(self):
@@ -588,10 +590,10 @@ class TestCouplingSweep:
         results = run_riig_sweep(spec)
         assert len(results) == 2 * 2 * 3
         assert all(r.ok for r in results)
-        assert list(spec.axes) == ["snr1", "snr2", "coupling"]
+        assert list(spec.sweep) == ["snr1", "snr2", "coupling"]
         assert [tuple(r.point.values()) for r in results] == \
-            [(a, b, c) for a in spec.axes["snr1"] for b in spec.axes["snr2"]
-             for c in spec.axes["coupling"]]
+            [(a, b, c) for a in spec.sweep["snr1"]
+             for b in spec.sweep["snr2"] for c in spec.sweep["coupling"]]
 
     def test_cell_sharing_field1_matches_manual_composition(self):
         # the later cells reuse the field-1 analysis of the first one
@@ -649,7 +651,7 @@ class TestCouplingSweep:
 
 class TestExportAndManifest:
     def test_single_cell_export_layout(self, tmp_path):
-        spec = toy_sweep_spec(n_obs2_axis=(4,), snr2_axis=(50.0,))
+        spec = toy_sweep_config(n_obs2_axis=(4,), snr2_axis=(50.0,))
         results = run_riig_sweep(spec)
         path = tmp_path / "sweep.csv"
         export_sweep_csv(results, path)
@@ -660,18 +662,18 @@ class TestExportAndManifest:
         assert lines[1].endswith(",ok")
 
     def test_reexport_is_byte_identical(self, tmp_path):
-        results = run_riig_sweep(toy_sweep_spec(n_obs2_axis=(2, 4),
-                                                snr2_axis=(5.0, 50.0)))
+        results = run_riig_sweep(toy_sweep_config(n_obs2_axis=(2, 4),
+                                                  snr2_axis=(5.0, 50.0)))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         export_sweep_csv(results, a)
         export_sweep_csv(results, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_failed_cell_row_has_empty_numerics(self, tmp_path):
-        spec = toy_sweep_spec(model_constants={"coupling12": 0.0,
-                                               "coupling21": 0.0},
-                              n_obs2_axis=(2,), snr2_axis=(10.0,),
-                              second_field_range=(0.0, 0.0))
+        spec = toy_sweep_config(constants={"coupling12": 0.0,
+                                           "coupling21": 0.0},
+                                n_obs2_axis=(2,), snr2_axis=(10.0,),
+                                second_field_range=(0.0, 0.0))
         results = run_riig_sweep(spec)
         path = tmp_path / "sweep.csv"
         export_sweep_csv(results, path)
@@ -684,10 +686,21 @@ class TestExportAndManifest:
         with pytest.raises(ValueError):
             export_sweep_csv([], tmp_path / "sweep.csv")
 
+    def test_manifest_spec_echo(self, tmp_path):
+        import json
+
+        for config, spec in (
+                (default_config(), FIG10_SPEC),
+                (load_config(CONFIGS / "toyfull_coupling.yaml"),
+                 COUPLING_SPEC)):
+            path = tmp_path / "manifest.json"
+            write_run_manifest(path, config, [], workers=1)
+            assert json.loads(path.read_text())["spec"] == spec
+
     def test_manifest_contents(self, tmp_path):
         import json
 
-        spec = toy_sweep_spec(n_obs2_axis=(2,), snr2_axis=(5.0,))
+        spec = toy_sweep_config(n_obs2_axis=(2,), snr2_axis=(5.0,))
         results = run_riig_sweep(spec)
         path = tmp_path / "manifest.json"
         write_run_manifest(path, spec, results, workers=3,
@@ -699,3 +712,37 @@ class TestExportAndManifest:
         assert data["failed_cells"] == 0
         assert data["spec"]["model"] == "toy-full"
         assert data["spec"]["axes"] == {"n_obs2": [2], "snr2": [5.0]}
+
+
+#: The manifest's echo of ``default_config()``, the fig10 sweep.
+FIG10_SPEC = {
+    "model": "electromech",
+    "model_constants": {},
+    "truth": [11000.0, 0.35],
+    "prior": {"mean": [10000.0, 0.3], "variance": [4000000.0, 0.0225],
+              "lower": [0.0, 0.0], "upper": [None, 0.5]},
+    "grid_shape": [100, 100],
+    "fields": [{"id": 1, "count": 16, "snr": 50.0, "range": [0.0, 0.4]},
+               {"id": 2, "count": 2, "snr": 12000.0, "range": [0.0, 0.4]}],
+    "axes": {"n_obs2": [2, 3, 6, 10, 17, 30, 51, 87, 149, 256],
+             "snr2": [80.0, 217.92559419413297, 593.6445575608238,
+                      1617.1292868319458, 4405.173259019827, 12000.0]},
+}
+
+#: The manifest's echo of ``configs/toyfull_coupling.yaml``.
+COUPLING_SPEC = {
+    "model": "toy-full",
+    "model_constants": {},
+    "truth": [1.2, 0.7],
+    "prior": {"mean": [1.0, 0.6], "variance": [0.25, 0.25],
+              "lower": [0.0, 0.0], "upper": [None, None]},
+    "grid_shape": [50, 50],
+    "fields": [{"id": 1, "count": 7, "snr": 50.0, "range": [0.1, 1.0]},
+               {"id": 2, "count": 2, "snr": 1000.0, "range": [0.1, 1.0]}],
+    "axes": {"snr1": [1.0, 3.1622776601683795, 10.0, 31.622776601683793,
+                      100.0],
+             "snr2": [10.0, 177.82794100389228, 3162.2776601683795,
+                      56234.13251903491, 1000000.0],
+             "coupling": [0.1, 0.30000000000000004, 0.5, 0.7000000000000001,
+                          0.9]},
+}

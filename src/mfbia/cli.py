@@ -106,35 +106,24 @@ def _observations_hash(obs: FieldObservations | None) -> str:
     })
 
 
-def _provenance(config: RunConfig, observations) -> dict:
-    first = next((o for o in observations if o.field_id == 1), None)
-    return {
-        "prior_hash": _prior_hash(config.prior),
-        "first_field_hash": _observations_hash(first),
-        "model": config.model,
-    }
-
-
-def _posterior_bundle(config: RunConfig, model, prior_grid: PriorGrid,
-                      grid_shape, terms, observations, out_dir: Path,
-                      tag: str):
-    """Evaluate one posterior on ``prior_grid`` and write its CSV + JSON
-    artifacts.
-
-    ``terms`` are :class:`FieldObservations` or misfit moments on the nodes
-    of the grid; the sidecar records the provenance of ``observations``
-    under ``config``, whose prior must equal the grid's.
-    """
-    prior = prior_grid.prior
+def _posterior_bundle(model, prior_grid: PriorGrid, grid_shape, terms,
+                      observations, out_dir: Path, tag: str):
+    """Evaluate one posterior on ``prior_grid`` from ``terms``
+    (:class:`FieldObservations` or misfit moments on its nodes) and write
+    its CSV and JSON; the sidecar's provenance names the grid's prior, the
+    first-field data among ``observations`` and the model."""
     grid = evaluate_posterior(
-        prior, lambda nodes: log_likelihood(model, nodes, terms), prior_grid)
-    gain = information_gain(grid, prior)
+        log_likelihood(model, prior_grid.nodes, terms), prior_grid)
+    gain = information_gain(grid)
     csv_path = out_dir / f"posterior_{tag}.csv"
     json_path = out_dir / f"posterior_{tag}.json"
     posterior_to_csv(grid, csv_path)
+    first = next((o for o in observations if o.field_id == 1), None)
     posterior_to_json(
         grid, json_path, information_gain=gain,
-        provenance=_provenance(config, observations),
+        provenance={"prior_hash": _prior_hash(prior_grid.prior),
+                    "first_field_hash": _observations_hash(first),
+                    "model": model.name},
         extra={"fields": sorted(o.field_id for o in observations),
                "grid_shape": list(grid_shape)})
     return gain, json_path
@@ -214,7 +203,7 @@ def cmd_posterior(args) -> int:
     prior_grid = PriorGrid(config.prior,
                            cdf_spaced_grid(config.prior, grid_shape),
                            model.param_names)
-    gain, json_path = _posterior_bundle(config, model, prior_grid, grid_shape,
+    gain, json_path = _posterior_bundle(model, prior_grid, grid_shape,
                                         observations, observations, out_dir,
                                         tag)
     print(f"information gain: {gain!r} nats")
@@ -250,20 +239,39 @@ def cmd_riig(args) -> int:
     return 0
 
 
-def _progress_printer(label: str):
-    def callback(done: int, total: int):
-        print(f"\r{label}: {done}/{total} cells", end="", file=sys.stderr)
-        if done == total:
-            print(file=sys.stderr)
-    return callback
+class _Stderr(logging.StreamHandler):
+    """The command's log handler on stderr, which also draws a sweep's
+    progress line.  A log record, or an error printed after
+    :meth:`end_line`, starts a line of its own while that line is open."""
+
+    def __init__(self):
+        super().__init__(sys.stderr)
+        self.line_open = False
+
+    def end_line(self) -> None:
+        if self.line_open:
+            self.line_open = False
+            print(file=self.stream)
+
+    def emit(self, record):
+        self.end_line()
+        super().emit(record)
+
+    def progress(self, label: str):
+        """Progress callback of a sweep: ``<label>: <done>/<total> cells``,
+        redrawn in place until the last cell ends the line."""
+        def callback(done: int, total: int):
+            self.line_open = done < total
+            print(f"\r{label}: {done}/{total} cells",
+                  end="" if self.line_open else "\n", file=self.stream)
+        return callback
 
 
-def _run_sweep(config: RunConfig, out_dir: Path, workers: int, label: str):
+def _run_sweep(config: RunConfig, out_dir: Path, workers: int, progress):
     """Run the sweep of ``config`` and write ``sweep.csv`` and
     ``sweep_manifest.json``; returns the results and the sweep's seconds."""
     started = time.perf_counter()
-    results = run_riig_sweep(config, workers=workers,
-                             progress=_progress_printer(label))
+    results = run_riig_sweep(config, workers=workers, progress=progress)
     runtime = time.perf_counter() - started
     export_sweep_csv(results, out_dir / "sweep.csv")
     write_run_manifest(out_dir / "sweep_manifest.json", config, results,
@@ -279,7 +287,8 @@ def cmd_sweep(args) -> int:
     workers = args.workers or config.workers
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results, runtime = _run_sweep(config, out_dir, workers, "sweep")
+    results, runtime = _run_sweep(config, out_dir, workers,
+                                  args.stderr.progress("sweep"))
     failed = [r for r in results if not r.ok]
     print(f"{len(results)} cells, {len(failed)} failed, "
           f"{runtime:.1f} s with {workers} worker(s)")
@@ -304,7 +313,8 @@ def cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.figure == "fig9":
         return _reproduce_fig9(out_dir)
-    return _reproduce_fig10(out_dir, full=args.full,
+    return _reproduce_fig10(out_dir, args.stderr.progress("fig10"),
+                            full=args.full,
                             workers=args.workers or 1)
 
 
@@ -323,17 +333,16 @@ def _reproduce_fig9(out_dir: Path) -> int:
         return obs, moments.with_noise(obs.noise_variance)
 
     obs1, moments1 = analysis(config, 1, "field1")
-    ig_single, _ = _posterior_bundle(config, model, prior_grid,
-                                     config.grid_shape, [moments1], [obs1],
-                                     out_dir, "single")
+    ig_single, _ = _posterior_bundle(model, prior_grid, config.grid_shape,
+                                     [moments1], [obs1], out_dir, "single")
     print(f"single-field information gain: {ig_single:.4f} nats")
     rows = []
     for case, case_config in (("middle", config),
                               ("right", high_noise_second_field_config())):
         obs2, moments2 = analysis(case_config, 2, f"field2_{case}")
         ig_multi, _ = _posterior_bundle(
-            case_config, model, prior_grid, config.grid_shape,
-            [moments1, moments2], [obs1, obs2], out_dir, f"multi_{case}")
+            model, prior_grid, config.grid_shape, [moments1, moments2],
+            [obs1, obs2], out_dir, f"multi_{case}")
         value = riig(ig_single, ig_multi)
         reference = REFERENCE_RIIG[f"fig9_{case}"]
         rows.append([case, len(obs2), obs2.snr, repr(ig_single),
@@ -344,9 +353,9 @@ def _reproduce_fig9(out_dir: Path) -> int:
     return 0
 
 
-def _reproduce_fig10(out_dir: Path, full: bool, workers: int) -> int:
+def _reproduce_fig10(out_dir: Path, progress, full: bool, workers: int) -> int:
     config = default_config(full=full)
-    results, _ = _run_sweep(config, out_dir, workers, "fig10")
+    results, _ = _run_sweep(config, out_dir, workers, progress)
 
     by_cell = {(r.point["n_obs2"], r.point["snr2"]): r for r in results}
     counts, snrs = config.sweep["n_obs2"], config.sweep["snr2"]
@@ -457,7 +466,7 @@ def main(argv=None) -> int:
     # the package's one log handler, for this command only: a library
     # caller's logging is left as it was found
     package_logger = logging.getLogger(__package__)
-    handler = logging.StreamHandler(sys.stderr)
+    args.stderr = handler = _Stderr()
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
                                            "%(message)s"))
     previous_level = package_logger.level
@@ -466,9 +475,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ProvenanceError) as exc:
+        handler.end_line()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError,
+            MemoryError) as exc:
+        handler.end_line()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

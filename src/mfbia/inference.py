@@ -17,8 +17,9 @@ mass the grid covers.
 
 Everything that depends only on the prior and the axes is built once per
 grid, in a :class:`PriorGrid`: the nodes, the prior's log-density on them,
-its grid-renormalized form and the prior mass per node.  A sweep passes
-one such grid to every posterior and gain it evaluates.
+its grid-renormalized form and the prior mass per node.  A posterior is
+log-likelihood values on such a grid, whose prior is the posterior's only
+prior; a sweep evaluates every posterior on one grid.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class PosteriorGrid:
     ``log_ratio`` is the log of ``ratio`` where that is positive and a
     finite value far below where it is 0.  ``log_normalization`` is the
     log of the evidence estimate, finite however many orders of magnitude
-    the likelihood spans.  ``grid`` (also ``axes``) holds the axes, their
-    names and the prior's terms on them.
+    the likelihood spans.  ``grid`` is the :class:`PriorGrid` it was
+    evaluated on: the axes, their names and the prior's terms on them.
     """
 
     grid: PriorGrid
@@ -75,10 +76,6 @@ class PosteriorGrid:
     boundary_mass: float
     ratio: np.ndarray
     log_ratio: np.ndarray
-
-    @property
-    def axes(self) -> PriorGrid:
-        return self.grid
 
 
 def trapezoid_nd(values: np.ndarray, axes) -> float:
@@ -115,13 +112,11 @@ def _validate_axes(axes) -> tuple[np.ndarray, ...]:
 class PriorGrid(tuple):
     """The axes of a tensor grid with the terms of one prior on them.
 
-    It iterates as its validated axes, so it can stand wherever axes are
-    accepted; :func:`evaluate_posterior` and :func:`information_gain`
-    accept it with its own prior only, or an equal one, and take its prior
-    terms as they are.  It holds the
-    node array, the prior's log-density ``log_prior`` on the nodes, the
-    ``dead`` nodes where that is -inf (``dead_index`` holds their flat
-    indices), the prior density
+    It iterates as its validated axes.  :func:`evaluate_posterior` takes
+    log-likelihood values on its nodes, and its prior is the only prior of
+    that posterior and of its gain.  It holds the node array, the prior's
+    log-density ``log_prior`` on the nodes, the ``dead`` nodes where that
+    is -inf (``dead_index`` holds their flat indices), the prior density
     ``prior_on_grid`` renormalized to unit trapezoidal mass on the grid
     (``log_prior_mass`` is the log of the mass it was divided by), and
     the prior mass per node: ``weights``, the trapezoidal node weights
@@ -190,27 +185,21 @@ def cdf_spaced_grid(prior: TruncatedNormalPrior, points_per_dim) -> tuple[np.nda
     return tuple(axes)
 
 
-def evaluate_posterior(prior: TruncatedNormalPrior, log_likelihood_fn,
-                       axes) -> PosteriorGrid:
-    """Normalized posterior of prior x likelihood on a tensor grid.
+def evaluate_posterior(log_lik, axes: PriorGrid) -> PosteriorGrid:
+    """Normalized posterior on ``axes``, a :class:`PriorGrid`, from the
+    log-likelihood ``log_lik`` at its nodes.
 
-    ``axes`` are the grid's axes, named ``x1``, ``x2``, ..., or a
-    :class:`PriorGrid`, which carries its axis names and is used as it is;
-    it must have been built for ``prior`` or an equal prior.
-    ``log_likelihood_fn`` receives the full node array of shape
-    grid_shape + (n_params,) and returns log-likelihoods of shape
-    grid_shape; -inf entries are allowed and mark dead nodes.
+    ``log_lik`` has the grid's shape or broadcasts to it; -inf entries are
+    allowed and mark dead nodes.  The prior is the grid's own.
     """
-    grid = axes if isinstance(axes, PriorGrid) else PriorGrid(prior, axes)
-    if grid.prior is not prior and grid.prior != prior:
-        raise ValueError("axes: a PriorGrid built for another prior")
-    log_lik = np.asarray(log_likelihood_fn(grid.nodes), dtype=float)
+    grid = axes
+    log_lik = np.asarray(log_lik, dtype=float)
     if log_lik.shape != grid.log_prior.shape:
         log_lik = np.broadcast_to(log_lik, grid.log_prior.shape)
     shift = float(log_lik.max())     # NaN if any entry is NaN
     if math.isnan(shift):
-        raise InferenceError("log-likelihood returned NaN; use -inf for "
-                             "failed evaluations")
+        raise InferenceError("log-likelihood is NaN at a node; use -inf "
+                             "for failed evaluations")
     log_unnormalized = grid.log_prior + log_lik
 
     if grid.dead_index.size or not math.isfinite(shift):
@@ -250,19 +239,11 @@ def evaluate_posterior(prior: TruncatedNormalPrior, log_likelihood_fn,
                          log_ratio=log_ratio)
 
 
-def information_gain(posterior: PosteriorGrid, prior: TruncatedNormalPrior) -> float:
-    """KL divergence of the posterior from its prior, in nats.
-
-    Both densities are taken as the grid represents them, the prior
-    renormalized over the grid: the gain is the sum over the nodes of
-    posterior mass times the log of the posterior-to-prior density ratio,
-    with the grid's prior-mass weights.  The integrand is zero wherever
-    the posterior density vanishes.  ``prior`` must be the prior of the
-    posterior's grid or equal to it.
-    """
+def information_gain(posterior: PosteriorGrid) -> float:
+    """KL divergence of the posterior from the prior of its grid, in nats:
+    the prior-mass-weighted sum of ``ratio * log_ratio`` over the nodes,
+    zero wherever the posterior density vanishes."""
     grid = posterior.grid
-    if grid.prior is not prior and grid.prior != prior:
-        raise ValueError("prior: not the prior of the posterior's grid")
     return float((grid.weights * posterior.ratio * posterior.log_ratio).sum())
 
 
@@ -282,9 +263,9 @@ def _as_covariance(cov, k: int) -> np.ndarray:
 def kl_gaussians(mean0, cov0, mean1, cov1) -> float:
     """Closed-form KL(N1 || N0) between multivariate normals, in nats.
 
-    The 0-distribution is the reference (prior-like), matching
-    :func:`information_gain`'s argument order of (posterior, prior) read
-    backwards.  Raises for non-positive-definite covariances.
+    The 0-distribution is the reference (prior-like), as in
+    :func:`information_gain`, the divergence of a posterior from its
+    prior.  Raises for non-positive-definite covariances.
     """
     mean0 = np.atleast_1d(np.asarray(mean0, dtype=float))
     mean1 = np.atleast_1d(np.asarray(mean1, dtype=float))
@@ -330,12 +311,12 @@ def posterior_to_csv(grid: PosteriorGrid, path) -> None:
     """
     index = np.indices(grid.density.shape).reshape(grid.density.ndim, -1)
     columns = [np.array(list(map(repr, axis.tolist())), dtype=object)[i]
-               for axis, i in zip(grid.axes, index)]
+               for axis, i in zip(grid.grid, index)]
     columns += [map(repr, values.ravel().tolist())
                 for values in (grid.log_unnormalized, grid.density)]
     with open(path, "w", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(
-            list(grid.axes.axis_names) + ["log_unnormalized", "density"])
+            list(grid.grid.axis_names) + ["log_unnormalized", "density"])
         handle.writelines(f"{','.join(row)}\n" for row in zip(*columns))
 
 
@@ -343,8 +324,8 @@ def posterior_to_json(grid: PosteriorGrid, path, *, information_gain=None,
                       provenance=None, extra=None) -> None:
     """Sidecar with axes, normalization, diagnostics, and optional provenance."""
     payload = {
-        "axis_names": list(grid.axes.axis_names),
-        "axes": [axis.tolist() for axis in grid.axes],
+        "axis_names": list(grid.grid.axis_names),
+        "axes": [axis.tolist() for axis in grid.grid],
         "log_normalization": grid.log_normalization,
         "normalization": (math.exp(grid.log_normalization)
                           if grid.log_normalization < 709 else None),

@@ -256,8 +256,7 @@ class _TaskEvaluator:
 
     def _posterior(self, model, moments: list):
         return evaluate_posterior(
-            self.config.prior,
-            lambda nodes: log_likelihood(model, nodes, moments), self.grid)
+            log_likelihood(model, self.grid.nodes, moments), self.grid)
 
     def _cell(self, values: tuple, memo: dict, gains: dict) -> SweepResult:
         config = self.config
@@ -269,11 +268,11 @@ class _TaskEvaluator:
             moments1 = self._moments(model, 1, point, memo)
             if moments1.noise_variance not in gains:
                 gains[moments1.noise_variance] = information_gain(
-                    self._posterior(model, [moments1]), config.prior)
+                    self._posterior(model, [moments1]))
             ig_single = gains[moments1.noise_variance]
             moments2 = self._moments(model, 2, point, memo)
             posterior = self._posterior(model, [moments1, moments2])
-            ig_multi = information_gain(posterior, config.prior)
+            ig_multi = information_gain(posterior)
             return SweepResult(point=point, ig_single=ig_single,
                                ig_multi=ig_multi,
                                riig=riig(ig_single, ig_multi),
@@ -407,6 +406,9 @@ def export_sweep_csv(results, path) -> None:
 
 
 def _spec_payload(config: RunConfig) -> dict:
+    def finite(value):   # JSON has no inf or NaN; null stands for them
+        return value if math.isfinite(value) else None
+
     return {
         "model": config.model,
         "model_constants": dict(config.constants),
@@ -414,13 +416,12 @@ def _spec_payload(config: RunConfig) -> dict:
         "prior": {
             "mean": config.prior.mean.tolist(),
             "variance": config.prior.variance.tolist(),
-            "lower": config.prior.lower.tolist(),
-            "upper": [v if np.isfinite(v) else None
-                      for v in config.prior.upper.tolist()],
+            "lower": list(map(finite, config.prior.lower.tolist())),
+            "upper": list(map(finite, config.prior.upper.tolist())),
         },
         "grid_shape": list(config.grid_shape),
         "fields": [{"id": plan.field_id, "count": plan.count,
-                    "snr": plan.snr, "range": list(plan.coord_range)}
+                    "snr": finite(plan.snr), "range": list(plan.coord_range)}
                    for plan in config.sweep_plans()],
         "axes": {name: list(axis) for name, axis in config.sweep.items()},
     }
@@ -441,5 +442,5 @@ def write_run_manifest(path, config: RunConfig, results, *, workers: int,
         "written_at_unix": time.time() if runtime_seconds is not None else None,
     }
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")

@@ -29,6 +29,7 @@ from mfbia.electromech import (
     residual_mech,
 )
 from mfbia.inference import (
+    PriorGrid,
     cdf_spaced_grid,
     evaluate_posterior,
     information_gain,
@@ -84,21 +85,21 @@ def fig9():
     obs2_middle = synth(config.field_spec(2))
     obs2_right = synth(config_right.field_spec(2))
 
-    axes = cdf_spaced_grid(prior, config.grid_shape)
+    prior_grid = PriorGrid(prior, cdf_spaced_grid(prior, config.grid_shape))
 
     def posterior(observations):
         return evaluate_posterior(
-            prior, lambda nodes: log_likelihood(model, nodes, observations),
-            axes)
+            log_likelihood(model, prior_grid.nodes, observations), prior_grid)
 
     grid_single = posterior([obs1])
     grid_middle = posterior([obs1, obs2_middle])
     grid_right = posterior([obs1, obs2_right])
-    ig_single = information_gain(grid_single, prior)
-    ig_middle = information_gain(grid_middle, prior)
-    ig_right = information_gain(grid_right, prior)
+    ig_single = information_gain(grid_single)
+    ig_middle = information_gain(grid_middle)
+    ig_right = information_gain(grid_right)
     return {
-        "config": config, "model": model, "prior": prior, "axes": axes,
+        "config": config, "model": model, "prior": prior,
+        "prior_grid": prior_grid,
         "obs1": obs1, "obs2_middle": obs2_middle, "obs2_right": obs2_right,
         "grids": (grid_single, grid_middle, grid_right),
         "ig": (ig_single, ig_middle, ig_right),
@@ -157,13 +158,12 @@ def test_criterion_01_headline_riig_and_runtime(fig9):
     obs2 = synthesize_observations(
         model, truth, 2, np.linspace(*spec2.coord_range, spec2.count),
         spec2.snr)
-    axes = cdf_spaced_grid(config.prior, (100, 100))
+    grid = PriorGrid(config.prior, cdf_spaced_grid(config.prior, (100, 100)))
     post1 = evaluate_posterior(
-        config.prior, lambda n: log_likelihood(model, n, [obs1]), axes)
+        log_likelihood(model, grid.nodes, [obs1]), grid)
     postm = evaluate_posterior(
-        config.prior, lambda n: log_likelihood(model, n, [obs1, obs2]), axes)
-    value = riig(information_gain(post1, config.prior),
-                 information_gain(postm, config.prior))
+        log_likelihood(model, grid.nodes, [obs1, obs2]), grid)
+    value = riig(information_gain(post1), information_gain(postm))
     elapsed = time.perf_counter() - started
 
     assert spec1.count == 16 and spec1.snr == 50.0
@@ -292,21 +292,19 @@ def test_criterion_07_kl_quadrature_oracle(fig9):
     center = np.array([0.3, -0.2])
     variances = np.array([0.05, 0.08])
     axis = np.linspace(-6.0, 6.0, 200)
+    axes = PriorGrid(prior, (axis, axis))
     grid = evaluate_posterior(
-        prior,
-        lambda nodes: -0.5 * np.sum((nodes - center) ** 2 / variances,
-                                    axis=-1),
-        (axis, axis))
+        -0.5 * np.sum((axes.nodes - center) ** 2 / variances, axis=-1), axes)
     post_cov = np.linalg.inv(np.eye(2) + np.diag(1.0 / variances))
     post_mean = post_cov @ (center / variances)
     expected = kl_gaussians(np.zeros(2), np.eye(2), post_mean, post_cov)
-    error = abs(information_gain(grid, prior) - expected)
+    error = abs(information_gain(grid) - expected)
     assert error <= 1e-3, f"KL quadrature error {error:.2e} exceeds 1e-3"
 
-    no_obs = evaluate_posterior(fig9["prior"],
-                                lambda nodes: np.zeros(nodes.shape[:-1]),
-                                fig9["axes"])
-    idle_gain = information_gain(no_obs, fig9["prior"])
+    prior_grid = fig9["prior_grid"]
+    no_obs = evaluate_posterior(np.zeros(prior_grid.nodes.shape[:-1]),
+                                prior_grid)
+    idle_gain = information_gain(no_obs)
     assert abs(idle_gain) <= 1e-9, f"IG without data is {idle_gain:.2e}"
     _announce(7, f"200x200 KL error {error:.2e} <= 1e-3; "
                  f"IG(no data) {idle_gain:.1e} within 1e-9")
@@ -315,7 +313,7 @@ def test_criterion_07_kl_quadrature_oracle(fig9):
 def test_criterion_08_normalization_and_gibbs(fig9, sweep_serial):
     """Densities integrate to one; information gain is never negative."""
     for grid in fig9["grids"]:
-        mass = trapezoid_nd(grid.density, grid.axes)
+        mass = trapezoid_nd(grid.density, grid.grid)
         assert mass == pytest.approx(1.0, abs=1e-9)
     _, results = sweep_serial
     artifacts = 0

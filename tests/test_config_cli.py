@@ -700,6 +700,51 @@ class TestCliSweep:
         assert main(["sweep", "--config", str(config),
                      "--out", str(tmp_path)]) == 2
 
+    def test_log_record_starts_a_new_line(self, tmp_path, capsys):
+        # a 30x30 grid leaves boundary mass in some cells, and the warning
+        # of the third cell comes while the progress line is open
+        data = yaml.safe_load((CONFIG_DIR / "fig9.yaml").read_text())
+        data.update(grid=[30, 30],
+                    sweep={"n_obs2": [2, 256], "snr2": [80.0, 12000.0]})
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.split("\n")
+        assert any(line.startswith("WARNING") for line in lines)
+        assert not [line for line in lines
+                    if "cells" in line and "WARNING" in line]
+        assert lines[-2].endswith("\rsweep: 4/4 cells") and lines[-1] == ""
+        assert captured.out.startswith("4 cells, 0 failed, ")
+
+    def test_error_mid_sweep_starts_a_new_line(self, tmp_path, capsys,
+                                               monkeypatch):
+        def failing_sweep(config, workers, progress):
+            progress(1, 4)
+            raise RuntimeError("worker died")
+
+        monkeypatch.setattr(cli, "run_riig_sweep", failing_sweep)
+        assert main(["reproduce", "fig10", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "\rfig10: 1/4 cells\nerror: worker died\n"
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # no real allocation: one this large could succeed on a machine that
+    # overcommits memory, and then exhaust it
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                          "shape (100000, 100000)")
+
+    monkeypatch.setattr(cli, "PriorGrid", refuse)
+    assert main(["posterior", "--grid", "100000",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 74.5 GiB for an array with shape "
+        "(100000, 100000)\n")
+
 
 class TestToyCoordinates:
     """A toy-full coordinate that is not finite exits 2, naming where it

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -81,117 +80,111 @@ class TestEvaluatePosterior:
     def test_no_observations_reproduces_prior_density(self):
         prior = TruncatedNormalPrior(mean=[0.0], variance=[1.0],
                                      lower=[-1.0], upper=[1.0])
-        axes = (np.linspace(-1.0, 1.0, 1001),)
-        grid = evaluate_posterior(prior,
-                                  lambda nodes: np.zeros(nodes.shape[:-1]),
-                                  axes)
-        reference = stats.truncnorm.pdf(grid.axes[0], -1.0, 1.0)
+        axes = PriorGrid(prior, (np.linspace(-1.0, 1.0, 1001),))
+        grid = evaluate_posterior(np.zeros(axes.nodes.shape[:-1]), axes)
+        reference = stats.truncnorm.pdf(grid.grid[0], -1.0, 1.0)
         assert np.max(np.abs(grid.density - reference)) < 1e-6
 
     def test_conjugate_gaussian_closed_form(self):
-        prior = wide_prior()
-        grid = evaluate_posterior(prior, gaussian_loglik(0.2, 0.25),
-                                  (np.linspace(-9.0, 9.0, 2001),))
+        axes = PriorGrid(wide_prior(), (np.linspace(-9.0, 9.0, 2001),))
+        grid = evaluate_posterior(gaussian_loglik(0.2, 0.25)(axes.nodes),
+                                  axes)
         mean, cov = conjugate_posterior(np.eye(1), [0.2], [[0.25]])
-        reference = stats.norm.pdf(grid.axes[0], loc=mean[0],
+        reference = stats.norm.pdf(grid.grid[0], loc=mean[0],
                                    scale=math.sqrt(cov[0, 0]))
         rel = np.abs(grid.density - reference) / reference
         assert rel.max() < 1e-6
 
     def test_density_normalized(self, material_prior):
-        axes = cdf_spaced_grid(material_prior, [60, 60])
-        grid = evaluate_posterior(material_prior,
-                                  gaussian_loglik([11e3, 0.35],
-                                                  [1e6, 0.01]), axes)
-        assert trapezoid_nd(grid.density, grid.axes) \
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [60, 60]))
+        grid = evaluate_posterior(
+            gaussian_loglik([11e3, 0.35], [1e6, 0.01])(axes.nodes), axes)
+        assert trapezoid_nd(grid.density, grid.grid) \
             == pytest.approx(1.0, abs=1e-9)
 
     def test_max_shift_survives_huge_loglik_offsets(self, material_prior):
-        axes = cdf_spaced_grid(material_prior, [40, 40])
-        base = gaussian_loglik([11e3, 0.35], [1e6, 0.01])
-        lo = evaluate_posterior(material_prior, base, axes)
-        hi = evaluate_posterior(material_prior,
-                                lambda n: base(n) - 5e4, axes)
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [40, 40]))
+        base = gaussian_loglik([11e3, 0.35], [1e6, 0.01])(axes.nodes)
+        lo = evaluate_posterior(base, axes)
+        hi = evaluate_posterior(base - 5e4, axes)
         # the constant offset perturbs each log value by a few ulps of 5e4
         np.testing.assert_allclose(hi.density, lo.density, rtol=1e-10)
         np.testing.assert_allclose(hi.log_normalization,
                                    lo.log_normalization - 5e4, rtol=1e-12)
 
     def test_all_dead_nodes_is_an_error(self, material_prior):
-        axes = cdf_spaced_grid(material_prior, [10, 10])
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [10, 10]))
         with pytest.raises(InferenceError):
-            evaluate_posterior(material_prior,
-                               lambda nodes: np.full(nodes.shape[:-1],
-                                                     -np.inf), axes)
+            evaluate_posterior(np.full(axes.nodes.shape[:-1], -np.inf), axes)
 
     def test_nan_loglik_rejected(self, material_prior):
-        axes = cdf_spaced_grid(material_prior, [10, 10])
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [10, 10]))
         with pytest.raises(InferenceError):
-            evaluate_posterior(material_prior,
-                               lambda nodes: np.full(nodes.shape[:-1],
-                                                     np.nan), axes)
+            evaluate_posterior(np.full(axes.nodes.shape[:-1], np.nan), axes)
 
     def test_axes_validation(self, material_prior):
-        with pytest.raises(ValueError):
-            evaluate_posterior(material_prior, lambda n: 0.0,
-                               (np.array([1.0, 0.5]), np.array([0.1, 0.2])))
+        with pytest.raises(ValueError, match="axis 0 must be strictly"):
+            PriorGrid(material_prior,
+                      (np.array([1.0, 0.5]), np.array([0.1, 0.2])))
 
     def test_boundary_mass_warning(self, material_prior, caplog):
         # likelihood concentrated past the upper grid edge in nu
-        axes = cdf_spaced_grid(material_prior, [50, 50])
-        loglik = gaussian_loglik([10e3, 0.4999], [1e8, 1e-8])
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [50, 50]))
+        loglik = gaussian_loglik([10e3, 0.4999], [1e8, 1e-8])(axes.nodes)
         with caplog.at_level("WARNING"):
-            grid = evaluate_posterior(material_prior, loglik, axes)
+            grid = evaluate_posterior(loglik, axes)
         assert grid.boundary_mass > 0.05
         assert any("outermost" in record.message for record in caplog.records)
 
     def test_posterior_factor_update(self, material_prior):
         # adding observations B to a posterior from A must equal the joint
-        axes = cdf_spaced_grid(material_prior, [40, 40])
-        lik_a = gaussian_loglik([11e3, 0.35], [4e6, 0.04])
-        lik_b = gaussian_loglik([10.5e3, 0.30], [9e6, 0.09])
-        joint = evaluate_posterior(material_prior,
-                                   lambda n: lik_a(n) + lik_b(n), axes)
-        stage_a = evaluate_posterior(material_prior, lik_a, axes)
-        stage_ab = evaluate_posterior(material_prior,
-                                      lambda n, g=stage_a:
-                                      g.log_unnormalized
-                                      - material_prior.log_density(n)
-                                      + lik_b(n), axes)
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [40, 40]))
+        lik_a = gaussian_loglik([11e3, 0.35], [4e6, 0.04])(axes.nodes)
+        lik_b = gaussian_loglik([10.5e3, 0.30], [9e6, 0.09])(axes.nodes)
+        joint = evaluate_posterior(lik_a + lik_b, axes)
+        stage_a = evaluate_posterior(lik_a, axes)
+        stage_ab = evaluate_posterior(
+            stage_a.log_unnormalized
+            - material_prior.log_density(axes.nodes) + lik_b, axes)
         np.testing.assert_allclose(stage_ab.density, joint.density,
                                    rtol=1e-10, atol=joint.density.max() * 1e-12)
 
 
 class TestInformationGain:
     def test_identical_posterior_and_prior(self, material_prior):
-        axes = cdf_spaced_grid(material_prior, [100, 100])
-        grid = evaluate_posterior(material_prior,
-                                  lambda nodes: np.zeros(nodes.shape[:-1]),
-                                  axes)
-        assert abs(information_gain(grid, material_prior)) < 1e-9
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [100, 100]))
+        grid = evaluate_posterior(np.zeros(axes.nodes.shape[:-1]), axes)
+        assert abs(information_gain(grid)) < 1e-9
 
     def test_univariate_variance_reduction(self):
         # posterior N(0, 0.25) from prior N(0, 1):
         # KL = (0.25 - 1 - ln 0.25)/2
-        prior = wide_prior()
-        grid = evaluate_posterior(prior, gaussian_loglik(0.0, 1.0 / 3.0),
-                                  (np.linspace(-8.0, 8.0, 1601),))
+        axes = PriorGrid(wide_prior(), (np.linspace(-8.0, 8.0, 1601),))
+        grid = evaluate_posterior(
+            gaussian_loglik(0.0, 1.0 / 3.0)(axes.nodes), axes)
         expected = 0.5 * (0.25 - 1.0 - math.log(0.25))
-        np.testing.assert_allclose(information_gain(grid, prior), expected,
+        np.testing.assert_allclose(information_gain(grid), expected,
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(expected, 0.3181471805599453, rtol=1e-15)
 
     def test_2d_conjugate_matches_closed_form_kl(self):
-        prior = wide_prior(2)
         lik_center = np.array([0.3, -0.2])
         lik_var = np.array([0.05, 0.08])
         axis = np.linspace(-6.0, 6.0, 200)
-        grid = evaluate_posterior(prior, gaussian_loglik(lik_center, lik_var),
-                                  (axis, axis))
+        axes = PriorGrid(wide_prior(2), (axis, axis))
+        grid = evaluate_posterior(
+            gaussian_loglik(lik_center, lik_var)(axes.nodes), axes)
         mean, cov = conjugate_posterior(np.eye(2), lik_center,
                                         np.diag(lik_var))
         expected = kl_gaussians(np.zeros(2), np.eye(2), mean, cov)
-        assert abs(information_gain(grid, prior) - expected) < 1e-3
+        assert abs(information_gain(grid) - expected) < 1e-3
 
     def test_quadrature_convergence_with_grid_refinement(self):
         prior = wide_prior(2)
@@ -203,10 +196,10 @@ class TestInformationGain:
         errors = []
         for n in (50, 100, 200):
             axis = np.linspace(-6.0, 6.0, n)
-            grid = evaluate_posterior(prior,
-                                      gaussian_loglik(lik_center, lik_var),
-                                      (axis, axis))
-            errors.append(abs(information_gain(grid, prior) - expected))
+            axes = PriorGrid(prior, (axis, axis))
+            grid = evaluate_posterior(
+                gaussian_loglik(lik_center, lik_var)(axes.nodes), axes)
+            errors.append(abs(information_gain(grid) - expected))
         floor = 1e-8
         assert errors[1] <= errors[0] + floor
         assert errors[2] <= errors[1] + floor
@@ -214,11 +207,11 @@ class TestInformationGain:
         assert errors[0] / max(errors[1], floor) > 3.9 or errors[1] < floor
 
     def test_gibbs_inequality_on_informative_posterior(self, material_prior):
-        axes = cdf_spaced_grid(material_prior, [80, 80])
-        grid = evaluate_posterior(material_prior,
-                                  gaussian_loglik([11e3, 0.35], [1e6, 0.01]),
-                                  axes)
-        gain = information_gain(grid, material_prior)
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [80, 80]))
+        grid = evaluate_posterior(
+            gaussian_loglik([11e3, 0.35], [1e6, 0.01])(axes.nodes), axes)
+        gain = information_gain(grid)
         assert gain > 0.0
 
 
@@ -247,7 +240,7 @@ GAIN_RTOL = 1e-12
 
 
 class TestPriorGrid:
-    """A grid built once per prior gives the results of plain axes."""
+    """A grid holds its prior's terms, which every posterior on it uses."""
 
     #: lower bound 0 inside the first axis, so its first nodes are dead
     PRIOR = TruncatedNormalPrior(mean=[1.0, 0.6], variance=[0.25, 0.25],
@@ -260,25 +253,17 @@ class TestPriorGrid:
         (np.linspace(-0.5, 2.5, 31), np.array([0.4, 0.9])),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_prebuilt_grid_is_bit_equal_to_plain_axes(self, axes):
+    def test_gain_matches_numpy_trapezoid(self, axes):
         prior = self.PRIOR
         grid = PriorGrid(prior, axes)
         assert grid.dead.any() and not grid.dead.all()
-        plain = evaluate_posterior(prior, self.LOGLIK, axes)
-        built = evaluate_posterior(prior, self.LOGLIK, grid)
-        assert built.grid is grid
-        for name in ("density", "log_unnormalized"):
-            np.testing.assert_array_equal(getattr(built, name),
-                                          getattr(plain, name))
-        assert built.log_normalization == plain.log_normalization
-        assert built.boundary_mass == plain.boundary_mass
+        posterior = evaluate_posterior(self.LOGLIK(grid.nodes), grid)
+        assert posterior.grid is grid
         if len(axes[1]) == 2:
-            assert built.boundary_mass == 1.0
-        assert information_gain(built, prior) \
-            == information_gain(plain, prior)
+            assert posterior.boundary_mass == 1.0
         # the weighted sum rounds differently from numpy's iterated rule
-        assert information_gain(plain, prior) == pytest.approx(
-            reference_gain(plain.density, prior, axes), rel=GAIN_RTOL)
+        assert information_gain(posterior) == pytest.approx(
+            reference_gain(posterior.density, prior, axes), rel=GAIN_RTOL)
 
     @pytest.mark.parametrize("axes", [
         (np.linspace(-0.5, 2.5, 31), np.linspace(0.05, 1.8, 23)),
@@ -326,32 +311,6 @@ class TestPriorGrid:
         values = rng.normal(size=(5, 7, 4))
         assert trapezoid_nd(values, axes) == numpy_trapezoid_nd(values, axes)
 
-    OTHER = TruncatedNormalPrior(mean=[1.3, 0.5], variance=[0.5, 0.3],
-                                 lower=[-1.0, 0.0], upper=[3.0, 2.0])
-    AXES = (np.linspace(-0.5, 2.5, 31), np.linspace(0.05, 1.8, 23))
-
-    def test_grid_for_another_prior_raises(self):
-        grid = PriorGrid(self.PRIOR, self.AXES)
-        with pytest.raises(ValueError, match="^axes: "):
-            evaluate_posterior(self.OTHER, self.LOGLIK, grid)
-
-    def test_gain_under_another_prior_raises(self):
-        posterior = evaluate_posterior(self.PRIOR, self.LOGLIK, self.AXES)
-        with pytest.raises(ValueError, match="^prior: "):
-            information_gain(posterior, self.OTHER)
-
-    def test_equal_prior_reuses_the_grid(self):
-        grid = PriorGrid(self.PRIOR, self.AXES)
-        twin = copy.deepcopy(self.PRIOR)
-        assert twin is not self.PRIOR and twin == self.PRIOR
-        posterior = evaluate_posterior(twin, self.LOGLIK, grid)
-        own = evaluate_posterior(self.PRIOR, self.LOGLIK, grid)
-        assert posterior.grid is grid
-        np.testing.assert_array_equal(posterior.density, own.density)
-        gain = information_gain(own, self.PRIOR)
-        assert information_gain(posterior, twin) == gain
-        assert information_gain(own, twin) == gain
-
 
 class TestDeterminism:
     """The sums behind a posterior and its gain are numpy pairwise
@@ -367,9 +326,9 @@ class TestDeterminism:
     ]
 
     @staticmethod
-    def _evaluate(prior, grid, log_lik):
-        posterior = evaluate_posterior(prior, lambda nodes: log_lik, grid)
-        return (posterior, information_gain(posterior, prior))
+    def _evaluate(grid, log_lik):
+        posterior = evaluate_posterior(log_lik, grid)
+        return (posterior, information_gain(posterior))
 
     @pytest.mark.parametrize("make_axes", GRIDS, ids=["cdf", "dead"])
     def test_bits_do_not_depend_on_loglik_memory(self, material_prior,
@@ -382,8 +341,8 @@ class TestDeterminism:
         shifted = buffer[1:].reshape(values.shape)
         shifted[...] = values
         assert shifted.ctypes.data % 16 != fresh.ctypes.data % 16
-        first, gain_first = self._evaluate(material_prior, grid, fresh)
-        second, gain_second = self._evaluate(material_prior, grid, shifted)
+        first, gain_first = self._evaluate(grid, fresh)
+        second, gain_second = self._evaluate(grid, shifted)
         assert first.density.tobytes() == second.density.tobytes()
         assert first.boundary_mass == second.boundary_mass
         assert first.log_normalization == second.log_normalization
@@ -393,7 +352,7 @@ class TestDeterminism:
     def test_sums_are_pairwise_reductions(self, material_prior, make_axes):
         grid = PriorGrid(material_prior, make_axes(material_prior))
         log_lik = gaussian_loglik([11e3, 0.35], [1e6, 0.01])(grid.nodes)
-        posterior, gain = self._evaluate(material_prior, grid, log_lik)
+        posterior, gain = self._evaluate(grid, log_lik)
         mass = grid.weights * posterior.ratio
         assert gain == float(np.add.reduce(
             (mass * posterior.log_ratio).ravel()))
@@ -464,28 +423,25 @@ class TestRiig:
 
 class TestSerialization:
     def test_csv_layout(self, material_prior, tmp_path):
-        axes = cdf_spaced_grid(material_prior, [4, 3])
-        grid = evaluate_posterior(material_prior,
-                                  lambda nodes: np.zeros(nodes.shape[:-1]),
-                                  PriorGrid(material_prior, axes,
-                                            ("youngs_modulus",
-                                             "poisson_ratio")))
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [4, 3]),
+                         ("youngs_modulus", "poisson_ratio"))
+        grid = evaluate_posterior(np.zeros(axes.nodes.shape[:-1]), axes)
         path = tmp_path / "posterior.csv"
         posterior_to_csv(grid, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "youngs_modulus,poisson_ratio,log_unnormalized,density"
         assert len(lines) == 1 + 4 * 3
         first = lines[1].split(",")
-        assert float(first[0]) == grid.axes[0][0]
-        assert float(first[1]) == grid.axes[1][0]
+        assert float(first[0]) == axes[0][0]
+        assert float(first[1]) == axes[1][0]
 
     def test_json_sidecar(self, material_prior, tmp_path):
         import json
 
-        axes = cdf_spaced_grid(material_prior, [5, 5])
-        grid = evaluate_posterior(material_prior,
-                                  lambda nodes: np.zeros(nodes.shape[:-1]),
-                                  axes)
+        axes = PriorGrid(material_prior,
+                         cdf_spaced_grid(material_prior, [5, 5]))
+        grid = evaluate_posterior(np.zeros(axes.nodes.shape[:-1]), axes)
         path = tmp_path / "posterior.json"
         posterior_to_json(grid, path, information_gain=0.0,
                           provenance={"prior_hash": "abc"})

@@ -78,8 +78,8 @@ def manual_gains(spec: RunConfig, model, obs1, obs2):
     deviates synthesis adds, at the noise variance of ``obs1`` and
     ``obs2``, as the sweep composes them.
     """
-    axes = cdf_spaced_grid(spec.prior, spec.grid_shape)
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid = PriorGrid(spec.prior, cdf_spaced_grid(spec.prior, spec.grid_shape))
+    nodes = grid.nodes
     truth = np.array(spec.truth)
 
     def moments(obs):
@@ -89,12 +89,9 @@ def manual_gains(spec: RunConfig, model, obs1, obs2):
             sobol_standard_normal(centre.size)).with_noise(obs.noise_variance)
 
     m1, m2 = moments(obs1), moments(obs2)
-    post1 = evaluate_posterior(
-        spec.prior, lambda n: log_likelihood(model, n, [m1]), axes)
-    postm = evaluate_posterior(
-        spec.prior, lambda n: log_likelihood(model, n, [m1, m2]), axes)
-    return (information_gain(post1, spec.prior),
-            information_gain(postm, spec.prior), postm)
+    post1 = evaluate_posterior(log_likelihood(model, nodes, [m1]), grid)
+    postm = evaluate_posterior(log_likelihood(model, nodes, [m1, m2]), grid)
+    return information_gain(post1), information_gain(postm), postm
 
 
 class TestSpecValidation:
@@ -696,6 +693,35 @@ class TestExportAndManifest:
             path = tmp_path / "manifest.json"
             write_run_manifest(path, config, [], workers=1)
             assert json.loads(path.read_text())["spec"] == spec
+
+    def test_manifest_is_strict_json(self, tmp_path):
+        """A non-finite value is echoed as null, never as a bare NaN or
+        -Infinity, which strict JSON parsers refuse."""
+        import json
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        def spec_of(config_text):
+            config_path = tmp_path / "config.yaml"
+            config_path.write_text(config_text)
+            path = tmp_path / "manifest.json"
+            write_run_manifest(path, load_config(config_path), [], workers=1)
+            return json.loads(path.read_text(), parse_constant=refuse)["spec"]
+
+        fig9 = (CONFIGS / "fig9.yaml").read_text()
+        without_field2 = fig9.replace(
+            "  - id: 2\n    count: 2\n    snr: 1.2e4\n"
+            "    range: [0 N, 0.4 N]\n", "").replace(
+            "  n_obs2: {start: 2, stop: 256, num: 10, spacing: log, "
+            "integer: true}\n  snr2: {start: 80, stop: 1.2e4, num: 6, "
+            "spacing: log}\n", "  n_obs2: [2]\n  snr2: [80]\n")
+        assert "id: 2" not in without_field2 and "[80]" in without_field2
+        assert spec_of(without_field2)["fields"][1] == {
+            "id": 2, "count": 0, "snr": None, "range": [0.0, 0.4]}
+        unbounded = (CONFIGS / "toyfull_coupling.yaml").read_text().replace(
+            "lower: [0.0, 0.0]", "lower: [-.inf, 0.0]")
+        assert spec_of(unbounded)["prior"]["lower"] == [None, 0.0]
 
     def test_manifest_contents(self, tmp_path):
         import json

@@ -3,7 +3,8 @@
 Every command is deterministic: identical configuration yields byte-identical
 artifacts.  Posterior sidecars embed content hashes of the prior and of the
 first-field observations; ``riig`` refuses to compare runs whose hashes
-differ, since a relative gain between incompatible analyses is meaningless.
+or grid axes differ, since a relative gain between incompatible analyses
+is meaningless.
 
 Exit codes: 0 success, 1 runtime or model error, 2 usage, configuration, or
 provenance error.
@@ -50,6 +51,7 @@ from .probabilistic import (
     FieldObservations,
     ObservationFileError,
     log_likelihood,
+    misfit_moments,
     observations_from_csv,
     observations_to_csv,
     synthesize_observations,
@@ -75,7 +77,8 @@ LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 class ProvenanceError(ValueError):
-    """Two runs are not comparable (different prior or first-field data)."""
+    """Two runs are not comparable (different prior, first-field data or
+    grid)."""
 
 
 def _hash_payload(payload) -> str:
@@ -106,14 +109,14 @@ def _observations_hash(obs: FieldObservations | None) -> str:
     })
 
 
-def _posterior_bundle(model, prior_grid: PriorGrid, grid_shape, terms,
-                      observations, out_dir: Path, tag: str):
-    """Evaluate one posterior on ``prior_grid`` from ``terms``
-    (:class:`FieldObservations` or misfit moments on its nodes) and write
-    its CSV and JSON; the sidecar's provenance names the grid's prior, the
-    first-field data among ``observations`` and the model."""
-    grid = evaluate_posterior(
-        log_likelihood(model, prior_grid.nodes, terms), prior_grid)
+def _posterior_bundle(model, prior_grid: PriorGrid, terms, observations,
+                      out_dir: Path, tag: str):
+    """Evaluate one posterior on ``prior_grid`` from the likelihood
+    ``terms`` of ``observations`` (see
+    :func:`~mfbia.probabilistic.log_likelihood`) and write its CSV and
+    JSON; the sidecar's provenance names the grid's prior, the first-field
+    data and the model."""
+    grid = evaluate_posterior(log_likelihood(terms), prior_grid)
     gain = information_gain(grid)
     csv_path = out_dir / f"posterior_{tag}.csv"
     json_path = out_dir / f"posterior_{tag}.json"
@@ -125,7 +128,7 @@ def _posterior_bundle(model, prior_grid: PriorGrid, grid_shape, terms,
                     "first_field_hash": _observations_hash(first),
                     "model": model.name},
         extra={"fields": sorted(o.field_id for o in observations),
-               "grid_shape": list(grid_shape)})
+               "grid_shape": [len(axis) for axis in prior_grid]})
     return gain, json_path
 
 
@@ -151,6 +154,9 @@ def _load_run_json(path) -> dict:
         if not isinstance(provenance.get(key), str):
             raise ProvenanceError(f"{path}: provenance.{key} must be a "
                                   f"string, got {provenance.get(key)!r}")
+    if not isinstance(data.get("axes"), list):
+        raise ProvenanceError(f"{path}: axes must be a list, got "
+                              f"{data.get('axes')!r}")
     return data
 
 
@@ -203,9 +209,11 @@ def cmd_posterior(args) -> int:
     prior_grid = PriorGrid(config.prior,
                            cdf_spaced_grid(config.prior, grid_shape),
                            model.param_names)
-    gain, json_path = _posterior_bundle(model, prior_grid, grid_shape,
-                                        observations, observations, out_dir,
-                                        tag)
+    terms = [(misfit_moments(model, prior_grid.nodes, o.field_id,
+                             o.coordinates, o.values), o.noise_variance)
+             for o in observations]
+    gain, json_path = _posterior_bundle(model, prior_grid, terms,
+                                        observations, out_dir, tag)
     print(f"information gain: {gain!r} nats")
     print(json_path)
     return 0
@@ -219,6 +227,10 @@ def cmd_riig(args) -> int:
             raise ProvenanceError(
                 f"{key} differs between {args.single_run} and "
                 f"{args.multi_run}; the runs are not comparable")
+    if single["axes"] != multi["axes"]:
+        raise ProvenanceError(
+            f"{args.single_run} and {args.multi_run} are posteriors on "
+            f"different grids; their gains are not comparable")
     ig_single = float(single["information_gain"])
     ig_multi = float(multi["information_gain"])
     value = riig(ig_single, ig_multi)
@@ -330,19 +342,18 @@ def _reproduce_fig9(out_dir: Path) -> int:
                                         source.field_spec(field_id),
                                         prior_grid.nodes)
         observations_to_csv(obs, out_dir / f"observations_{name}.csv")
-        return obs, moments.with_noise(obs.noise_variance)
+        return obs, (moments, obs.noise_variance)
 
-    obs1, moments1 = analysis(config, 1, "field1")
-    ig_single, _ = _posterior_bundle(model, prior_grid, config.grid_shape,
-                                     [moments1], [obs1], out_dir, "single")
+    obs1, term1 = analysis(config, 1, "field1")
+    ig_single, _ = _posterior_bundle(model, prior_grid, [term1], [obs1],
+                                     out_dir, "single")
     print(f"single-field information gain: {ig_single:.4f} nats")
     rows = []
     for case, case_config in (("middle", config),
                               ("right", high_noise_second_field_config())):
-        obs2, moments2 = analysis(case_config, 2, f"field2_{case}")
-        ig_multi, _ = _posterior_bundle(
-            model, prior_grid, config.grid_shape, [moments1, moments2],
-            [obs1, obs2], out_dir, f"multi_{case}")
+        obs2, term2 = analysis(case_config, 2, f"field2_{case}")
+        ig_multi, _ = _posterior_bundle(model, prior_grid, [term1, term2],
+                                        [obs1, obs2], out_dir, f"multi_{case}")
         value = riig(ig_single, ig_multi)
         reference = REFERENCE_RIIG[f"fig9_{case}"]
         rows.append([case, len(obs2), obs2.snr, repr(ig_single),

@@ -23,7 +23,7 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -76,6 +76,10 @@ class TruncatedNormalPrior:
         for name, arr in (("mean", mean), ("variance", variance),
                           ("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, arr)
+        sign, lo, hi = self._bounds_cdf()
+        if not np.all(sign * (hi - lo) > 0):
+            raise ValueError(f"the box from {lower} to {upper} holds no "
+                             f"probability mass in double precision")
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedNormalPrior):
@@ -322,25 +326,17 @@ class MisfitMoments:
     For data ``y = centre + sigma*z``, the squared misfit of node n is
     ``sum_i ||M_i(x_n) - y_i||^2 = a[n] - 2*sigma*b[n] + sigma^2*zz`` with
     ``a = sum ||M - centre||^2``, ``b = sum (M - centre).z`` and
-    ``zz = z.z``.  ``noise_variance`` is sigma^2; :func:`log_likelihood`
-    needs it, and :meth:`with_noise` sets it.
+    ``zz = z.z``.
     """
 
     a: np.ndarray
     b: np.ndarray
     zz: float
-    noise_variance: float | None = None
 
-    def with_noise(self, noise_variance: float) -> MisfitMoments:
-        return replace(self, noise_variance=noise_variance)
-
-    def sum_sq(self) -> np.ndarray:
-        """Squared misfit per node at ``noise_variance``."""
-        if self.noise_variance is None:
-            raise ValueError("moments carry no noise variance; "
-                             "set one with with_noise")
-        sigma = math.sqrt(self.noise_variance)
-        return self.a - 2.0 * sigma * self.b + self.noise_variance * self.zz
+    def sum_sq(self, noise_variance: float) -> np.ndarray:
+        """Squared misfit per node for data at ``noise_variance``."""
+        sigma = math.sqrt(noise_variance)
+        return self.a - 2.0 * sigma * self.b + noise_variance * self.zz
 
 
 class _Workspace:
@@ -461,36 +457,26 @@ def misfit_moments(model, x, field_id: int, coords, centre,
                          zz=zz)
 
 
-def log_likelihood(model, x, observations) -> np.ndarray | float:
+def log_likelihood(terms) -> np.ndarray | float:
     """Gaussian log-likelihood of all fields, up to an additive constant.
 
     sum_j -1/(2*sigma_j^2) * sum_i ||M_j(x, c_ij) - y_ij||^2
 
-    Each entry of ``observations`` is a :class:`FieldObservations`, reduced
-    by :func:`misfit_moments` about its values, or :class:`MisfitMoments`
-    already computed on ``x`` and carrying their noise variance.  ``x`` may
-    carry leading batch axes.  Failed model evaluations make the affected
-    entries -inf instead of raising, so a pathological grid node cannot
-    abort a scan; the count of such nodes is logged at DEBUG level.
+    Each of ``terms`` is one field's ``(moments, noise_variance)``: its
+    :class:`MisfitMoments` on the nodes and sigma_j^2.  A 0-d sum, as for
+    no terms, comes back as a float.  Failed model evaluations make the
+    affected nodes -inf instead of raising, so a pathological grid node
+    cannot abort a scan; the count of such nodes is logged at DEBUG level.
     """
-    x = np.asarray(x, dtype=float)
-    scalar_input = x.ndim == 1
-    batch_shape = x.shape[:-1]
-    total = np.zeros(batch_shape)
-    for obs in observations:
-        if isinstance(obs, FieldObservations):
-            if len(obs) == 0:
-                continue
-            obs = misfit_moments(model, x, obs.field_id, obs.coordinates,
-                                 obs.values).with_noise(obs.noise_variance)
-        sum_sq = obs.sum_sq()
-        total = total - 0.5 / obs.noise_variance * sum_sq
+    total = 0.0
+    for moments, noise_variance in terms:
+        total = total - 0.5 / noise_variance * moments.sum_sq(noise_variance)
     if logger.isEnabledFor(logging.DEBUG):
-        n_failed = int(np.count_nonzero(~np.isfinite(np.atleast_1d(total))))
+        n_failed = int(np.count_nonzero(~np.isfinite(total)))
         if n_failed:
             logger.debug("log-likelihood is -inf at %d of %d points",
-                         n_failed, max(1, int(np.prod(batch_shape))))
-    return float(total) if scalar_input else total
+                         n_failed, np.size(total))
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _format(value) -> str:

@@ -145,9 +145,9 @@ def field_moments(model, truth, plan: FieldSpec, nodes, threads=None):
     """Observations of ``plan``, their truth outputs, and misfit moments.
 
     Synthesis checks the truth outputs.  The moments of ``model`` on
-    ``nodes`` are taken about them with the deviates synthesis adds, and
-    carry no noise variance; at an SNR it is :func:`sigma_from_snr` of the
-    truth outputs, the observations' ``noise_variance`` at the plan's SNR.
+    ``nodes`` are taken about them with the deviates synthesis adds; data
+    at an SNR pair them with :func:`sigma_from_snr` of the truth outputs,
+    the observations' ``noise_variance`` at the plan's SNR.
     ``threads`` bounds the reduction's threads, as in
     :func:`~mfbia.probabilistic.misfit_moments`.
     """
@@ -222,7 +222,7 @@ class _TaskEvaluator:
 
     def __call__(self, cells: list[tuple]) -> list[SweepResult]:
         # field number -> (truth outputs, misfit moments), and
-        # (field number, SNR) -> moments at that SNR's noise variance
+        # (field number, SNR) -> (moments, that SNR's noise variance)
         memo = {}
         gains = {}   # field-1 noise variance -> single-field gain
         return [self._cell(values, memo, gains) for values in cells]
@@ -240,7 +240,8 @@ class _TaskEvaluator:
                              self.grid.nodes, self.threads)[1:]
 
     def _moments(self, model, k: int, point: dict, memo: dict):
-        """Field ``k``'s misfit moments on the grid at the cell's noise."""
+        """Field ``k``'s likelihood term: its misfit moments on the grid
+        and the cell's noise variance."""
         if k not in memo:
             if k == 1:
                 key = _field1_key(point)
@@ -251,12 +252,8 @@ class _TaskEvaluator:
         snr = self._plan(k, point).snr
         if (k, snr) not in memo:
             centre, moments = memo[k]
-            memo[k, snr] = moments.with_noise(sigma_from_snr(centre, snr))
+            memo[k, snr] = (moments, sigma_from_snr(centre, snr))
         return memo[k, snr]
-
-    def _posterior(self, model, moments: list):
-        return evaluate_posterior(
-            log_likelihood(model, self.grid.nodes, moments), self.grid)
 
     def _cell(self, values: tuple, memo: dict, gains: dict) -> SweepResult:
         config = self.config
@@ -265,13 +262,14 @@ class _TaskEvaluator:
             constants, _ = _field1_key(point)
             model = build_model(config.model,
                                 {**config.constants, **dict(constants)})
-            moments1 = self._moments(model, 1, point, memo)
-            if moments1.noise_variance not in gains:
-                gains[moments1.noise_variance] = information_gain(
-                    self._posterior(model, [moments1]))
-            ig_single = gains[moments1.noise_variance]
-            moments2 = self._moments(model, 2, point, memo)
-            posterior = self._posterior(model, [moments1, moments2])
+            term1 = self._moments(model, 1, point, memo)
+            if term1[1] not in gains:
+                gains[term1[1]] = information_gain(
+                    evaluate_posterior(log_likelihood([term1]), self.grid))
+            ig_single = gains[term1[1]]
+            term2 = self._moments(model, 2, point, memo)
+            posterior = evaluate_posterior(log_likelihood([term1, term2]),
+                                           self.grid)
             ig_multi = information_gain(posterior)
             return SweepResult(point=point, ig_single=ig_single,
                                ig_multi=ig_multi,

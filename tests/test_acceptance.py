@@ -41,6 +41,7 @@ from mfbia.models import ElectromechModel, build_model
 from mfbia.probabilistic import (
     TruncatedNormalPrior,
     log_likelihood,
+    misfit_moments,
     sigma_from_snr,
     snr_from_sigma,
     synthesize_observations,
@@ -60,6 +61,14 @@ SEED_RIIG = {
     "point3": 3.4466798001957524,
 }
 SEED_RIIG_RTOL = 1e-9
+
+
+def obs_terms(model, nodes, observations):
+    """Likelihood terms of ``observations`` on ``nodes``: each set's misfit
+    moments about its values, with its noise variance."""
+    return [(misfit_moments(model, nodes, o.field_id, o.coordinates,
+                            o.values), o.noise_variance)
+            for o in observations]
 
 
 def _announce(number: int, label: str):
@@ -89,7 +98,8 @@ def fig9():
 
     def posterior(observations):
         return evaluate_posterior(
-            log_likelihood(model, prior_grid.nodes, observations), prior_grid)
+            log_likelihood(obs_terms(model, prior_grid.nodes, observations)),
+            prior_grid)
 
     grid_single = posterior([obs1])
     grid_middle = posterior([obs1, obs2_middle])
@@ -160,9 +170,9 @@ def test_criterion_01_headline_riig_and_runtime(fig9):
         spec2.snr)
     grid = PriorGrid(config.prior, cdf_spaced_grid(config.prior, (100, 100)))
     post1 = evaluate_posterior(
-        log_likelihood(model, grid.nodes, [obs1]), grid)
+        log_likelihood(obs_terms(model, grid.nodes, [obs1])), grid)
     postm = evaluate_posterior(
-        log_likelihood(model, grid.nodes, [obs1, obs2]), grid)
+        log_likelihood(obs_terms(model, grid.nodes, [obs1, obs2])), grid)
     value = riig(information_gain(post1), information_gain(postm))
     elapsed = time.perf_counter() - started
 

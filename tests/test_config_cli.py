@@ -280,6 +280,13 @@ class TestCliPosterior:
         data = json.loads((out / "posterior_fnone.json").read_text())
         assert abs(data["information_gain"]) <= 1e-9
 
+    def test_sidecar_grid_shape_is_the_grids(self, tmp_path):
+        out = tmp_path / "post"
+        assert main(["posterior", "--out", str(out), "--grid", "30"]) == 0
+        data = json.loads((out / "posterior_fnone.json").read_text())
+        assert data["grid_shape"] == [30, 30]
+        assert [len(axis) for axis in data["axes"]] == [30, 30]
+
     def test_field_selection_and_gain_ordering(self, tmp_path,
                                                observation_files):
         out = tmp_path / "post"
@@ -496,6 +503,18 @@ class TestCliRiig:
         assert code == 2
         assert "not comparable" in capsys.readouterr().err
 
+    def test_different_grids_exit_2(self, tmp_path, capsys):
+        _, multi = self.make_runs(tmp_path)
+        out = tmp_path / "coarse"
+        main(["posterior", "--obs",
+              str(tmp_path / "obs" / "observations_field1.csv"),
+              "--out", str(out), "--grid", "20"])
+        single = out / "posterior_f1.json"
+        capsys.readouterr()
+        assert main(["riig", str(single), str(multi)]) == 2
+        err = capsys.readouterr().err
+        assert f"{single} and {multi}" in err and "different grids" in err
+
     @pytest.mark.parametrize("text,key", [
         ("{not json", "not a JSON file"),
         ("[1.5, {}]", "JSON object"),
@@ -512,11 +531,16 @@ class TestCliRiig:
          '"first_field_hash": "b"}}', "provenance.prior_hash"),
         ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
          '"first_field_hash": null}}', "provenance.first_field_hash"),
+        ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
+         '"first_field_hash": "b"}}', "axes"),
+        ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
+         '"first_field_hash": "b"}, "axes": 3}', "axes"),
     ])
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys, text, key):
         good = tmp_path / "good.json"
         good.write_text('{"information_gain": 2.0, "provenance": '
-                        '{"prior_hash": "a", "first_field_hash": "b"}}')
+                        '{"prior_hash": "a", "first_field_hash": "b"}, '
+                        '"axes": [[0.0, 1.0]]}')
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         for runs in ([bad, good], [good, bad]):
@@ -978,6 +1002,20 @@ class TestNonFiniteInputs:
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"prior.{key}: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "posterior", "sweep"])
+    def test_prior_box_without_mass_exits_2(self, tmp_path, capsys, command):
+        # E in 90-110 prior SDs above the mean: the box's normal CDF
+        # difference underflows to 0 in double precision
+        config = _mutated_fig9(tmp_path, ("prior",), {
+            "mean": [10e3, 0.3], "sd": [2e3, 0.15],
+            "lower": [190e3, 0.0], "upper": [230e3, 0.5]})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "prior: " in err and "probability mass" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -1,0 +1,70 @@
+"""Pinned sha256 of the artifacts the CLI writes.
+
+Each command runs through ``cli.main`` into a fresh directory, and every
+file listed for it must hash to its pin.  A change that moves bits on
+purpose updates the pin here and says which artifacts moved and why.  The
+pins hold for the numpy and libm the suite was pinned with; they are not
+expected to survive a change of either.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from mfbia.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+#: name -> (command, {file under the output directory: sha256})
+GOLDEN = {
+    "fig9": (["reproduce", "fig9"], {
+        "fig9/observations_field1.csv":
+            "c5ccff8c1c5c4253515ef0e9925cfa9566f4661cac898ce6a69adb15b79bf23a",
+        "fig9/observations_field2_middle.csv":
+            "32b198c94b8345791136efa855a4a1c06ba4d08d16a49f0721041222d95ec3a7",
+        "fig9/observations_field2_right.csv":
+            "87c85a2b882e29e497c8f27d14d0cecbebec9f554b48b5ae581bf8fc2aa0b137",
+        "fig9/posterior_single.csv":
+            "ffff72bf2c084ee19425b569aebbb43a48ab67ed996f8a09b84fe07a959f274a",
+        "fig9/posterior_single.json":
+            "7dd575569dad6e2f858c43cd46393300acb1d97dae57ada233698dedf7596514",
+        "fig9/posterior_multi_middle.csv":
+            "297a1f01d6b1128056b440533f613b1601e8cf943624e127698cecdcb4d90889",
+        "fig9/posterior_multi_middle.json":
+            "4e7ce2b7039206e90aa7e12ee848d288875c5dd29064d3c92abc5da882df4f7d",
+        "fig9/posterior_multi_right.csv":
+            "3cb2571deded008ce5c91b0f95926700458f0bdd826c3efbf8f33f4713cb47e6",
+        "fig9/posterior_multi_right.json":
+            "d35b4d633ee38fbc230f2a25f624ef072236cbce1d1d3f720a409197fad7daa7",
+        "fig9/summary.csv":
+            "49d0232f6487af17bceb65873a8666220249f5ea2360510a9c9bdff205163478",
+    }),
+    "fig10": (["reproduce", "fig10"], {
+        "fig10/sweep.csv":
+            "30347bf6e0dc363ccbae2b5fe59152200f67fd76c853c1b91c4e9501f6e757bf",
+        "fig10/summary.csv":
+            "0935ca5209bb6b76cb1aacf6c8260f435bd0a4fdaa2b82d33ffc2d25b058107d",
+    }),
+    "toyfull-coupling": (["sweep", "--config",
+                          str(CONFIG_DIR / "toyfull_coupling.yaml"),
+                          "--workers", "2"], {
+        "sweep.csv":
+            "a932de1ce56019fafa9f112db13b0108790334ff6c804a77aa26c67ae7aec6fb",
+    }),
+    "posterior-grid60": (["posterior", "--grid", "60"], {
+        "posterior_fnone.csv":
+            "4a01e20465200a73aa9479d57c3c132b2ad32d5492fc184bb342b29b04dbbac9",
+        "posterior_fnone.json":
+            "156aeefe3c01776ff7d997439db767a848675cc6632e5e9148ae45eb105634d8",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_artifact_bytes(tmp_path, name):
+    command, pins = GOLDEN[name]
+    assert main([*command, "--out", str(tmp_path)]) == 0
+    digests = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+               for path in pins}
+    assert digests == pins

@@ -202,6 +202,13 @@ class TestSynthesize:
             synthesize_observations(self.model, self.truth, 1, [], 10.0)
 
 
+def obs_terms(model, x, observations):
+    """Likelihood terms of ``observations`` on the nodes ``x``: each set's
+    misfit moments about its values, with its noise variance."""
+    return [(misfit_moments(model, x, o.field_id, o.coordinates, o.values),
+             o.noise_variance) for o in observations]
+
+
 class TestLogLikelihood:
     def setup_method(self):
         self.model = build_model("electromech")
@@ -212,7 +219,8 @@ class TestLogLikelihood:
                                          values=outputs, noise_variance=1e-8)
 
     def test_perfect_fit_is_zero(self):
-        assert log_likelihood(self.model, self.truth, [self.perfect]) == 0.0
+        assert log_likelihood(
+            obs_terms(self.model, self.truth, [self.perfect])) == 0.0
 
     def test_single_observation_quadratic(self):
         # one scalar observation with residual r and variance s: -r^2/(2 s)
@@ -222,26 +230,27 @@ class TestLogLikelihood:
         obs = FieldObservations(field_id=1, coordinates=coords,
                                 values=truth_out + residual,
                                 noise_variance=2.5e-7)
-        value = log_likelihood(self.model, self.truth, [obs])
+        value = log_likelihood(obs_terms(self.model, self.truth, [obs]))
         np.testing.assert_allclose(value, -residual**2 / (2 * 2.5e-7),
                                    rtol=1e-12)
 
     def test_empty_observation_list(self):
-        assert log_likelihood(self.model, self.truth, []) == 0.0
+        assert log_likelihood([]) == 0.0
 
     def test_empty_observation_set_contributes_nothing(self):
         empty = FieldObservations(field_id=2, coordinates=np.zeros(0),
                                   values=np.zeros(0), noise_variance=1.0)
-        assert log_likelihood(self.model, self.truth, [empty]) == 0.0
+        assert log_likelihood(
+            obs_terms(self.model, self.truth, [empty])) == 0.0
 
     def test_sum_over_fields(self):
         coords = np.linspace(0.0, 0.4, 4)
         obs1 = synthesize_observations(self.model, self.truth, 1, coords, 50.0)
         obs2 = synthesize_observations(self.model, self.truth, 2, coords, 80.0)
         x = np.array([9e3, 0.25])
-        both = log_likelihood(self.model, x, [obs1, obs2])
-        separate = log_likelihood(self.model, x, [obs1]) \
-            + log_likelihood(self.model, x, [obs2])
+        both = log_likelihood(obs_terms(self.model, x, [obs1, obs2]))
+        separate = log_likelihood(obs_terms(self.model, x, [obs1])) \
+            + log_likelihood(obs_terms(self.model, x, [obs2]))
         np.testing.assert_allclose(both, separate, rtol=1e-14)
 
     def test_failed_evaluation_is_minus_infinity(self):
@@ -249,7 +258,7 @@ class TestLogLikelihood:
         coords = np.array([0.4])
         obs = synthesize_observations(self.model, self.truth, 2, coords, 100.0)
         bad_x = np.array([1e2, 0.4999])
-        assert log_likelihood(self.model, bad_x, [obs]) == -np.inf
+        assert log_likelihood(obs_terms(self.model, bad_x, [obs])) == -np.inf
 
     def test_batched_parameters(self):
         coords = np.linspace(0.0, 0.4, 3)
@@ -257,9 +266,9 @@ class TestLogLikelihood:
         grid = np.stack(np.meshgrid(np.linspace(8e3, 14e3, 4),
                                     np.linspace(0.1, 0.45, 5),
                                     indexing="ij"), axis=-1)
-        values = log_likelihood(self.model, grid, [obs])
+        values = log_likelihood(obs_terms(self.model, grid, [obs]))
         assert values.shape == (4, 5)
-        one = log_likelihood(self.model, grid[2, 3], [obs])
+        one = log_likelihood(obs_terms(self.model, grid[2, 3], [obs]))
         np.testing.assert_allclose(values[2, 3], one, rtol=1e-14)
 
     def test_failed_nodes_counted_in_debug_log(self, caplog):
@@ -267,7 +276,7 @@ class TestLogLikelihood:
         obs = synthesize_observations(self.model, self.truth, 2, coords, 100.0)
         nodes = np.array([self.truth, [1e2, 0.4999], self.truth])
         with caplog.at_level(logging.DEBUG, logger="mfbia.probabilistic"):
-            values = log_likelihood(self.model, nodes, [obs])
+            values = log_likelihood(obs_terms(self.model, nodes, [obs]))
         assert np.isfinite(values[[0, 2]]).all() and values[1] == -np.inf
         assert [r.getMessage() for r in caplog.records
                 if r.levelno == logging.DEBUG] == \
@@ -280,7 +289,8 @@ class TestLogLikelihood:
 
         obs = FieldObservations(field_id=1, coordinates=np.array([0.1]),
                                 values=np.array([1.0]), noise_variance=1.0)
-        assert log_likelihood(Raising(), self.truth, [obs]) == -np.inf
+        assert log_likelihood(obs_terms(Raising(), self.truth, [obs])) \
+            == -np.inf
 
 
 class TestMisfitMoments:
@@ -310,10 +320,8 @@ class TestMisfitMoments:
         for snr in (0.5, 10.0, 80.0, 1.2e4, 1e8):
             obs = synthesize_observations(self.model, self.truth, field_id,
                                           coords, snr)
-            direct = log_likelihood(self.model, self.nodes, [obs])
-            composed = log_likelihood(
-                self.model, self.nodes,
-                [moments.with_noise(obs.noise_variance)])
+            direct = log_likelihood(obs_terms(self.model, self.nodes, [obs]))
+            composed = log_likelihood([(moments, obs.noise_variance)])
             finite = np.isfinite(direct)
             np.testing.assert_array_equal(np.isfinite(composed), finite)
             assert not np.isnan(composed).any()
@@ -327,13 +335,8 @@ class TestMisfitMoments:
         obs = synthesize_observations(self.model, self.truth, 1, coords, 50.0)
         moments = misfit_moments(self.model, self.nodes, 1, coords, obs.values)
         assert moments.zz == 0.0 and not moments.b.any()
-        sum_sq = moments.with_noise(obs.noise_variance).sum_sq()
+        sum_sq = moments.sum_sq(obs.noise_variance)
         np.testing.assert_array_equal(sum_sq, moments.a)
-
-    def test_moments_need_a_noise_variance(self):
-        moments = self.moments(1, np.array([0.1, 0.2]))
-        with pytest.raises(ValueError, match="noise variance"):
-            log_likelihood(self.model, self.nodes, [moments])
 
     def test_non_finite_outputs_give_minus_infinity_never_nan(self):
         class Broken:
@@ -354,14 +357,13 @@ class TestMisfitMoments:
         np.testing.assert_array_equal(moments.a, [3.0, np.inf, np.inf, np.inf])
         np.testing.assert_array_equal(moments.b, [1.5, 0.0, 0.0, 0.0])
         for noise in (1e-6, 1.0, 1e6):
-            value = log_likelihood(Broken(), nodes,
-                                   [moments.with_noise(noise)])
+            value = log_likelihood([(moments, noise)])
             assert np.isfinite(value[0])
             np.testing.assert_array_equal(value[1:], -np.inf)
         obs = FieldObservations(field_id=1, coordinates=coords,
                                 values=np.zeros(3), noise_variance=1.0)
         np.testing.assert_array_equal(
-            log_likelihood(Broken(), nodes, [obs]),
+            log_likelihood(obs_terms(Broken(), nodes, [obs])),
             [-1.5, -np.inf, -np.inf, -np.inf])
 
     def test_blocks_match_row_by_row_evaluation(self):
@@ -397,8 +399,8 @@ class TestMisfitMoments:
                 assert blocked.b[index] == one.b
             obs = synthesize_observations(self.model, self.truth, field_id,
                                           coords, 80.0)
-            grid = log_likelihood(self.model, nodes, [obs])
-            rows = [log_likelihood(self.model, nodes[index], [obs])
+            grid = log_likelihood(obs_terms(self.model, nodes, [obs]))
+            rows = [log_likelihood(obs_terms(self.model, nodes[index], [obs]))
                     for index in np.ndindex(nodes.shape[:-1])]
             np.testing.assert_array_equal(grid.ravel(), rows)
 

@@ -86,11 +86,11 @@ def manual_gains(spec: RunConfig, model, obs1, obs2):
         centre = model.outputs(truth, obs.field_id, obs.coordinates)
         return misfit_moments(
             model, nodes, obs.field_id, obs.coordinates, centre,
-            sobol_standard_normal(centre.size)).with_noise(obs.noise_variance)
+            sobol_standard_normal(centre.size)), obs.noise_variance
 
     m1, m2 = moments(obs1), moments(obs2)
-    post1 = evaluate_posterior(log_likelihood(model, nodes, [m1]), grid)
-    postm = evaluate_posterior(log_likelihood(model, nodes, [m1, m2]), grid)
+    post1 = evaluate_posterior(log_likelihood([m1]), grid)
+    postm = evaluate_posterior(log_likelihood([m1, m2]), grid)
     return information_gain(post1), information_gain(postm), postm
 
 

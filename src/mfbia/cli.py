@@ -2,9 +2,9 @@
 
 Every command is deterministic: identical configuration yields byte-identical
 artifacts.  Posterior sidecars embed content hashes of the prior and of the
-first-field observations; ``riig`` refuses to compare runs whose hashes
-or grid axes differ, since a relative gain between incompatible analyses
-is meaningless.
+first-field observations, and the model constants; ``riig`` refuses to
+compare runs whose hashes, model constants or grid axes differ, since a
+relative gain between incompatible analyses is meaningless.
 
 Exit codes: 0 success, 1 runtime or model error, 2 usage, configuration, or
 provenance error.
@@ -50,8 +50,8 @@ from .models import build_model
 from .probabilistic import (
     FieldObservations,
     ObservationFileError,
+    ReductionPool,
     log_likelihood,
-    misfit_moments,
     observations_from_csv,
     observations_to_csv,
     synthesize_observations,
@@ -77,8 +77,8 @@ LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 class ProvenanceError(ValueError):
-    """Two runs are not comparable (different prior, first-field data or
-    grid)."""
+    """Two runs are not comparable (different prior, first-field data,
+    model constants or grid)."""
 
 
 def _hash_payload(payload) -> str:
@@ -115,7 +115,7 @@ def _posterior_bundle(model, prior_grid: PriorGrid, terms, observations,
     ``terms`` of ``observations`` (see
     :func:`~mfbia.probabilistic.log_likelihood`) and write its CSV and
     JSON; the sidecar's provenance names the grid's prior, the first-field
-    data and the model."""
+    data, the model and its constants."""
     grid = evaluate_posterior(log_likelihood(terms), prior_grid)
     gain = information_gain(grid)
     csv_path = out_dir / f"posterior_{tag}.csv"
@@ -126,7 +126,8 @@ def _posterior_bundle(model, prior_grid: PriorGrid, terms, observations,
         grid, json_path, information_gain=gain,
         provenance={"prior_hash": _prior_hash(prior_grid.prior),
                     "first_field_hash": _observations_hash(first),
-                    "model": model.name},
+                    "model": model.name,
+                    "model_constants": model.constants},
         extra={"fields": sorted(o.field_id for o in observations),
                "grid_shape": [len(axis) for axis in prior_grid]})
     return gain, json_path
@@ -154,6 +155,10 @@ def _load_run_json(path) -> dict:
         if not isinstance(provenance.get(key), str):
             raise ProvenanceError(f"{path}: provenance.{key} must be a "
                                   f"string, got {provenance.get(key)!r}")
+    if not isinstance(provenance.get("model_constants"), dict):
+        raise ProvenanceError(f"{path}: provenance.model_constants must be "
+                              f"a mapping, got "
+                              f"{provenance.get('model_constants')!r}")
     if not isinstance(data.get("axes"), list):
         raise ProvenanceError(f"{path}: axes must be a list, got "
                               f"{data.get('axes')!r}")
@@ -209,9 +214,12 @@ def cmd_posterior(args) -> int:
     prior_grid = PriorGrid(config.prior,
                            cdf_spaced_grid(config.prior, grid_shape),
                            model.param_names)
-    terms = [(misfit_moments(model, prior_grid.nodes, o.field_id,
-                             o.coordinates, o.values), o.noise_variance)
-             for o in observations]
+    with ReductionPool() as pool:
+        reductions = [pool.submit(model, prior_grid.nodes, o.field_id,
+                                  o.coordinates, o.values)
+                      for o in observations]
+        terms = [(reduction.result(), o.noise_variance)
+                 for reduction, o in zip(reductions, observations)]
     gain, json_path = _posterior_bundle(model, prior_grid, terms,
                                         observations, out_dir, tag)
     print(f"information gain: {gain!r} nats")
@@ -222,7 +230,7 @@ def cmd_posterior(args) -> int:
 def cmd_riig(args) -> int:
     single = _load_run_json(args.single_run)
     multi = _load_run_json(args.multi_run)
-    for key in ("prior_hash", "first_field_hash"):
+    for key in ("prior_hash", "first_field_hash", "model_constants"):
         if single["provenance"][key] != multi["provenance"][key]:
             raise ProvenanceError(
                 f"{key} differs between {args.single_run} and "
@@ -338,27 +346,34 @@ def _reproduce_fig9(out_dir: Path) -> int:
                            model.param_names)
 
     def analysis(source: RunConfig, field_id: int, name: str):
-        obs, _, moments = field_moments(model, source.truth,
-                                        source.field_spec(field_id),
-                                        prior_grid.nodes)
+        obs, _, reduction = field_moments(model, source.truth,
+                                          source.field_spec(field_id),
+                                          prior_grid.nodes, pool)
         observations_to_csv(obs, out_dir / f"observations_{name}.csv")
-        return obs, (moments, obs.noise_variance)
+        return obs, reduction
 
-    obs1, term1 = analysis(config, 1, "field1")
-    ig_single, _ = _posterior_bundle(model, prior_grid, [term1], [obs1],
-                                     out_dir, "single")
-    print(f"single-field information gain: {ig_single:.4f} nats")
-    rows = []
-    for case, case_config in (("middle", config),
-                              ("right", high_noise_second_field_config())):
-        obs2, term2 = analysis(case_config, 2, f"field2_{case}")
-        ig_multi, _ = _posterior_bundle(model, prior_grid, [term1, term2],
-                                        [obs1, obs2], out_dir, f"multi_{case}")
-        value = riig(ig_single, ig_multi)
-        reference = REFERENCE_RIIG[f"fig9_{case}"]
-        rows.append([case, len(obs2), obs2.snr, repr(ig_single),
-                     repr(ig_multi), repr(value), reference])
-        print(f"{case + ':':7} riig = {value:.4f} (reference {reference})")
+    # every field's reduction is queued before the first posterior
+    with ReductionPool() as pool:
+        (obs1, field1), *cases = [
+            analysis(config, 1, "field1"),
+            analysis(config, 2, "field2_middle"),
+            analysis(high_noise_second_field_config(), 2, "field2_right")]
+        term1 = (field1.result(), obs1.noise_variance)
+        ig_single, _ = _posterior_bundle(model, prior_grid, [term1], [obs1],
+                                         out_dir, "single")
+        print(f"single-field information gain: {ig_single:.4f} nats")
+        rows = []
+        for case, (obs2, field2) in zip(("middle", "right"), cases):
+            term2 = (field2.result(), obs2.noise_variance)
+            ig_multi, _ = _posterior_bundle(model, prior_grid,
+                                            [term1, term2], [obs1, obs2],
+                                            out_dir, f"multi_{case}")
+            value = riig(ig_single, ig_multi)
+            reference = REFERENCE_RIIG[f"fig9_{case}"]
+            rows.append([case, len(obs2), obs2.snr, repr(ig_single),
+                         repr(ig_multi), repr(value), reference])
+            print(f"{case + ':':7} riig = {value:.4f} "
+                  f"(reference {reference})")
     _write_summary_csv(out_dir / "summary.csv", rows)
     print(out_dir / "summary.csv")
     return 0

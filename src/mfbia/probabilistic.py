@@ -6,23 +6,24 @@ per-component noise variance.  Noise deviates come from a one-dimensional
 Sobol' sequence pushed through the inverse normal CDF, so synthesis is
 fully deterministic: there is no random seed anywhere in the pipeline.
 
-Every misfit reduction on a node batch goes through :func:`misfit_moments`,
-which evaluates the nodes in row blocks, on a few threads that each
-reuse one workspace for the call, and keeps Gaussian sufficient
-statistics, so data synthesized at any SNR reuse one pass over the
-nodes.
+Every misfit reduction on a node batch runs on a :class:`ReductionPool`:
+one queue of row blocks, from as many reductions as a command has
+queued, reduced by the calling thread and a few helper threads that each
+reuse one workspace.  The caller reduces queued blocks while it waits for
+the reduction it needs; :func:`misfit_moments` is one reduction on a pool
+of its own.  A reduction keeps Gaussian sufficient statistics, so data
+synthesized at any SNR reuse one pass over the nodes.
 """
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import csv
 import logging
 import math
 import os
-import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -76,10 +77,13 @@ class TruncatedNormalPrior:
         for name, arr in (("mean", mean), ("variance", variance),
                           ("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, arr)
+        # a partition below the smallest normal double has too few
+        # significant bits to spread a grid axis over
         sign, lo, hi = self._bounds_cdf()
-        if not np.all(sign * (hi - lo) > 0):
-            raise ValueError(f"the box from {lower} to {upper} holds no "
-                             f"probability mass in double precision")
+        if not np.all(sign * (hi - lo) >= np.finfo(float).smallest_normal):
+            raise ValueError(f"the box from {lower} to {upper} holds too "
+                             f"little probability mass to resolve in double "
+                             f"precision")
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedNormalPrior):
@@ -300,12 +304,12 @@ def synthesize_observations(model, x_true, field_id: int, coordinates,
                              values=values, noise_variance=variance, snr=snr)
 
 
-#: Node x coordinate elements that :func:`misfit_moments` evaluates per row
+#: Node x coordinate elements that a misfit reduction evaluates per row
 #: block: large enough to amortize a forward call, small enough that no
 #: whole node x coordinate array is ever held.
 MISFIT_BLOCK_ELEMENTS = 2 ** 16
 
-#: Most threads :func:`misfit_moments` reduces its row blocks on, whatever
+#: Most threads a :class:`ReductionPool` reduces row blocks on, whatever
 #: the machine: the blocks in flight then hold at most 2^18 outputs
 #: (2 MB) per workspace slot.
 MISFIT_MAX_THREADS = 4
@@ -365,6 +369,176 @@ class _Workspace:
         return buffer[:size].reshape(shape)
 
 
+class _Reduction:
+    """One misfit reduction queued on a :class:`ReductionPool`: its nodes
+    in rows, its row blocks, and the sums the blocks write."""
+
+    def __init__(self, pool: ReductionPool, model, x, field_id: int, coords,
+                 centre, deviates):
+        x = np.asarray(x, dtype=float)
+        self.pool, self.model, self.field_id = pool, model, field_id
+        self.coords, self.shape = coords, x.shape[:-1]
+        self.rows = x.reshape(-1, x.shape[-1])
+        self.centre = np.asarray(centre, dtype=float).reshape(-1)
+        self.z = None if deviates is None else \
+            np.asarray(deviates, dtype=float).reshape(-1)
+        self.a = np.empty(self.rows.shape[0])
+        self.b = np.zeros(self.rows.shape[0])
+        step = max(1, MISFIT_BLOCK_ELEMENTS // max(1, self.centre.size))
+        self.blocks = [slice(start, start + step)
+                       for start in range(0, self.rows.shape[0], step)]
+        self.left = len(self.blocks)   # blocks not yet reduced or skipped
+        self.failure = None   # message of the first block that raised
+        self.moments = None
+
+    def reduce(self, block: slice, work: _Workspace) -> None:
+        outputs = np.asarray(self.model.outputs(
+            self.rows[block], self.field_id, self.coords, work=work),
+            dtype=float)
+        outputs = outputs.reshape(outputs.shape[0], -1)
+        shape = np.broadcast_shapes(outputs.shape, self.centre.shape)
+        residual = np.subtract(outputs, self.centre, out=work.floats(1, shape))
+        if self.z is not None:
+            self.b[block] = np.multiply(
+                residual, self.z, out=work.floats(2, shape)).sum(axis=-1)
+        np.square(residual, out=residual)
+        self.a[block] = residual.sum(axis=-1)
+
+    def result(self) -> MisfitMoments:
+        """The moments, once every block is reduced; the calling thread
+        reduces queued blocks, of any reduction, until then."""
+        if self.moments is None:
+            self.pool._wait(self)
+            a, b = self.a, self.b
+            if self.failure is not None:
+                logger.warning("model evaluation failed for field %d: %s",
+                               self.field_id, self.failure)
+                a[:] = np.inf
+            bad = ~(np.isfinite(a) & np.isfinite(b))
+            a[bad] = np.inf
+            b[bad] = 0.0
+            # numpy's pairwise sum, not a BLAS dot, so that zz is the same
+            # on every worker whatever the alignment of z
+            zz = 0.0 if self.z is None else float((self.z * self.z).sum())
+            self.moments = MisfitMoments(a=a.reshape(self.shape),
+                                         b=b.reshape(self.shape), zz=zz)
+        return self.moments
+
+
+class ReductionPool:
+    """One queue of row blocks from any number of misfit reductions, and
+    the threads that reduce them in the order they were queued.
+
+    ``threads`` bounds those threads, the calling one included: by
+    default one per usable CPU up to :data:`MISFIT_MAX_THREADS`, and with
+    ``1`` the calling thread reduces every block.  The others are helper
+    threads, started as blocks are queued, no more than the queue can keep
+    busy, and joined when the pool closes (on leaving its ``with`` block);
+    each keeps one workspace for the pool's life.  The calling thread
+    keeps one while it waits for a result, so none is held between
+    results.  :meth:`submit` queues a reduction and returns at once; its
+    ``result()`` has the calling thread reduce queued blocks, of any
+    reduction, until none of its own is left.  A block that raises a
+    ValueError, ArithmeticError or RuntimeError fails its own reduction
+    only: its blocks not yet started are skipped.  Any other exception
+    stops the pool: no queued block starts after it, and every later
+    ``result()`` raises it.
+    """
+
+    def __init__(self, threads: int | None = None):
+        self.threads = min(usable_cpus(), MISFIT_MAX_THREADS) \
+            if threads is None else threads
+        self._queue = collections.deque()   # (reduction, context, block)
+        self._changed = threading.Condition()
+        self._helpers = []
+        self._error = None
+        self._closed = False
+
+    def __enter__(self) -> ReductionPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Drop the queued blocks and join the helper threads."""
+        with self._changed:
+            self._closed = True
+            self._queue.clear()
+            self._changed.notify_all()
+        for helper in self._helpers:
+            helper.join()
+        self._helpers.clear()
+
+    def submit(self, model, x, field_id: int, coords, centre,
+               deviates=None) -> _Reduction:
+        """Queue the misfit reduction that :func:`misfit_moments` computes
+        from the same arguments, each block to run in a copy of the
+        caller's context (so its ``np.errstate`` holds)."""
+        reduction = _Reduction(self, model, x, field_id, coords, centre,
+                               deviates)
+        with self._changed:
+            self._queue.extend((reduction, contextvars.copy_context(), block)
+                               for block in reduction.blocks)
+            while len(self._helpers) < min(self.threads - 1,
+                                           len(self._queue) - 1):
+                helper = threading.Thread(target=self._serve, daemon=True,
+                                          name="mfbia-reduce")
+                helper.start()
+                self._helpers.append(helper)
+            self._changed.notify_all()
+        return reduction
+
+    def _serve(self) -> None:
+        """A helper thread: reduce queued blocks until the pool closes."""
+        work = _Workspace()
+        while True:
+            with self._changed:
+                while not (self._queue or self._closed):
+                    self._changed.wait()
+                if self._closed:
+                    return
+                item = self._queue.popleft()
+            self._run(item, work)
+
+    def _wait(self, reduction: _Reduction) -> None:
+        """Reduce queued blocks on the calling thread until none of
+        ``reduction``'s is left."""
+        work = _Workspace()
+        while True:
+            with self._changed:
+                while not (self._queue or reduction.left == 0
+                           or self._error is not None):
+                    self._changed.wait()
+                if self._error is not None:
+                    raise self._error
+                if reduction.left == 0:
+                    return
+                item = self._queue.popleft()
+            self._run(item, work)
+
+    def _run(self, item, work: _Workspace) -> None:
+        """Reduce one dequeued block in ``work``; a model failure is kept
+        on its reduction, any other exception on the pool."""
+        reduction, context, block = item
+        failure = None
+        try:
+            if reduction.failure is None:
+                context.run(reduction.reduce, block, work)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            failure = str(exc)
+        except BaseException as exc:
+            with self._changed:
+                if self._error is None:
+                    self._error = exc
+                self._queue.clear()
+        with self._changed:
+            if reduction.failure is None:
+                reduction.failure = failure
+            reduction.left -= 1
+            self._changed.notify_all()
+
+
 def misfit_moments(model, x, field_id: int, coords, centre,
                    deviates=None, threads=None) -> MisfitMoments:
     """Misfit moments of ``model`` about ``centre`` on the nodes ``x``.
@@ -373,88 +547,20 @@ def misfit_moments(model, x, field_id: int, coords, centre,
     shape of one node's outputs at ``coords``.  Without ``deviates``,
     ``b`` and ``zz`` are zero and ``a`` is the squared misfit to
     ``centre``.  The nodes are evaluated in row blocks of about
-    :data:`MISFIT_BLOCK_ELEMENTS` outputs, on at most ``threads``
-    threads (by default one per usable CPU up to
-    :data:`MISFIT_MAX_THREADS`; ``1`` runs every block on the calling
-    thread), each block in a copy of the caller's context (so its
-    ``np.errstate`` holds).  Each thread keeps one workspace for the
-    call, which the model's ``outputs`` gets as ``work`` and whose float
-    slots 1 and 2 the reduction uses once ``outputs`` has returned (a
-    model leaves its result, if there, in slot 0), so no block allocates
-    a node x coordinate array.  Each node's sums are taken along its own
-    row, so they depend neither on the block size nor on the thread that
-    computed them.  A node with a non-finite output or sum gets
-    ``a = inf`` and ``b = 0``; a model that raises in any block gives
-    that at every node.
+    :data:`MISFIT_BLOCK_ELEMENTS` outputs, on a :class:`ReductionPool` of
+    ``threads`` threads that lives for the call.  The model's ``outputs``
+    gets the reducing thread's workspace as ``work``; the reduction uses
+    its float slots 1 and 2 once ``outputs`` has returned (a model leaves
+    its result, if there, in slot 0), so no block allocates a node x
+    coordinate array.  Each node's sums are taken along its own row, so
+    they depend neither on the block size nor on the thread that computed
+    them.  A node with a non-finite output or sum gets ``a = inf`` and
+    ``b = 0``; a model that raises a ValueError, ArithmeticError or
+    RuntimeError in any block gives that at every node, with one warning.
     """
-    x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, x.shape[-1])
-    centre = np.asarray(centre, dtype=float).reshape(-1)
-    z = None if deviates is None else \
-        np.asarray(deviates, dtype=float).reshape(-1)
-    a = np.empty(rows.shape[0])
-    b = np.zeros(rows.shape[0])
-    step = max(1, MISFIT_BLOCK_ELEMENTS // max(1, centre.size))
-    blocks = [slice(start, start + step)
-              for start in range(0, rows.shape[0], step)]
-
-    def reduce(block: slice, work: _Workspace) -> None:
-        outputs = np.asarray(
-            model.outputs(rows[block], field_id, coords, work=work),
-            dtype=float)
-        outputs = outputs.reshape(outputs.shape[0], -1)
-        shape = np.broadcast_shapes(outputs.shape, centre.shape)
-        residual = np.subtract(outputs, centre, out=work.floats(1, shape))
-        if z is not None:
-            b[block] = np.multiply(residual, z,
-                                   out=work.floats(2, shape)).sum(axis=-1)
-        np.square(residual, out=residual)
-        a[block] = residual.sum(axis=-1)
-
-    pending = queue.SimpleQueue()
-    for block in blocks:
-        pending.put((contextvars.copy_context(), block))
-    failed = threading.Event()
-
-    def drain() -> None:
-        """Reduce pending blocks in one workspace until none is left; a
-        block that raises cancels the blocks not yet started."""
-        work = _Workspace()
-        while not failed.is_set():
-            try:
-                context, block = pending.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                context.run(reduce, block, work)
-            except BaseException:
-                failed.set()
-                raise
-
-    if threads is None:
-        threads = min(usable_cpus(), MISFIT_MAX_THREADS)
-    threads = min(threads, len(blocks))
-    try:
-        if threads <= 1:
-            drain()
-        else:
-            # the pool lives only for this call, so no thread outlives it
-            # into a forked sweep worker
-            with ThreadPoolExecutor(threads) as pool:
-                for done in [pool.submit(drain) for _ in range(threads)]:
-                    done.result()
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        logger.warning("model evaluation failed for field %d: %s",
-                       field_id, exc)
-        a[:] = np.inf
-    bad = ~(np.isfinite(a) & np.isfinite(b))
-    a[bad] = np.inf
-    b[bad] = 0.0
-    # numpy's pairwise sum, not a BLAS dot, so that zz is the same on every
-    # worker whatever the alignment of z
-    zz = 0.0 if z is None else float((z * z).sum())
-    return MisfitMoments(a=a.reshape(x.shape[:-1]), b=b.reshape(x.shape[:-1]),
-                         zz=zz)
+    with ReductionPool(threads) as pool:
+        return pool.submit(model, x, field_id, coords, centre,
+                           deviates).result()
 
 
 def log_likelihood(terms) -> np.ndarray | float:

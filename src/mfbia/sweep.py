@@ -11,14 +11,20 @@ constants, the first axis varying slowest.
 Cells are pure functions of the run configuration.  They run in tasks: a
 task is every cell that shares all axis values but ``snr1`` and ``snr2``,
 so all its cells share the observation counts and the model constants.  A
-task computes field 2's misfit moments on the posterior grid (see
-:func:`~mfbia.probabilistic.misfit_moments`) once, and the single-field
-gain once per ``snr1`` value; an SNR value then costs one pass over the
-nodes.  Field 1's moments depend only on the model constants and
-``n_obs1``: tasks that share them are listed next to each other, and each
-process keeps the last field-1 analysis it computed.  Tasks can run on any
-number of processes without changing a single bit of the output; failures
-are recorded per cell and never abort the sweep.
+task computes field 2's misfit moments on the posterior grid once, and the
+single-field gain once per ``snr1`` value; an SNR value then costs one
+pass over the nodes.  Field 1's moments depend only on the model constants
+and ``n_obs1``: tasks that share them are listed next to each other, and
+each process keeps the last field-1 analysis it computed.  Each sweep
+process reduces its misfits on one
+:class:`~mfbia.probabilistic.ReductionPool`.  A sweep on one process
+queues the next task's reductions before it evaluates a task's cells, so
+the pool's helper threads reduce them while the calling thread evaluates
+posteriors; it looks one task ahead, so at most two tasks' moments are
+alive.  A sweep on several processes reduces on each process's calling
+thread alone.  Tasks can run on any number of processes and threads
+without changing a single bit of the output; failures are recorded per
+cell and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from .inference import (
 )
 from .models import build_model
 from .probabilistic import (
+    ReductionPool,
     log_likelihood,
-    misfit_moments,
     sigma_from_snr,
     sobol_standard_normal,
     synthesize_observations,
@@ -141,24 +147,24 @@ def sweep_tasks(config: RunConfig) -> list[list[int]]:
     return [task for tasks in groups.values() for task in tasks.values()]
 
 
-def field_moments(model, truth, plan: FieldSpec, nodes, threads=None):
-    """Observations of ``plan``, their truth outputs, and misfit moments.
+def field_moments(model, truth, plan: FieldSpec, nodes,
+                  pool: ReductionPool):
+    """Observations of ``plan``, their truth outputs, and the misfit
+    reduction queued on ``pool``, whose ``result()`` is the moments.
 
     Synthesis checks the truth outputs.  The moments of ``model`` on
     ``nodes`` are taken about them with the deviates synthesis adds; data
     at an SNR pair them with :func:`sigma_from_snr` of the truth outputs,
     the observations' ``noise_variance`` at the plan's SNR.
-    ``threads`` bounds the reduction's threads, as in
-    :func:`~mfbia.probabilistic.misfit_moments`.
     """
     truth = np.asarray(truth, dtype=float)
     coords = plan.coordinates()
     observations = synthesize_observations(model, truth, plan.field_id,
                                            coords, plan.snr)
     centre = model.outputs(truth, plan.field_id, coords)
-    moments = misfit_moments(model, nodes, plan.field_id, coords, centre,
-                             sobol_standard_normal(centre.size), threads)
-    return observations, centre, moments
+    reduction = pool.submit(model, nodes, plan.field_id, coords, centre,
+                            sobol_standard_normal(centre.size))
+    return observations, centre, reduction
 
 
 def _field1_key(point: dict) -> tuple:
@@ -193,20 +199,30 @@ class _TaskIndex:
         return number if number < len(self.tasks) else None
 
 
+@dataclass(frozen=True)
+class _Task:
+    """A task ready to evaluate: its cells' axis values and, per field
+    number, the truth outputs and the queued misfit reduction, or the
+    error that preparing them raised."""
+
+    cells: list[tuple]
+    analyses: dict
+
+
 class _TaskEvaluator:
     """Evaluates the tasks of one sweep in one process.
 
     All cells of a task share the observation counts and the model
-    constants, so each field's misfit moments on the node grid are
-    computed once per task, and the single-field gain once per field-1
-    noise variance; each cell composes the moments at its own noise
-    variances.  The evaluator also keeps the last field-1 analysis it
-    computed, so consecutive tasks that share its key compute it once.  On
-    several processes, each one that runs one of those tasks computes it:
-    the work done depends on scheduling, the bits of a cell do not.
-    ``index`` hands out the sweep's tasks, and ``threads`` bounds each
-    misfit reduction's threads, as in
-    :func:`~mfbia.probabilistic.misfit_moments`.
+    constants, so :meth:`prepare` synthesizes each field's observations
+    and queues its misfit reduction on the grid once per task; a cell
+    composes the moments at its own noise variances, and the single-field
+    gain is computed once per field-1 noise variance.  The evaluator also
+    keeps the last field-1 analysis it prepared, so consecutive tasks that
+    share its key compute it once.  On several processes, each one that
+    runs one of those tasks computes it: the work done depends on
+    scheduling, the bits of a cell do not.  ``index`` hands out the
+    sweep's tasks, and the reductions run on one
+    :class:`~mfbia.probabilistic.ReductionPool` of ``threads`` threads.
     """
 
     def __init__(self, config: RunConfig, index: _TaskIndex,
@@ -214,18 +230,18 @@ class _TaskEvaluator:
         self.config = config
         self.plans = config.sweep_plans()
         self.index = index
-        self.threads = threads
+        self.pool = ReductionPool(threads)
         self.cells = list(itertools.product(*config.sweep.values()))
         self.grid = PriorGrid(config.prior, cdf_spaced_grid(
             config.prior, config.grid_shape))
-        self.field1 = (None, None)   # last field-1 key, (centre, moments)
+        self.field1 = (None, None)   # last field-1 key, (centre, reduction)
 
-    def __call__(self, cells: list[tuple]) -> list[SweepResult]:
-        # field number -> (truth outputs, misfit moments), and
+    def __call__(self, task: _Task) -> list[SweepResult]:
         # (field number, SNR) -> (moments, that SNR's noise variance)
         memo = {}
         gains = {}   # field-1 noise variance -> single-field gain
-        return [self._cell(values, memo, gains) for values in cells]
+        return [self._cell(values, task, memo, gains)
+                for values in task.cells]
 
     def _plan(self, k: int, point: dict) -> FieldSpec:
         """Field ``k``'s observation plan at the cell's axis values."""
@@ -234,40 +250,53 @@ class _TaskEvaluator:
                        snr=point.get(f"snr{k}", plan.snr))
 
     def analysis(self, model, k: int, point: dict) -> tuple:
-        """Field ``k``'s truth outputs and misfit moments at the cell's
-        observation count."""
+        """Field ``k``'s truth outputs and queued misfit reduction at the
+        cell's observation count."""
         return field_moments(model, self.config.truth, self._plan(k, point),
-                             self.grid.nodes, self.threads)[1:]
+                             self.grid.nodes, self.pool)[1:]
 
-    def _moments(self, model, k: int, point: dict, memo: dict):
+    def prepare(self, number: int) -> _Task:
+        """Task ``number`` with its analyses queued.  An error raised on
+        the way is kept for its cells to report: each fails at the first
+        field whose analysis failed."""
+        cells = [self.cells[cell] for cell in self.index.tasks[number]]
+        point = dict(zip(self.config.sweep, cells[0]))
+        analyses = {}
+        try:
+            key = _field1_key(point)
+            model = build_model(self.config.model,
+                                {**self.config.constants, **dict(key[0])})
+            if self.field1[0] != key:
+                self.field1 = (key, self.analysis(model, 1, point))
+            analyses[1] = self.field1[1]
+            analyses[2] = self.analysis(model, 2, point)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            analyses.setdefault(1, exc)
+            analyses[2] = exc
+        return _Task(cells, analyses)
+
+    def _moments(self, k: int, point: dict, task: _Task, memo: dict):
         """Field ``k``'s likelihood term: its misfit moments on the grid
         and the cell's noise variance."""
-        if k not in memo:
-            if k == 1:
-                key = _field1_key(point)
-                if self.field1[0] != key:
-                    self.field1 = (key, self.analysis(model, 1, point))
-            memo[k] = self.field1[1] if k == 1 else \
-                self.analysis(model, k, point)
         snr = self._plan(k, point).snr
         if (k, snr) not in memo:
-            centre, moments = memo[k]
-            memo[k, snr] = (moments, sigma_from_snr(centre, snr))
+            analysis = task.analyses[k]
+            if isinstance(analysis, Exception):
+                raise analysis
+            centre, reduction = analysis
+            memo[k, snr] = (reduction.result(), sigma_from_snr(centre, snr))
         return memo[k, snr]
 
-    def _cell(self, values: tuple, memo: dict, gains: dict) -> SweepResult:
-        config = self.config
-        point = dict(zip(config.sweep, values))
+    def _cell(self, values: tuple, task: _Task, memo: dict,
+              gains: dict) -> SweepResult:
+        point = dict(zip(self.config.sweep, values))
         try:
-            constants, _ = _field1_key(point)
-            model = build_model(config.model,
-                                {**config.constants, **dict(constants)})
-            term1 = self._moments(model, 1, point, memo)
+            term1 = self._moments(1, point, task, memo)
             if term1[1] not in gains:
                 gains[term1[1]] = information_gain(
                     evaluate_posterior(log_likelihood([term1]), self.grid))
             ig_single = gains[term1[1]]
-            term2 = self._moments(model, 2, point, memo)
+            term2 = self._moments(2, point, task, memo)
             posterior = evaluate_posterior(log_likelihood([term1, term2]),
                                            self.grid)
             ig_multi = information_gain(posterior)
@@ -296,19 +325,27 @@ def _install(config: RunConfig, index: _TaskIndex,
         _evaluator = _TaskEvaluator(config, index, threads)
 
 
-def _evaluate_task(cells: list[tuple]) -> list[SweepResult]:
-    return _evaluator(cells)
+def _evaluate_task(task: _Task) -> list[SweepResult]:
+    return _evaluator(task)
+
+
+def _prepare_next() -> tuple[int, _Task] | None:
+    """Claim the next task of the sweep and queue its analyses: the task
+    number and the task, or None once every task is claimed."""
+    number = _evaluator.index.claim()
+    if number is None:
+        return None
+    return number, _evaluator.prepare(number)
 
 
 def _evaluate_next() -> tuple[int, list[SweepResult]] | None:
     """Claim the next task of the sweep and evaluate it: the task number
     and its cells' results, or None once every task is claimed."""
-    index = _evaluator.index
-    number = index.claim()
-    if number is None:
+    claimed = _prepare_next()
+    if claimed is None:
         return None
-    return number, _evaluate_task([_evaluator.cells[cell]
-                                   for cell in index.tasks[number]])
+    number, task = claimed
+    return number, _evaluate_task(task)
 
 
 def run_riig_sweep(config: RunConfig, workers: int = 1,
@@ -316,16 +353,21 @@ def run_riig_sweep(config: RunConfig, workers: int = 1,
     """Evaluate the relative information-gain increase on every cell.
 
     Runs on ``min(workers, tasks)`` processes (see :func:`sweep_tasks`),
-    this one included: it forks a pool of the others, sends the pool one
-    claim per task, and runs tasks itself.  Each process claims its next
-    task from one shared :class:`_TaskIndex` whenever it is free, so none
-    idles while a task is unclaimed; a claim made once all are claimed
-    does nothing.  A claim carries no cell values.  On more than one
-    process, every misfit reduction runs on one thread.  Progress is
-    reported once per cell as its task's results arrive.  Results come
-    back in cell order, the first axis varying slowest, and are identical
-    for any worker count.  A task that raises, or a pool that breaks,
-    stops the sweep with that error.
+    this one included.  On one process, the misfit reductions run on a
+    :class:`~mfbia.probabilistic.ReductionPool` with helper threads, and
+    the sweep looks one task ahead: it queues the next task's reductions
+    before it evaluates this task's cells, so the helpers reduce them
+    while this thread evaluates posteriors.  On more than one, it forks a
+    pool of the others, sends the pool one claim per task, and runs tasks
+    itself; each process claims its next task from one shared
+    :class:`_TaskIndex` whenever it is free, so none idles while a task is
+    unclaimed, and a claim made once all are claimed does nothing.  A
+    claim carries no cell values.  Every process then reduces on its
+    calling thread alone, so no helper thread exists when it forks, and
+    looks no task ahead.  Progress is reported once per cell as its task's
+    results arrive.  Results come back in cell order, the first axis
+    varying slowest, and are identical for any worker count.  A task that
+    raises, or a pool that breaks, stops the sweep with that error.
     """
     global _evaluator
     tasks = sweep_tasks(config)
@@ -350,10 +392,16 @@ def run_riig_sweep(config: RunConfig, workers: int = 1,
     pool, pending = None, set()
     try:
         _install(config, index, threads)
-        if processes > 1:
-            pool = ProcessPoolExecutor(processes - 1, initializer=_install,
-                                       initargs=(config, index, threads))
-            pending = {pool.submit(_evaluate_next) for _ in tasks}
+        if processes == 1:
+            ahead = _prepare_next()
+            while ahead is not None:
+                number, task = ahead
+                ahead = _prepare_next()
+                record(number, _evaluate_task(task))
+            return collected
+        pool = ProcessPoolExecutor(processes - 1, initializer=_install,
+                                   initargs=(config, index, threads))
+        pending = {pool.submit(_evaluate_next) for _ in tasks}
         while (claimed := _evaluate_next()) is not None:
             record(*claimed)
             finished, pending = wait(pending, timeout=0)
@@ -368,7 +416,10 @@ def run_riig_sweep(config: RunConfig, workers: int = 1,
             pass
         if pool is not None:
             pool.shutdown()
-        # the grid and the last field-1 analysis end with the sweep
+        # the grid, the reduction threads and the last field-1 analysis
+        # end with the sweep
+        if _evaluator is not None:
+            _evaluator.pool.close()
         _evaluator = None
 
 

@@ -503,6 +503,27 @@ class TestCliRiig:
         assert code == 2
         assert "not comparable" in capsys.readouterr().err
 
+    def test_different_model_constants_exit_2(self, tmp_path, capsys):
+        # the same field-1 data, analysed under a second voltage
+        single, multi = self.make_runs(tmp_path)
+        config = tmp_path / "20V.yaml"
+        config.write_text((CONFIG_DIR / "fig9.yaml").read_text().replace(
+            "voltage: 10 V", "voltage: 20 V"))
+        obs = tmp_path / "obs"
+        out = tmp_path / "20V"
+        assert main(["posterior", "--config", str(config),
+                     "--obs", str(obs / "observations_field1.csv"),
+                     "--obs", str(obs / "observations_field2.csv"),
+                     "--out", str(out), "--grid", "40,40"]) == 0
+        sidecar = json.loads((out / "posterior_f1-2.json").read_text())
+        assert sidecar["provenance"]["model_constants"]["voltage"] == 20.0
+        capsys.readouterr()
+        assert main(["riig", str(single), str(multi)]) == 0
+        assert main(["riig", str(single),
+                     str(out / "posterior_f1-2.json")]) == 2
+        err = capsys.readouterr().err
+        assert "model_constants differs" in err and "not comparable" in err
+
     def test_different_grids_exit_2(self, tmp_path, capsys):
         _, multi = self.make_runs(tmp_path)
         out = tmp_path / "coarse"
@@ -532,15 +553,22 @@ class TestCliRiig:
         ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
          '"first_field_hash": null}}', "provenance.first_field_hash"),
         ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
-         '"first_field_hash": "b"}}', "axes"),
+         '"first_field_hash": "b"}, "axes": [[0.0, 1.0]]}',
+         "provenance.model_constants"),
         ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
-         '"first_field_hash": "b"}, "axes": 3}', "axes"),
+         '"first_field_hash": "b", "model_constants": [1.0]}, '
+         '"axes": [[0.0, 1.0]]}', "provenance.model_constants"),
+        ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
+         '"first_field_hash": "b", "model_constants": {}}}', "axes"),
+        ('{"information_gain": 1.5, "provenance": {"prior_hash": "a", '
+         '"first_field_hash": "b", "model_constants": {}}, "axes": 3}',
+         "axes"),
     ])
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys, text, key):
         good = tmp_path / "good.json"
         good.write_text('{"information_gain": 2.0, "provenance": '
-                        '{"prior_hash": "a", "first_field_hash": "b"}, '
-                        '"axes": [[0.0, 1.0]]}')
+                        '{"prior_hash": "a", "first_field_hash": "b", '
+                        '"model_constants": {}}, "axes": [[0.0, 1.0]]}')
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         for runs in ([bad, good], [good, bad]):
@@ -1016,6 +1044,28 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert "prior: " in err and "probability mass" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("upper", [math.inf, 126.8e3])
+    @pytest.mark.parametrize("command,flags", [
+        ("synthesize", []), ("posterior", ["--grid", "20"]),
+        ("posterior", ["--grid", "100"]), ("sweep", [])])
+    def test_prior_box_with_subnormal_mass_exits_2(self, tmp_path, capsys,
+                                                   command, flags, upper):
+        # E from 38.4 prior SDs above the mean: the box's partition is a
+        # subnormal double, too coarse to spread a grid axis over
+        data = yaml.safe_load((CONFIG_DIR / "fig9.yaml").read_text())
+        data["prior"]["lower"] = [86.8e3, 0.0]
+        data["prior"]["upper"] = [upper, 0.5]
+        data["truth"] = [87e3, 0.35]
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), *flags,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "prior: " in err and "probability mass" in err
+        assert "Traceback" not in err and "Warning" not in err
         assert not out.exists()
 
 

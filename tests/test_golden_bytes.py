@@ -28,15 +28,15 @@ GOLDEN = {
         "fig9/posterior_single.csv":
             "ffff72bf2c084ee19425b569aebbb43a48ab67ed996f8a09b84fe07a959f274a",
         "fig9/posterior_single.json":
-            "7dd575569dad6e2f858c43cd46393300acb1d97dae57ada233698dedf7596514",
+            "023932317b0258c0a0128388b3b0c0940b99ba9621cc177c81b3af8b8cf70743",
         "fig9/posterior_multi_middle.csv":
             "297a1f01d6b1128056b440533f613b1601e8cf943624e127698cecdcb4d90889",
         "fig9/posterior_multi_middle.json":
-            "4e7ce2b7039206e90aa7e12ee848d288875c5dd29064d3c92abc5da882df4f7d",
+            "8ec0c58737e4970b5ca6740937212f98d78d511702a8f26db7ab9d65596ee3b0",
         "fig9/posterior_multi_right.csv":
             "3cb2571deded008ce5c91b0f95926700458f0bdd826c3efbf8f33f4713cb47e6",
         "fig9/posterior_multi_right.json":
-            "d35b4d633ee38fbc230f2a25f624ef072236cbce1d1d3f720a409197fad7daa7",
+            "f402b1fd3c60a3b668a1263309c826549fe57cabc815e90cd20ca89999dcb9e3",
         "fig9/summary.csv":
             "49d0232f6487af17bceb65873a8666220249f5ea2360510a9c9bdff205163478",
     }),
@@ -56,7 +56,7 @@ GOLDEN = {
         "posterior_fnone.csv":
             "4a01e20465200a73aa9479d57c3c132b2ad32d5492fc184bb342b29b04dbbac9",
         "posterior_fnone.json":
-            "156aeefe3c01776ff7d997439db767a848675cc6632e5e9148ae45eb105634d8",
+            "ffffa2f468d4a3fa5006f67654725a83a325254a4209d620c9aa0ac70b59e657",
     }),
 }
 

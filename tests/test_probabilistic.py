@@ -27,6 +27,7 @@ from mfbia.probabilistic import (
     FieldObservations,
     ModelEvaluationError,
     ObservationFileError,
+    ReductionPool,
     TruncatedNormalPrior,
     log_likelihood,
     misfit_moments,
@@ -606,6 +607,118 @@ class TestMisfitThreads:
             moments = misfit_moments(DividesByZero(), nodes, 1,
                                      np.arange(4.0), np.zeros(4))
         np.testing.assert_array_equal(moments.a, np.inf)
+
+
+class FailsAtNode:
+    """Zero outputs, with a 1 ms pause; raises ``error`` on the batch
+    that holds node 25.  Records, per call, whether it had raised
+    before."""
+
+    def __init__(self, error):
+        self.error, self.raised, self.calls = error, False, []
+
+    def outputs(self, x, field_id, coords, work=None):
+        self.calls.append(self.raised)
+        if np.any(x[..., 0] == 25):
+            self.raised = True
+            raise self.error
+        time.sleep(1e-3)
+        return np.zeros(x.shape[:-1] + (len(coords),))
+
+
+class TestReductionPool:
+    """Row blocks of several reductions on one queue."""
+
+    @pytest.fixture
+    def toy(self, monkeypatch):
+        # blocks of 640 outputs: ten rows of 64 coordinates
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 640)
+        model = build_model("toy-full")
+        nodes = np.stack(np.meshgrid(np.linspace(0.1, 1.0, 30),
+                                     np.linspace(0.1, 1.0, 30),
+                                     indexing="ij"), axis=-1)
+        coords = np.linspace(0.0, 1.0, 64)
+        centre = model.outputs(np.array([0.5, 0.5]), 2, coords)
+        return (model, nodes, 2, coords, centre,
+                sobol_standard_normal(centre.size))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_raise_in_one_reduction_fails_only_its_nodes(self, toy, threads,
+                                                         caplog):
+        alone = misfit_moments(*toy, threads=1)
+        failing = FailsAtNode(ValueError("solver diverged"))
+        before = set(threading.enumerate())
+        with caplog.at_level(logging.WARNING, logger="mfbia.probabilistic"):
+            with ReductionPool(threads) as pool:
+                first = pool.submit(*toy)
+                # 100 nodes x 64 coordinates in ten blocks; node 25 is in
+                # the third
+                broken = pool.submit(failing, np.arange(100.0)[:, None], 1,
+                                     np.arange(64.0), np.ones(64))
+                last = pool.submit(*toy)
+                moments = [r.result() for r in (last, broken, first)]
+        assert set(threading.enumerate()) == before
+        np.testing.assert_array_equal(moments[1].a, np.inf)
+        np.testing.assert_array_equal(moments[1].b, 0.0)
+        for good in (moments[0], moments[2]):
+            for want, have in ((alone.a, good.a), (alone.b, good.b)):
+                np.testing.assert_array_equal(have.view(np.int64),
+                                              want.view(np.int64))
+            assert good.zz == alone.zz
+        assert [r.getMessage() for r in caplog.records] == \
+            ["model evaluation failed for field 1: solver diverged"]
+        # the blocks after the failed one are skipped
+        assert len(failing.calls) < 10
+
+    def test_reductions_sharing_the_queue_keep_their_bits(self, toy):
+        # more threads than CPUs, switching often, so that a lost update
+        # of a reduction's block count would hang its result() and a
+        # block written into another reduction's rows would change bits
+        model, nodes, field_id, coords, centre, deviates = toy
+        cases = [(nodes[:k], coords[:m], centre[:m], deviates[:m])
+                 for k in (30, 7, 1, 19) for m in (64, 5)]
+        alone = [misfit_moments(model, x, field_id, c, t, z, threads=1)
+                 for x, c, t, z in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                with ReductionPool(4) as pool:
+                    reductions = [pool.submit(model, x, field_id, c, t, z)
+                                  for x, c, t, z in cases]
+                    shared = [r.result() for r in reversed(reductions)][::-1]
+                for want, have in zip(alone, shared):
+                    np.testing.assert_array_equal(have.a.view(np.int64),
+                                                  want.a.view(np.int64))
+                    np.testing.assert_array_equal(have.b.view(np.int64),
+                                                  want.b.view(np.int64))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_other_exception_stops_the_pool(self, monkeypatch, threads):
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 640)
+        model = FailsAtNode(LookupError("not a model failure"))
+        before = set(threading.enumerate())
+        with ReductionPool(threads) as pool:
+            # 100 nodes x 64 coordinates each, ten blocks of ten rows
+            nodes = np.arange(100.0)[:, None]
+            reductions = [pool.submit(model, nodes, 1, np.arange(64.0),
+                                      np.ones(64))
+                          for _ in range(2)]
+            # every later result raises it too
+            for reduction in reversed(reductions):
+                with pytest.raises(LookupError, match="not a model failure"):
+                    reduction.result()
+            # long enough for a helper thread to take the ~17 blocks left
+            time.sleep(0.05)
+        assert set(threading.enumerate()) == before
+        # no queued block starts once the error is recorded; a helper
+        # thread may have been between two blocks of its own
+        assert model.calls.count(True) <= 2 * (threads - 1)
+        assert len(model.calls) < 20
+        if threads == 1:
+            assert model.calls == [False] * 3
 
 
 class TestPrior:

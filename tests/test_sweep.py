@@ -379,14 +379,14 @@ class TestSharedFieldOne:
 _OUTPUT_THREADS = set()
 
 
-def _task_threads(cells):
+def _task_threads(task):
     """Stands in for ``sweep._evaluate_task``: runs the task, then returns
     once per cell the process that ran it and whether every model
     evaluation of the task ran on that process's calling thread."""
     _OUTPUT_THREADS.clear()
-    sweep_module._evaluator(cells)
+    sweep_module._evaluator(task)
     return [(os.getpid(), _OUTPUT_THREADS == {threading.get_ident()})] \
-        * len(cells)
+        * len(task.cells)
 
 
 def _in_worker() -> bool:
@@ -399,25 +399,38 @@ def _in_worker() -> bool:
     return False
 
 
-def _task_pids(cells):
+def _task_pids(task):
     """Stands in for ``sweep._evaluate_task``: the process that ran each
     cell."""
     _in_worker()
-    return [os.getpid()] * len(cells)
+    return [os.getpid()] * len(task.cells)
 
 
-def _fail_in_worker(cells):
+def _fail_in_worker(task):
     """Stands in for ``sweep._evaluate_task``: raises in a pool worker."""
     if _in_worker():
         raise LookupError("task failed in a pool worker")
-    return sweep_module._evaluator(cells)
+    return sweep_module._evaluator(task)
 
 
-def _exit_in_worker(cells):
+def _exit_in_worker(task):
     """Stands in for ``sweep._evaluate_task``: a pool worker dies."""
     if _in_worker():
         os._exit(3)
-    return sweep_module._evaluator(cells)
+    return sweep_module._evaluator(task)
+
+
+#: Names of the threads alive at each fork of this process, while a test
+#: records them.
+_THREADS_AT_FORK = []
+
+
+def _record_threads_at_fork() -> None:
+    if _THREADS_AT_FORK and _THREADS_AT_FORK[0] == "recording":
+        _THREADS_AT_FORK.append([t.name for t in threading.enumerate()])
+
+
+os.register_at_fork(before=_record_threads_at_fork)
 
 
 class TestMisfitThreads:
@@ -451,17 +464,93 @@ class TestMisfitThreads:
 
         def outputs(self, x, field_id, coords, work=None):
             _OUTPUT_THREADS.add(threading.get_ident())
+            time.sleep(1e-3)   # so that every thread of a pool takes blocks
             return original(self, x, field_id, coords, work)
 
         monkeypatch.setattr(ToyFullModel, "outputs", outputs)
-        monkeypatch.setattr(sweep_module, "_evaluate_task", _task_threads)
         spec = toy_sweep_config(grid_shape=(5, 5))
+        # the serial path reduces on its helper threads too
+        _OUTPUT_THREADS.clear()
+        assert all(r.ok for r in run_riig_sweep(spec))
+        assert threading.get_ident() in _OUTPUT_THREADS
+        assert len(_OUTPUT_THREADS) > 1
+        monkeypatch.setattr(sweep_module, "_evaluate_task", _task_threads)
         pooled = run_riig_sweep(spec, workers=2)
         assert {one_thread for _, one_thread in pooled} == {True}
         assert os.getpid() in {pid for pid, _ in pooled}
-        # the serial path reduces on the thread pool
-        assert {one_thread for _, one_thread in run_riig_sweep(spec)} == \
-            {False}
+
+    def test_pooled_sweep_forks_with_no_helper_thread(self, monkeypatch):
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 40)
+        spec = toy_sweep_config(grid_shape=(5, 5))
+        _THREADS_AT_FORK[:] = ["recording"]
+        try:
+            assert all(r.ok for r in run_riig_sweep(spec, workers=2))
+        finally:
+            forks = _THREADS_AT_FORK[1:]
+            _THREADS_AT_FORK.clear()
+        assert forks
+        assert not any("mfbia-reduce" in names for names in forks)
+
+    def test_no_thread_outlives_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 40)
+        before = set(threading.enumerate())
+        assert all(r.ok for r in run_riig_sweep(
+            toy_sweep_config(grid_shape=(5, 5))))
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_sweep_bits_same_with_and_without_lookahead(self, tmp_path,
+                                                        monkeypatch,
+                                                        threads):
+        # blocks of 64 outputs: field 1's 30x30 nodes x 6 forces in 90
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 64)
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: threads)
+        spec = toy_sweep_config(n_obs2_axis=(2, 8, 32),
+                                snr2_axis=(5.0, 50.0), grid_shape=(30, 30))
+        export_sweep_csv(run_riig_sweep(spec), tmp_path / "ahead.csv")
+        # each task evaluated right after its reductions are queued
+        tasks = sweep_tasks(spec)
+        evaluator = sweep_module._TaskEvaluator(
+            spec, sweep_module._TaskIndex(tasks))
+        try:
+            results = [None] * len(evaluator.cells)
+            for number, cells in enumerate(tasks):
+                for cell, result in zip(cells, evaluator(
+                        evaluator.prepare(number))):
+                    results[cell] = result
+        finally:
+            evaluator.pool.close()
+        export_sweep_csv(results, tmp_path / "in_turn.csv")
+        # and on two processes, each reducing on its calling thread
+        export_sweep_csv(run_riig_sweep(spec, workers=2),
+                         tmp_path / "pooled.csv")
+        ahead = (tmp_path / "ahead.csv").read_bytes()
+        assert ahead.decode().count(",ok\n") == 3 * 2
+        assert (tmp_path / "in_turn.csv").read_bytes() == ahead
+        assert (tmp_path / "pooled.csv").read_bytes() == ahead
+
+    def test_posterior_bits_same_for_any_thread_count(self, tmp_path,
+                                                      monkeypatch):
+        config = str(CONFIGS / "fig9_right.yaml")
+        assert main(["synthesize", "--config", config,
+                     "--out", str(tmp_path / "obs")]) == 0
+        obs = []
+        for path in sorted((tmp_path / "obs").glob("*.csv")):
+            obs += ["--obs", str(path)]
+        before = set(threading.enumerate())
+        outputs = set()
+        for threads in (1, 2, 4):
+            monkeypatch.setattr(probabilistic, "usable_cpus",
+                                lambda: threads)
+            out = tmp_path / f"threads{threads}"
+            assert main(["posterior", "--config", config, *obs,
+                         "--grid", "60", "--out", str(out)]) == 0
+            assert set(threading.enumerate()) == before
+            outputs.add(tuple(path.read_bytes()
+                              for path in sorted(out.iterdir())))
+        assert len(outputs) == 1
 
     def test_pool_sweep_after_threaded_posterior_finishes(self, tmp_path):
         script = (
@@ -555,6 +644,20 @@ class TestDispatch:
         # each task of three cells starts once those before it are reported
         assert started == [0, 3, 6]
         assert seen == expected
+
+    def test_serial_sweep_looks_one_task_ahead(self, monkeypatch):
+        # the next task is claimed, and its reductions queued, before a
+        # task's cells are evaluated; the claim after the last finds none
+        claimed = []
+
+        def evaluate(task):
+            claimed.append(sweep_module._evaluator.index._next)
+            return sweep_module._evaluator(task)
+
+        monkeypatch.setattr(sweep_module, "_evaluate_task", evaluate)
+        spec = toy_sweep_config(grid_shape=(5, 5))
+        assert all(r.ok for r in run_riig_sweep(spec))
+        assert claimed == [2, 3, 4]
 
     @pytest.mark.parametrize("stand_in,error", [
         (_fail_in_worker, LookupError),

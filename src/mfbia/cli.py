@@ -208,12 +208,14 @@ def cmd_posterior(args) -> int:
             sources[obs.field_id] = path
             observations.append(obs)
     grid_shape = _parse_grid(args.grid, config.prior.dim) or config.grid_shape
+    try:   # the config's own grid was checked with the config
+        axes = cdf_spaced_grid(config.prior, grid_shape)
+    except ValueError as exc:
+        raise ConfigError(f"--grid: {exc}") from None
     out_dir = Path(args.out or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = "f" + ("-".join(str(f) for f in sorted(sources)) or "none")
-    prior_grid = PriorGrid(config.prior,
-                           cdf_spaced_grid(config.prior, grid_shape),
-                           model.param_names)
+    prior_grid = PriorGrid(config.prior, axes, model.param_names)
     with ReductionPool() as pool:
         reductions = [pool.submit(model, prior_grid.nodes, o.field_id,
                                   o.coordinates, o.values)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .electromech import DomainError
+from .inference import cdf_spaced_grid
 from .models import build_model, registered_models
 from .probabilistic import TruncatedNormalPrior
 from .sweep import FIELD_AXES, FieldSpec, _count
@@ -125,6 +126,10 @@ class RunConfig:
         if min(self.grid_shape) < 2:
             raise ConfigError(f"grid: each count must be >= 2, "
                               f"got {list(self.grid_shape)}")
+        try:
+            cdf_spaced_grid(self.prior, self.grid_shape)
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from None
         accepted = set(inspect.signature(type(build_model(self.model)))
                        .parameters)
         unknown = set(self.constants) - accepted

@@ -180,7 +180,10 @@ def cdf_spaced_grid(prior: TruncatedNormalPrior, points_per_dim) -> tuple[np.nda
         quantiles = (np.arange(n) + 0.5) / n
         axis = prior.marginal_ppf(dim, quantiles)
         if not np.all(np.diff(axis) > 0):
-            raise ValueError(f"grid axis {dim} is not strictly increasing")
+            raise ValueError(
+                f"axis {dim}: {n} points are more than double precision "
+                f"resolves on the prior box [{float(prior.lower[dim])!r}, "
+                f"{float(prior.upper[dim])!r}]")
         axes.append(axis)
     return tuple(axes)
 

@@ -8,11 +8,11 @@ fully deterministic: there is no random seed anywhere in the pipeline.
 
 Every misfit reduction on a node batch runs on a :class:`ReductionPool`:
 one queue of row blocks, from as many reductions as a command has
-queued, reduced by the calling thread and a few helper threads that each
-reuse one workspace.  The caller reduces queued blocks while it waits for
-the reduction it needs; :func:`misfit_moments` is one reduction on a pool
-of its own.  A reduction keeps Gaussian sufficient statistics, so data
-synthesized at any SNR reuse one pass over the nodes.
+queued.  Its helper threads, and a caller waiting for the reduction it
+needs, run one block loop, each in one reused workspace;
+:func:`misfit_moments` is one reduction on a pool of its own.  A reduction
+keeps Gaussian sufficient statistics, so data synthesized at any SNR
+reuse one pass over the nodes.
 """
 
 from __future__ import annotations
@@ -408,7 +408,9 @@ class _Reduction:
         """The moments, once every block is reduced; the calling thread
         reduces queued blocks, of any reduction, until then."""
         if self.moments is None:
-            self.pool._wait(self)
+            self.pool._reduce(lambda: self.left == 0)
+            if self.pool._error is not None:
+                raise self.pool._error
             a, b = self.a, self.b
             if self.failure is not None:
                 logger.warning("model evaluation failed for field %d: %s",
@@ -433,16 +435,16 @@ class ReductionPool:
     default one per usable CPU up to :data:`MISFIT_MAX_THREADS`, and with
     ``1`` the calling thread reduces every block.  The others are helper
     threads, started as blocks are queued, no more than the queue can keep
-    busy, and joined when the pool closes (on leaving its ``with`` block);
-    each keeps one workspace for the pool's life.  The calling thread
-    keeps one while it waits for a result, so none is held between
-    results.  :meth:`submit` queues a reduction and returns at once; its
+    busy, and joined when the pool closes (on leaving its ``with`` block).
+    :meth:`submit` queues a reduction and returns at once; its
     ``result()`` has the calling thread reduce queued blocks, of any
-    reduction, until none of its own is left.  A block that raises a
+    reduction, until none of its own is left.  Each thread keeps one
+    workspace while it reduces: a helper for its life, the calling thread
+    for one wait, so none is held between results.  A block that raises a
     ValueError, ArithmeticError or RuntimeError fails its own reduction
     only: its blocks not yet started are skipped.  Any other exception
-    stops the pool: no queued block starts after it, and every later
-    ``result()`` raises it.
+    stops the pool: no queued block starts after it, the helpers end, and
+    every later ``result()`` raises it.
     """
 
     def __init__(self, threads: int | None = None):
@@ -482,37 +484,23 @@ class ReductionPool:
                                for block in reduction.blocks)
             while len(self._helpers) < min(self.threads - 1,
                                            len(self._queue) - 1):
-                helper = threading.Thread(target=self._serve, daemon=True,
-                                          name="mfbia-reduce")
+                helper = threading.Thread(target=self._reduce,
+                                          args=(lambda: self._closed,),
+                                          daemon=True, name="mfbia-reduce")
                 helper.start()
                 self._helpers.append(helper)
             self._changed.notify_all()
         return reduction
 
-    def _serve(self) -> None:
-        """A helper thread: reduce queued blocks until the pool closes."""
+    def _reduce(self, done) -> None:
+        """Reduce queued blocks in one workspace until ``done()`` holds or
+        the pool has stopped."""
         work = _Workspace()
         while True:
             with self._changed:
-                while not (self._queue or self._closed):
+                while not (self._queue or done() or self._error is not None):
                     self._changed.wait()
-                if self._closed:
-                    return
-                item = self._queue.popleft()
-            self._run(item, work)
-
-    def _wait(self, reduction: _Reduction) -> None:
-        """Reduce queued blocks on the calling thread until none of
-        ``reduction``'s is left."""
-        work = _Workspace()
-        while True:
-            with self._changed:
-                while not (self._queue or reduction.left == 0
-                           or self._error is not None):
-                    self._changed.wait()
-                if self._error is not None:
-                    raise self._error
-                if reduction.left == 0:
+                if done() or self._error is not None:
                     return
                 item = self._queue.popleft()
             self._run(item, work)
@@ -540,7 +528,7 @@ class ReductionPool:
 
 
 def misfit_moments(model, x, field_id: int, coords, centre,
-                   deviates=None, threads=None) -> MisfitMoments:
+                   deviates=None) -> MisfitMoments:
     """Misfit moments of ``model`` about ``centre`` on the nodes ``x``.
 
     ``x`` has shape (..., n_params); ``centre`` and ``deviates`` have the
@@ -548,7 +536,7 @@ def misfit_moments(model, x, field_id: int, coords, centre,
     ``b`` and ``zz`` are zero and ``a`` is the squared misfit to
     ``centre``.  The nodes are evaluated in row blocks of about
     :data:`MISFIT_BLOCK_ELEMENTS` outputs, on a :class:`ReductionPool` of
-    ``threads`` threads that lives for the call.  The model's ``outputs``
+    the default threads that lives for the call.  The model's ``outputs``
     gets the reducing thread's workspace as ``work``; the reduction uses
     its float slots 1 and 2 once ``outputs`` has returned (a model leaves
     its result, if there, in slot 0), so no block allocates a node x
@@ -558,7 +546,7 @@ def misfit_moments(model, x, field_id: int, coords, centre,
     ``b = 0``; a model that raises a ValueError, ArithmeticError or
     RuntimeError in any block gives that at every node, with one warning.
     """
-    with ReductionPool(threads) as pool:
+    with ReductionPool() as pool:
         return pool.submit(model, x, field_id, coords, centre,
                            deviates).result()
 

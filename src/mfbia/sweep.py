@@ -17,12 +17,12 @@ pass over the nodes.  Field 1's moments depend only on the model constants
 and ``n_obs1``: tasks that share them are listed next to each other, and
 each process keeps the last field-1 analysis it computed.  Each sweep
 process reduces its misfits on one
-:class:`~mfbia.probabilistic.ReductionPool`.  A sweep on one process
-queues the next task's reductions before it evaluates a task's cells, so
-the pool's helper threads reduce them while the calling thread evaluates
-posteriors; it looks one task ahead, so at most two tasks' moments are
-alive.  A sweep on several processes reduces on each process's calling
-thread alone.  Tasks can run on any number of processes and threads
+:class:`~mfbia.probabilistic.ReductionPool`.  The calling process looks
+one task ahead: it queues the next task's reductions before it evaluates
+a task's cells, so at most two tasks' moments are alive in it.  Alone, it
+reduces them on helper threads while its calling thread evaluates
+posteriors; beside other processes, every process reduces on its calling
+thread only.  Tasks can run on any number of processes and threads
 without changing a single bit of the output; failures are recorded per
 cell and never abort the sweep.
 """
@@ -36,7 +36,7 @@ import math
 import multiprocessing
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -221,16 +221,17 @@ class _TaskEvaluator:
     share its key compute it once.  On several processes, each one that
     runs one of those tasks computes it: the work done depends on
     scheduling, the bits of a cell do not.  ``index`` hands out the
-    sweep's tasks, and the reductions run on one
-    :class:`~mfbia.probabilistic.ReductionPool` of ``threads`` threads.
+    sweep's tasks.  The reductions run on one
+    :class:`~mfbia.probabilistic.ReductionPool`: on the default threads,
+    or on the calling thread alone when ``index`` is shared with other
+    processes, so that no helper thread is alive when the sweep forks.
     """
 
-    def __init__(self, config: RunConfig, index: _TaskIndex,
-                 threads: int | None = None):
+    def __init__(self, config: RunConfig, index: _TaskIndex):
         self.config = config
         self.plans = config.sweep_plans()
         self.index = index
-        self.pool = ReductionPool(threads)
+        self.pool = ReductionPool(None if index._shared is None else 1)
         self.cells = list(itertools.product(*config.sweep.values()))
         self.grid = PriorGrid(config.prior, cdf_spaced_grid(
             config.prior, config.grid_shape))
@@ -315,14 +316,13 @@ class _TaskEvaluator:
 _evaluator: _TaskEvaluator | None = None
 
 
-def _install(config: RunConfig, index: _TaskIndex,
-             threads: int | None = None) -> None:
+def _install(config: RunConfig, index: _TaskIndex) -> None:
     """Set this process's sweep context: the sweep's own set-up, and the
     pool initializer.  A worker forked from the sweep's process keeps the
     context it inherits, so it builds no second prior grid."""
     global _evaluator
     if _evaluator is None or _evaluator.index is not index:
-        _evaluator = _TaskEvaluator(config, index, threads)
+        _evaluator = _TaskEvaluator(config, index)
 
 
 def _evaluate_task(task: _Task) -> list[SweepResult]:
@@ -353,27 +353,22 @@ def run_riig_sweep(config: RunConfig, workers: int = 1,
     """Evaluate the relative information-gain increase on every cell.
 
     Runs on ``min(workers, tasks)`` processes (see :func:`sweep_tasks`),
-    this one included.  On one process, the misfit reductions run on a
-    :class:`~mfbia.probabilistic.ReductionPool` with helper threads, and
-    the sweep looks one task ahead: it queues the next task's reductions
-    before it evaluates this task's cells, so the helpers reduce them
-    while this thread evaluates posteriors.  On more than one, it forks a
-    pool of the others, sends the pool one claim per task, and runs tasks
-    itself; each process claims its next task from one shared
-    :class:`_TaskIndex` whenever it is free, so none idles while a task is
-    unclaimed, and a claim made once all are claimed does nothing.  A
-    claim carries no cell values.  Every process then reduces on its
-    calling thread alone, so no helper thread exists when it forks, and
-    looks no task ahead.  Progress is reported once per cell as its task's
-    results arrive.  Results come back in cell order, the first axis
-    varying slowest, and are identical for any worker count.  A task that
-    raises, or a pool that breaks, stops the sweep with that error.
+    this one included.  With more than one, it forks a pool of the
+    others and sends the pool one claim per task; a claim carries no cell
+    values, and one made once all tasks are claimed does nothing.  Every
+    process claims its next task from one shared :class:`_TaskIndex`
+    whenever it is free, so none idles while a task is unclaimed.  This
+    process looks one task ahead: it claims the next task, and queues its
+    misfit reductions, before it evaluates this one, then records the
+    pool's finished claims.  Progress is reported once per cell as its
+    task's results arrive.  Results come back in cell order, the first
+    axis varying slowest, and are identical for any worker count.  A task
+    that raises, or a pool that breaks, stops the sweep with that error.
     """
     global _evaluator
     tasks = sweep_tasks(config)
     processes = min(workers, len(tasks))
     index = _TaskIndex(tasks, processes)
-    threads = 1 if processes > 1 else None
     collected = [None] * sum(len(task) for task in tasks)
     done = 0
 
@@ -385,30 +380,25 @@ def run_riig_sweep(config: RunConfig, workers: int = 1,
             if progress is not None:
                 progress(done, len(collected))
 
-    def record_claim(claim) -> None:
-        if (claimed := claim.result()) is not None:
-            record(*claimed)
-
     pool, pending = None, set()
     try:
-        _install(config, index, threads)
-        if processes == 1:
-            ahead = _prepare_next()
-            while ahead is not None:
+        _install(config, index)
+        if processes > 1:
+            pool = ProcessPoolExecutor(processes - 1, initializer=_install,
+                                       initargs=(config, index))
+            pending = {pool.submit(_evaluate_next) for _ in tasks}
+        ahead = _prepare_next()
+        while ahead is not None or pending:
+            if ahead is None:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+            else:
                 number, task = ahead
                 ahead = _prepare_next()
                 record(number, _evaluate_task(task))
-            return collected
-        pool = ProcessPoolExecutor(processes - 1, initializer=_install,
-                                   initargs=(config, index, threads))
-        pending = {pool.submit(_evaluate_next) for _ in tasks}
-        while (claimed := _evaluate_next()) is not None:
-            record(*claimed)
-            finished, pending = wait(pending, timeout=0)
+                finished, pending = wait(pending, timeout=0)
             for claim in finished:
-                record_claim(claim)
-        for claim in as_completed(pending):
-            record_claim(claim)
+                if (claimed := claim.result()) is not None:
+                    record(*claimed)
         return collected
     finally:
         # a sweep that failed leaves no task for its pool to start

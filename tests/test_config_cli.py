@@ -851,6 +851,45 @@ class TestGridFlag:
                      "--out", str(tmp_path)]) == 2
         assert "--grid" in capsys.readouterr().err
 
+    def test_grid_finer_than_the_prior_box_exits_2(self, tmp_path, capsys):
+        # E's box spans about 700 doubles: 20 points fit, 2000 do not
+        data = yaml.safe_load((CONFIG_DIR / "fig9.yaml").read_text())
+        data["prior"]["lower"] = ["70 kPa", 0.0]
+        data["prior"]["upper"] = ["70.00000000001 kPa", 0.5]
+        data["truth"] = ["70.000000000005 kPa", 0.35]
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert main(["posterior", "--config", str(config), "--grid", "20,20",
+                     "--out", str(tmp_path / "coarse")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "fine"
+        assert main(["posterior", "--config", str(config), "--grid",
+                     "2000,20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: --grid: axis 0: 2000 points are more than" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "posterior"])
+    def test_config_grid_finer_than_the_prior_box_exits_2(
+            self, tmp_path, capsys, command):
+        data = yaml.safe_load((CONFIG_DIR / "toyfull_coupling.yaml")
+                              .read_text())
+        data["prior"]["lower"] = [1.0, 0.0]
+        data["prior"]["upper"] = [1.00000000000001, "inf"]
+        data["truth"] = [1.000000000000005, 0.7]
+        data["grid"] = [500, 20]
+        data["sweep"] = {"snr2": [10.0, 1000.0]}
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: grid: axis 0: 500 points are more " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ANY_MODEL = {"electromech", "toy-full"}

@@ -46,6 +46,13 @@ GOLDEN = {
         "fig10/summary.csv":
             "0935ca5209bb6b76cb1aacf6c8260f435bd0a4fdaa2b82d33ffc2d25b058107d",
     }),
+    "fig10-full-workers2": (["reproduce", "fig10", "--full",
+                             "--workers", "2"], {
+        "fig10/sweep.csv":
+            "56fd80321c678a580fb8ec554cbd28add1d391fd4cf057f72cee51f9f4deff73",
+        "fig10/summary.csv":
+            "0935ca5209bb6b76cb1aacf6c8260f435bd0a4fdaa2b82d33ffc2d25b058107d",
+    }),
     "toyfull-coupling": (["sweep", "--config",
                           str(CONFIG_DIR / "toyfull_coupling.yaml"),
                           "--workers", "2"], {

@@ -25,6 +25,7 @@ from mfbia.probabilistic import (
     MISFIT_BLOCK_ELEMENTS,
     DegenerateSignalError,
     FieldObservations,
+    MisfitMoments,
     ModelEvaluationError,
     ObservationFileError,
     ReductionPool,
@@ -626,6 +627,12 @@ class FailsAtNode:
         return np.zeros(x.shape[:-1] + (len(coords),))
 
 
+def reduced_alone(*problem) -> MisfitMoments:
+    """The moments of ``problem`` reduced on the calling thread alone."""
+    with ReductionPool(1) as pool:
+        return pool.submit(*problem).result()
+
+
 class TestReductionPool:
     """Row blocks of several reductions on one queue."""
 
@@ -645,7 +652,7 @@ class TestReductionPool:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_raise_in_one_reduction_fails_only_its_nodes(self, toy, threads,
                                                          caplog):
-        alone = misfit_moments(*toy, threads=1)
+        alone = reduced_alone(*toy)
         failing = FailsAtNode(ValueError("solver diverged"))
         before = set(threading.enumerate())
         with caplog.at_level(logging.WARNING, logger="mfbia.probabilistic"):
@@ -677,7 +684,7 @@ class TestReductionPool:
         model, nodes, field_id, coords, centre, deviates = toy
         cases = [(nodes[:k], coords[:m], centre[:m], deviates[:m])
                  for k in (30, 7, 1, 19) for m in (64, 5)]
-        alone = [misfit_moments(model, x, field_id, c, t, z, threads=1)
+        alone = [reduced_alone(model, x, field_id, c, t, z)
                  for x, c, t, z in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -719,6 +726,20 @@ class TestReductionPool:
         assert len(model.calls) < 20
         if threads == 1:
             assert model.calls == [False] * 3
+
+    def test_helpers_end_after_a_fatal_error(self, monkeypatch):
+        # before the pool closes: no helper idles on a stopped pool
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 640)
+        model = FailsAtNode(LookupError("not a model failure"))
+        with ReductionPool(3) as pool:
+            reduction = pool.submit(model, np.arange(100.0)[:, None], 1,
+                                    np.arange(64.0), np.ones(64))
+            assert len(pool._helpers) == 2
+            with pytest.raises(LookupError, match="not a model failure"):
+                reduction.result()
+            for helper in pool._helpers:
+                helper.join(timeout=5.0)
+                assert not helper.is_alive()
 
 
 class TestPrior:

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -644,20 +645,53 @@ class TestDispatch:
         # each task of three cells starts once those before it are reported
         assert started == [0, 3, 6]
         assert seen == expected
+        # on two processes, a task of the calling process starts once the
+        # tasks it ran before are reported, and maybe a worker's too
+        seen.clear()
+        started.clear()
+        assert all(r.ok for r in run_riig_sweep(spec, workers=2,
+                                                progress=record))
+        assert seen == expected
+        assert started[0] == 0
+        assert all(count % 3 == 0 and count >= 3 * k
+                   for k, count in enumerate(started))
 
-    def test_serial_sweep_looks_one_task_ahead(self, monkeypatch):
-        # the next task is claimed, and its reductions queued, before a
-        # task's cells are evaluated; the claim after the last finds none
-        claimed = []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_calling_process_looks_one_task_ahead(self, monkeypatch, workers):
+        # the calling process claims its next task, and queues its
+        # reductions, before it evaluates a task's cells, on any number of
+        # processes; its claim after the last finds none
+        claims, evaluated = [], []   # in the calling process
+        claim = sweep_module._TaskIndex.claim
+
+        def recorded(index):
+            number = claim(index)
+            if multiprocessing.parent_process() is None:
+                claims.append(number)
+            return number
 
         def evaluate(task):
-            claimed.append(sweep_module._evaluator.index._next)
+            if multiprocessing.parent_process() is None:
+                evaluated.append((task.cells, len(claims)))
+            else:
+                time.sleep(0.05)
             return sweep_module._evaluator(task)
 
+        spec = toy_sweep_config(n_obs2_axis=(2, 4, 8, 16),
+                                grid_shape=(5, 5))
+        serial = run_riig_sweep(spec)
+        monkeypatch.setattr(sweep_module._TaskIndex, "claim", recorded)
         monkeypatch.setattr(sweep_module, "_evaluate_task", evaluate)
-        spec = toy_sweep_config(grid_shape=(5, 5))
-        assert all(r.ok for r in run_riig_sweep(spec))
-        assert claimed == [2, 3, 4]
+        assert run_riig_sweep(spec, workers=workers) == serial
+        # its k-th task is its k-th claim, evaluated once it has made
+        # claim k + 1
+        assert [made for _, made in evaluated] == \
+            list(range(2, len(evaluated) + 2))
+        tasks = sweep_tasks(spec)
+        cells = list(itertools.product(*spec.sweep.values()))
+        assert [task for task, _ in evaluated] == \
+            [[cells[cell] for cell in tasks[number]]
+             for number in claims[:len(evaluated)]]
 
     @pytest.mark.parametrize("stand_in,error", [
         (_fail_in_worker, LookupError),

@@ -207,7 +207,8 @@ def cmd_posterior(args) -> int:
                 raise ConfigError(f"--obs {path}: {exc}") from None
             sources[obs.field_id] = path
             observations.append(obs)
-    grid_shape = _parse_grid(args.grid, config.prior.dim) or config.grid_shape
+    grid_shape = (config.grid_shape if args.grid is None
+                  else _parse_grid(args.grid))
     try:   # the config's own grid was checked with the config
         axes = cdf_spaced_grid(config.prior, grid_shape)
     except ValueError as exc:
@@ -407,20 +408,15 @@ def _reproduce_fig10(out_dir: Path, progress, full: bool, workers: int) -> int:
     return 0
 
 
-def _parse_grid(text, dim: int) -> tuple[int, ...] | None:
-    """Point counts of ``--grid``: one for every dimension, or one each;
-    None when the flag is absent.  A value without counts is an error."""
-    if text is None:
-        return None
-    usage = (f"--grid: expected N or {dim} comma-separated counts, each "
-             f">= 2, got {text!r}")
+def _parse_grid(text: str) -> tuple[int, ...]:
+    """The comma-separated point counts of ``--grid``, as ints;
+    :func:`~mfbia.inference.cdf_spaced_grid` checks how many and how
+    large."""
     try:
-        parts = [int(p) for p in text.split(",") if p.strip()]
+        return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ConfigError(usage) from None
-    if len(parts) not in (1, dim) or min(parts) < 2:
-        raise ConfigError(usage)
-    return tuple(parts)
+        raise ConfigError(f"--grid: expected comma-separated integers, "
+                          f"got {text!r}") from None
 
 
 def _workers(text: str) -> int:

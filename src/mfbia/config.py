@@ -3,7 +3,11 @@
 Configs are plain YAML with nested sections (see ``configs/`` for committed
 examples).  Scalar values may carry a unit suffix, e.g. ``11 kPa`` or
 ``0.4 N``; everything is converted to strict SI at parse time.  Bare
-numbers are taken as SI already.
+numbers are taken as SI already.  A count, an id, ``grid``, ``workers``
+and an axis ``num`` must be integral numbers: a string, even ``"3"``, is
+refused.  This module owns the whole schema, the sweep's observation
+plans (:class:`FieldSpec`) and axis names included, and checks every
+value once, for the YAML file and the Python API alike.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +24,6 @@ from .electromech import DomainError
 from .inference import cdf_spaced_grid
 from .models import build_model, registered_models
 from .probabilistic import TruncatedNormalPrior
-from .sweep import FIELD_AXES, FieldSpec, _count
 
 
 class ConfigError(ValueError):
@@ -43,7 +47,7 @@ def parse_quantity(value, where: str = "value") -> float:
     """Parse a number, an infinity token, or a ``<number> <unit>`` string."""
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         try:
             return float(value)
         except OverflowError as exc:
@@ -89,6 +93,49 @@ def _axis_values(start, stop, num: int, spacing: str = "log",
     return tuple(values)
 
 
+def _integer(value, where: str) -> int:
+    """``value`` as an int; a ConfigError naming ``where`` unless it is an
+    integral, finite number (not a bool, and not a string)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if float(value).is_integer():
+                return int(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+
+
+#: Axis names that set an observation plan; any other axis names a model
+#: constant.  Cells iterate in this order, then the constants.
+FIELD_AXES = ("n_obs1", "snr1", "n_obs2", "snr2")
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """Count, SNR, and coordinate range of one field's observations.
+
+    Each error names the offending setting first, as in ``snr: ...``.
+    """
+
+    field_id: int
+    count: int
+    snr: float
+    coord_range: tuple[float, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "count", _integer(self.count, "count"))
+        if self.count < 0:
+            raise ConfigError(f"count: must be >= 0, got {self.count}")
+        if self.count > 0 and not 0 < self.snr < math.inf:
+            raise ConfigError(f"snr: must be finite and > 0, got {self.snr}")
+        if not self.coord_range[1] >= self.coord_range[0]:
+            raise ConfigError("range: must be increasing")
+
+    def coordinates(self) -> np.ndarray:
+        return np.linspace(self.coord_range[0], self.coord_range[1],
+                           self.count)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs: model, truth, prior, observations, grid,
@@ -123,9 +170,6 @@ class RunConfig:
                 raise ConfigError(
                     f"truth[{k}]: {value!r} lies outside the prior support "
                     f"[{lower:g}, {upper:g}]")
-        if min(self.grid_shape) < 2:
-            raise ConfigError(f"grid: each count must be >= 2, "
-                              f"got {list(self.grid_shape)}")
         try:
             cdf_spaced_grid(self.prior, self.grid_shape)
         except ValueError as exc:
@@ -164,7 +208,8 @@ class RunConfig:
         for spec in self.fields:
             if spec.field_id == field_id:
                 return spec
-        raise ConfigError(f"no field {field_id} configured")
+        raise ConfigError(f"fields: no field {field_id} configured; the "
+                          f"ids are {[f.field_id for f in self.fields]}")
 
     def sweep_plans(self) -> tuple[FieldSpec, FieldSpec]:
         """Fields 1 and 2 as a sweep observes them; without a configured
@@ -174,7 +219,8 @@ class RunConfig:
                            replace(first, field_id=2, count=0, snr=math.nan))
 
     def _checked_sweep(self, constant_names: set) -> dict:
-        """The sweep's axes in cell order, ``n_obs`` values as ints."""
+        """The sweep's axes in cell order, ``n_obs`` values as ints and the
+        others as quantities."""
         unknown = set(self.sweep) - constant_names - set(FIELD_AXES)
         if unknown:
             raise ConfigError(
@@ -182,7 +228,16 @@ class RunConfig:
                 f"is one of {', '.join(FIELD_AXES)} or a constant of "
                 f"model {self.model!r}: {', '.join(sorted(constant_names))}")
         varied = [name for name in self.sweep if name not in FIELD_AXES]
-        for values in itertools.product(*(self.sweep[n] for n in varied)):
+        axes = {}
+        for name in [n for n in FIELD_AXES if n in self.sweep] + varied:
+            parse = _integer if name.startswith("n_obs") else parse_quantity
+            values = tuple(parse(v, f"sweep.{name}[{i}]")
+                           for i, v in enumerate(self.sweep[name]))
+            if not values or not all(np.diff(values) > 0):
+                raise ConfigError(f"sweep.{name}: axis must be non-empty and "
+                                  f"strictly increasing, got {list(values)}")
+            axes[name] = values
+        for values in itertools.product(*(axes[n] for n in varied)):
             constants = {**self.constants, **dict(zip(varied, values))}
             try:
                 build_model(self.model, constants).check_params(self.truth)
@@ -190,17 +245,6 @@ class RunConfig:
                 name = (exc.name if isinstance(exc, DomainError)
                         else "/".join(varied))
                 raise ConfigError(f"sweep.{name}: {exc}") from None
-        axes = {}
-        for name in [n for n in FIELD_AXES if n in self.sweep] + varied:
-            try:
-                values = tuple(_count(name, v) if name.startswith("n_obs")
-                               else float(v) for v in self.sweep[name])
-            except ValueError as exc:
-                raise ConfigError(f"sweep.{exc}") from None
-            if not values or not all(np.diff(values) > 0):
-                raise ConfigError(f"sweep.{name}: axis must be non-empty and "
-                                  f"strictly increasing, got {list(values)}")
-            axes[name] = values
         for k, plan in enumerate(self.sweep_plans(), 1):
             counts = axes.get(f"n_obs{k}", (plan.count,))
             if min(counts) < 1:
@@ -213,22 +257,11 @@ class RunConfig:
         return axes
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected an integer, got a boolean")
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(value)
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{where}: expected an integer, got {value!r}") from None
-
-
 def _parse_axis(section, where: str) -> tuple:
+    """A list's values as they are, or the points of a start/stop/num
+    mapping; :class:`RunConfig` converts and checks them."""
     if isinstance(section, (list, tuple)):
-        return tuple(parse_quantity(v, f"{where}[{i}]")
-                     for i, v in enumerate(section))
+        return tuple(section)
     if isinstance(section, dict):
         known = {"start", "stop", "num", "spacing", "integer"}
         unknown = set(section) - known
@@ -298,7 +331,6 @@ def _parse_field(section, index: int) -> FieldSpec:
         if key not in section:
             raise ConfigError(f"{where}.{key}: missing")
     field_id = _integer(section["id"], f"{where}.id")
-    count = _integer(section["count"], f"{where}.count")
     snr = parse_quantity(section["snr"], f"{where}.snr")
     coord_range = _quantity_list(section.get("range", [0.0, 1.0]),
                                  f"{where}.range")
@@ -306,7 +338,7 @@ def _parse_field(section, index: int) -> FieldSpec:
         raise ConfigError(f"{where}.range: expected [low, high], got "
                           f"{len(coord_range)} values")
     try:
-        return FieldSpec(field_id=field_id, count=count, snr=snr,
+        return FieldSpec(field_id=field_id, count=section["count"], snr=snr,
                          coord_range=tuple(coord_range))
     except ValueError as exc:
         raise ConfigError(f"{where}.{exc}") from exc
@@ -335,19 +367,20 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("fields: expected a list")
     fields = tuple(_parse_field(f, i) for i, f in enumerate(data["fields"]))
     grid = data.get("grid", [100] * prior.dim)
-    if isinstance(grid, int):
+    if not isinstance(grid, list):
         grid = [grid] * prior.dim
-    if not isinstance(grid, list) or len(grid) not in (1, prior.dim):
-        raise ConfigError(f"grid: expected N or a list of {prior.dim} counts")
     grid_shape = tuple(_integer(n, f"grid[{i}]") for i, n in enumerate(grid))
     sweep = data.get("sweep")
+    output_dir = data.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
 
     try:
         return RunConfig(model=data["model"], constants=constants,
                          truth=truth, prior=prior, fields=fields,
                          grid_shape=grid_shape,
                          sweep=None if sweep is None else _parse_sweep(sweep),
-                         output_dir=str(data.get("output_dir", "out")),
+                         output_dir=output_dir,
                          workers=_integer(data.get("workers", 1), "workers"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

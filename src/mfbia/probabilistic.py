@@ -573,22 +573,20 @@ def log_likelihood(terms) -> np.ndarray | float:
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _format(value) -> str:
-    return repr(float(value))
-
-
 def observations_to_csv(obs: FieldObservations, path) -> None:
-    """Write one observation set; one row per scalar observation component."""
+    """Write one observation set; one row per scalar observation component.
+    Floats are written as ``repr`` writes them, and no SNR as an empty
+    cell."""
     values = obs.values if obs.values.ndim == 2 else obs.values[:, None]
-    snr_text = "" if obs.snr is None else _format(obs.snr)
+    noise_variance = float(obs.noise_variance)
+    snr = None if obs.snr is None else float(obs.snr)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(OBSERVATION_CSV_HEADER)
-        for i in range(len(obs)):
-            for component in values[i]:
-                writer.writerow([obs.field_id, _format(obs.coordinates[i]),
-                                 _format(component), _format(obs.noise_variance),
-                                 snr_text])
+        for coordinate, row in zip(obs.coordinates.tolist(), values.tolist()):
+            for component in row:
+                writer.writerow([obs.field_id, coordinate, component,
+                                 noise_variance, snr])
 
 
 def write_empty_observations_csv(path) -> None:

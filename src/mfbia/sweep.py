@@ -6,7 +6,9 @@ settings, or for model constants, on named axes.  Each cell of the axis
 grid compares the single-field information gain of field 1 with the
 two-field gain, and reports their relative increase (RIIG).  Cells run in one
 fixed order: ``n_obs1``, ``snr1``, ``n_obs2``, ``snr2``, then the model
-constants, the first axis varying slowest.
+constants, the first axis varying slowest.  The axis names, the plans
+(:class:`~mfbia.config.FieldSpec`) and the checks of every axis value
+belong to :mod:`mfbia.config`; this module only runs the cells.
 
 Cells are pure functions of the run configuration.  They run in tasks: a
 task is every cell that shares all axis values but ``snr1`` and ``snr2``,
@@ -34,15 +36,14 @@ import itertools
 import json
 import math
 import multiprocessing
-import numbers
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
+from .config import FIELD_AXES, FieldSpec, RunConfig
 from .inference import (
     PriorGrid,
     cdf_spaced_grid,
@@ -59,51 +60,7 @@ from .probabilistic import (
     synthesize_observations,
 )
 
-if TYPE_CHECKING:
-    from .config import RunConfig
-
-#: Axis names that set an observation plan; any other axis names a model
-#: constant.  Cells iterate in this order, then the constants.
-FIELD_AXES = ("n_obs1", "snr1", "n_obs2", "snr2")
 SWEEP_METRICS = ("ig_single", "ig_multi", "riig", "boundary_mass", "status")
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``name`` unless it is an
-    integral, finite number."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if float(value).is_integer():
-                return int(value)
-        except OverflowError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-    raise ValueError(f"{name}: expected an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Count, SNR, and coordinate range of one field's observations.
-
-    Each error names the offending setting first, as in ``snr: ...``.
-    """
-
-    field_id: int
-    count: int
-    snr: float
-    coord_range: tuple[float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "count", _count("count", self.count))
-        if self.count < 0:
-            raise ValueError(f"count: must be >= 0, got {self.count}")
-        if self.count > 0 and not 0 < self.snr < math.inf:
-            raise ValueError(f"snr: must be finite and > 0, got {self.snr}")
-        if not self.coord_range[1] >= self.coord_range[0]:
-            raise ValueError("range: must be increasing")
-
-    def coordinates(self) -> np.ndarray:
-        return np.linspace(self.coord_range[0], self.coord_range[1],
-                           self.count)
 
 
 @dataclass(frozen=True)
@@ -420,16 +377,11 @@ def run_coupling_sweep(config: RunConfig, workers: int = 1,
     return run_riig_sweep(config, workers, progress)
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    return repr(value if isinstance(value, int) else float(value))
-
-
 def export_sweep_csv(results, path) -> None:
     """CSV of the cell results in cell order; byte-stable across runs.
 
-    The header is the axis names followed by :data:`SWEEP_METRICS`.
+    The header is the axis names followed by :data:`SWEEP_METRICS`; a
+    failed cell's numeric fields are empty.
     """
     results = list(results)
     if not results:
@@ -438,10 +390,8 @@ def export_sweep_csv(results, path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([*results[0].point, *SWEEP_METRICS])
         for res in results:
-            writer.writerow([*map(_format, res.point.values()),
-                             _format(res.ig_single), _format(res.ig_multi),
-                             _format(res.riig), _format(res.boundary_mass),
-                             res.status])
+            writer.writerow([*res.point.values(), *(
+                getattr(res, metric) for metric in SWEEP_METRICS)])
 
 
 def _spec_payload(config: RunConfig) -> dict:

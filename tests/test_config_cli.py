@@ -96,8 +96,10 @@ class TestAxisSpec:
             parse_config(data)
 
     def test_explicit_values(self):
-        axis = _parse_axis([1, "2 kPa", 3.5], "axis")
-        assert axis == (1.0, 2000.0, 3.5)
+        data = TestConfigParsing().minimal()
+        data["sweep"] = {"voltage": [1, "2 kV", 3500.5]}
+        axis = parse_config(data).sweep["voltage"]
+        assert axis == (1.0, 2000.0, 3500.5)
         assert all(type(v) is float for v in axis)
 
 
@@ -999,9 +1001,9 @@ class TestNonFiniteInputs:
          ("synthesize", "posterior", "sweep")),
         (("sweep", "snr2"), [80.0, math.inf], "sweep.snr2",
          ("synthesize", "posterior", "sweep")),
-        (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2",
+        (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2[0]",
          ("synthesize", "posterior", "sweep")),
-        (("sweep", "n_obs2"), [2.0, math.inf], "sweep.n_obs2",
+        (("sweep", "n_obs2"), [2.0, math.inf], "sweep.n_obs2[1]",
          ("synthesize", "posterior", "sweep")),
         pytest.param(("sweep", "n_obs2"), [2, 10 ** 400], "sweep.n_obs2[1]",
                      ("synthesize", "sweep"), id="n_obs2-1e400"),
@@ -1029,7 +1031,7 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("path,value,key", [
         (("sweep", "snr2"), [10.0, math.inf], "sweep.snr2"),
-        (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2"),
+        (("sweep", "n_obs2"), [2.5, 4.0], "sweep.n_obs2[0]"),
         (("sweep",), {"side_length": [0.01, math.inf]}, "sweep.side_length"),
         (("sweep", "snr2", "num"), 10.9, "sweep.snr2.num"),
     ])
@@ -1106,6 +1108,65 @@ class TestNonFiniteInputs:
         assert "prior: " in err and "probability mass" in err
         assert "Traceback" not in err and "Warning" not in err
         assert not out.exists()
+
+
+class TestConfigValueRules:
+    @pytest.mark.parametrize("path,value,key", [
+        (("fields", 0, "id"), "1", "fields[0].id"),
+        (("fields", 0, "count"), "3", "fields[0].count"),
+        (("grid", 0), "3", "grid[0]"),
+        (("workers",), "3", "workers"),
+        (("sweep", "snr2", "num"), "3", "sweep.snr2.num"),
+        (("sweep", "n_obs2"), [2, "3"], "sweep.n_obs2[1]"),
+    ])
+    def test_quoted_integer_exits_2(self, tmp_path, capsys, path, value,
+                                    key):
+        # one integer rule for every integer key: a string is no integer
+        config = _mutated_fig9(tmp_path, path, value)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: {key}: expected an integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [None, [1]])
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys,
+                                         monkeypatch, value):
+        config = _mutated_fig9(tmp_path, ("output_dir",), value)
+        monkeypatch.chdir(tmp_path)
+        assert main(["synthesize", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {config}: output_dir: expected a string")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    @pytest.mark.parametrize("fields,ids", [([], "[]"), ([1], "[2]")])
+    @pytest.mark.parametrize("command", ["sweep", "synthesize", "posterior"])
+    def test_sweep_without_field_1_names_fields(self, tmp_path, capsys,
+                                                command, fields, ids):
+        data = yaml.safe_load((CONFIG_DIR / "fig9.yaml").read_text())
+        data["fields"] = [data["fields"][i] for i in fields]
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: fields: no field 1 configured; the ids are "
+            f"{ids}\n")
+        assert not out.exists()
+
+
+def test_config_import_loads_no_sweep():
+    # the run schema lives in mfbia.config; the sweep engine depends on it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mfbia.config; print('mfbia.sweep' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 class TestWorkersFlag:

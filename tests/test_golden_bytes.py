@@ -59,6 +59,13 @@ GOLDEN = {
         "sweep.csv":
             "a932de1ce56019fafa9f112db13b0108790334ff6c804a77aa26c67ae7aec6fb",
     }),
+    "toyfull-synthesize": (["synthesize", "--config",
+                            str(CONFIG_DIR / "toyfull_coupling.yaml")], {
+        "observations_field1.csv":
+            "ed45539f05f017b1aaf421236a0de896c24ce571c9aabd1d6de926b71edaee8b",
+        "observations_field2.csv":
+            "aa910fbc973741537e51caed28df4c8e740b4ed83947a4c4eab205799a9cb3b8",
+    }),
     "posterior-grid60": (["posterior", "--grid", "60"], {
         "posterior_fnone.csv":
             "4a01e20465200a73aa9479d57c3c132b2ad32d5492fc184bb342b29b04dbbac9",

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mfbia.cli import main
-from mfbia.config import RunConfig, default_config, load_config
+from mfbia.config import FieldSpec, RunConfig, default_config, load_config
 from mfbia.inference import (
     PriorGrid,
     cdf_spaced_grid,
@@ -34,7 +34,6 @@ from mfbia.probabilistic import (
 import mfbia.probabilistic as probabilistic
 import mfbia.sweep as sweep_module
 from mfbia.sweep import (
-    FieldSpec,
     export_sweep_csv,
     run_coupling_sweep,
     run_riig_sweep,
@@ -129,7 +128,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^count: "):
             FieldSpec(field_id=1, count=count, snr=10.0,
                       coord_range=(0.0, 1.0))
-        with pytest.raises(ValueError, match="^sweep.n_obs2: "):
+        with pytest.raises(ValueError, match=r"^sweep\.n_obs2\[1\]: "):
             toy_sweep_config(n_obs2_axis=(2.0, count))
 
     def test_integral_counts_become_ints(self):

@@ -13,7 +13,6 @@ provenance error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -48,6 +47,7 @@ from .inference import (
 )
 from .models import build_model
 from .probabilistic import (
+    OBSERVATION_CSV_HEADER,
     FieldObservations,
     ObservationFileError,
     ReductionPool,
@@ -55,7 +55,7 @@ from .probabilistic import (
     observations_from_csv,
     observations_to_csv,
     synthesize_observations,
-    write_empty_observations_csv,
+    write_csv,
 )
 from .sweep import (
     export_sweep_csv,
@@ -70,6 +70,10 @@ REFERENCE_RIIG = {
     "fig9_right": 1.22,
     "fig10_point3": 3.65,
 }
+
+#: Columns of a reproduction bundle's ``summary.csv``.
+SUMMARY_CSV_HEADER = ("case", "n_obs2", "snr2", "ig_single", "ig_multi",
+                      "riig", "reference_riig")
 
 
 #: Values of ``--log-level``; the package logger's threshold.
@@ -173,7 +177,7 @@ def cmd_synthesize(args) -> int:
     for spec in config.fields:
         path = out_dir / f"observations_field{spec.field_id}.csv"
         if spec.count == 0:
-            write_empty_observations_csv(path)
+            write_csv(path, OBSERVATION_CSV_HEADER, [])
         else:
             observations_to_csv(synthesize_observations(
                 model, np.array(config.truth), spec.field_id,
@@ -319,15 +323,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _write_summary_csv(path, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["case", "n_obs2", "snr2", "ig_single", "ig_multi",
-                         "riig", "reference_riig"])
-        for row in rows:
-            writer.writerow(row)
-
-
 def cmd_reproduce(args) -> int:
     if args.figure == "fig9" and (args.full or args.workers):
         flag = "--full" if args.full else "--workers"
@@ -377,7 +372,7 @@ def _reproduce_fig9(out_dir: Path) -> int:
                          repr(ig_multi), repr(value), reference])
             print(f"{case + ':':7} riig = {value:.4f} "
                   f"(reference {reference})")
-    _write_summary_csv(out_dir / "summary.csv", rows)
+    write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, rows)
     print(out_dir / "summary.csv")
     return 0
 
@@ -403,7 +398,7 @@ def _reproduce_fig10(out_dir: Path, progress, full: bool, workers: int) -> int:
                      repr(res.ig_multi), repr(res.riig), reference])
         print(f"{name}: n_obs2={n_obs2} snr2={snr2:g} "
               f"riig={res.riig:.4f} (reference {reference})")
-    _write_summary_csv(out_dir / "summary.csv", rows)
+    write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, rows)
     print(out_dir / "sweep.csv")
     return 0
 

@@ -123,6 +123,7 @@ class FieldSpec:
     coord_range: tuple[float, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "field_id", _integer(self.field_id, "id"))
         object.__setattr__(self, "count", _integer(self.count, "count"))
         if self.count < 0:
             raise ConfigError(f"count: must be >= 0, got {self.count}")
@@ -152,6 +153,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "workers", _integer(self.workers, "workers"))
+        object.__setattr__(self, "grid_shape", tuple(
+            _integer(n, f"grid[{i}]") for i, n in enumerate(self.grid_shape)))
         if self.model not in registered_models():
             raise ConfigError(
                 f"model: unknown model {self.model!r}; "
@@ -330,7 +334,6 @@ def _parse_field(section, index: int) -> FieldSpec:
     for key in ("id", "count", "snr"):
         if key not in section:
             raise ConfigError(f"{where}.{key}: missing")
-    field_id = _integer(section["id"], f"{where}.id")
     snr = parse_quantity(section["snr"], f"{where}.snr")
     coord_range = _quantity_list(section.get("range", [0.0, 1.0]),
                                  f"{where}.range")
@@ -338,8 +341,8 @@ def _parse_field(section, index: int) -> FieldSpec:
         raise ConfigError(f"{where}.range: expected [low, high], got "
                           f"{len(coord_range)} values")
     try:
-        return FieldSpec(field_id=field_id, count=section["count"], snr=snr,
-                         coord_range=tuple(coord_range))
+        return FieldSpec(field_id=section["id"], count=section["count"],
+                         snr=snr, coord_range=tuple(coord_range))
     except ValueError as exc:
         raise ConfigError(f"{where}.{exc}") from exc
 
@@ -369,7 +372,6 @@ def parse_config(data: dict) -> RunConfig:
     grid = data.get("grid", [100] * prior.dim)
     if not isinstance(grid, list):
         grid = [grid] * prior.dim
-    grid_shape = tuple(_integer(n, f"grid[{i}]") for i, n in enumerate(grid))
     sweep = data.get("sweep")
     output_dir = data.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -378,10 +380,10 @@ def parse_config(data: dict) -> RunConfig:
     try:
         return RunConfig(model=data["model"], constants=constants,
                          truth=truth, prior=prior, fields=fields,
-                         grid_shape=grid_shape,
+                         grid_shape=tuple(grid),
                          sweep=None if sweep is None else _parse_sweep(sweep),
                          output_dir=output_dir,
-                         workers=_integer(data.get("workers", 1), "workers"))
+                         workers=data.get("workers", 1))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

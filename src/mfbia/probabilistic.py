@@ -573,26 +573,26 @@ def log_likelihood(terms) -> np.ndarray | float:
     return float(total) if np.ndim(total) == 0 else total
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV, each line
+    ended by ``\\n``.  A float is written as ``repr`` writes it, and None
+    as an empty cell."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def observations_to_csv(obs: FieldObservations, path) -> None:
     """Write one observation set; one row per scalar observation component.
-    Floats are written as ``repr`` writes them, and no SNR as an empty
-    cell."""
+    No SNR is written as an empty cell."""
     values = obs.values if obs.values.ndim == 2 else obs.values[:, None]
     noise_variance = float(obs.noise_variance)
     snr = None if obs.snr is None else float(obs.snr)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(OBSERVATION_CSV_HEADER)
-        for coordinate, row in zip(obs.coordinates.tolist(), values.tolist()):
-            for component in row:
-                writer.writerow([obs.field_id, coordinate, component,
-                                 noise_variance, snr])
-
-
-def write_empty_observations_csv(path) -> None:
-    """Header-only file for a field configured with zero observations."""
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(OBSERVATION_CSV_HEADER)
+    write_csv(path, OBSERVATION_CSV_HEADER, (
+        [obs.field_id, coordinate, component, noise_variance, snr]
+        for coordinate, row in zip(obs.coordinates.tolist(), values.tolist())
+        for component in row))
 
 
 class ObservationFileError(ValueError):

@@ -17,25 +17,24 @@ task computes field 2's misfit moments on the posterior grid once, and the
 single-field gain once per ``snr1`` value; an SNR value then costs one
 pass over the nodes.  Field 1's moments depend only on the model constants
 and ``n_obs1``: tasks that share them are listed next to each other, and
-each process keeps the last field-1 analysis it computed.  Each sweep
-process reduces its misfits on one
-:class:`~mfbia.probabilistic.ReductionPool`.  The calling process looks
-one task ahead: it queues the next task's reductions before it evaluates
-a task's cells, so at most two tasks' moments are alive in it.  Alone, it
-reduces them on helper threads while its calling thread evaluates
-posteriors; beside other processes, every process reduces on its calling
-thread only.  Tasks can run on any number of processes and threads
-without changing a single bit of the output; failures are recorded per
-cell and never abort the sweep.
+each process keeps the last field-1 analysis it computed.  On several
+processes, every task goes to a process pool as a future, and the calling
+process takes each one the pool has not handed to a worker.  Each process
+reduces its misfits on one :class:`~mfbia.probabilistic.ReductionPool`.
+The calling process looks one task ahead: it queues the next task's
+reductions before it evaluates a task's cells, so at most two tasks'
+moments are alive in it.  Alone, it reduces them on helper threads while
+its calling thread evaluates posteriors; beside other processes, every
+process reduces on its calling thread only.  Tasks can run on any number
+of processes and threads without changing a single bit of the output;
+failures are recorded per cell and never abort the sweep.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
-import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -58,6 +57,7 @@ from .probabilistic import (
     sigma_from_snr,
     sobol_standard_normal,
     synthesize_observations,
+    write_csv,
 )
 
 SWEEP_METRICS = ("ig_single", "ig_multi", "riig", "boundary_mass", "status")
@@ -132,30 +132,6 @@ def _field1_key(point: dict) -> tuple:
     return constants, point.get("n_obs1")
 
 
-class _TaskIndex:
-    """Hands out the numbers of a sweep's ``tasks`` (see
-    :func:`sweep_tasks`), each once and in order.  Made for more than one
-    process, it keeps the next number in shared memory, so the pool
-    workers forked after it draw from the same sequence as the process
-    that made it."""
-
-    def __init__(self, tasks: list[list[int]], processes: int = 1):
-        self.tasks = tasks
-        self._next = 0
-        self._shared = multiprocessing.Value("l", 0) if processes > 1 \
-            else None
-
-    def claim(self) -> int | None:
-        """The next unclaimed task number, or None once all are claimed."""
-        if self._shared is None:
-            number, self._next = self._next, self._next + 1
-        else:
-            with self._shared.get_lock():
-                number = self._shared.value
-                self._shared.value = number + 1
-        return number if number < len(self.tasks) else None
-
-
 @dataclass(frozen=True)
 class _Task:
     """A task ready to evaluate: its cells' axis values and, per field
@@ -177,18 +153,19 @@ class _TaskEvaluator:
     keeps the last field-1 analysis it prepared, so consecutive tasks that
     share its key compute it once.  On several processes, each one that
     runs one of those tasks computes it: the work done depends on
-    scheduling, the bits of a cell do not.  ``index`` hands out the
-    sweep's tasks.  The reductions run on one
-    :class:`~mfbia.probabilistic.ReductionPool`: on the default threads,
-    or on the calling thread alone when ``index`` is shared with other
-    processes, so that no helper thread is alive when the sweep forks.
+    scheduling, the bits of a cell do not.  ``tasks`` are the sweep's
+    tasks (see :func:`sweep_tasks`).  The reductions run on one
+    :class:`~mfbia.probabilistic.ReductionPool` of ``threads`` threads:
+    the default, or 1 beside other processes, so that no helper thread is
+    alive when the sweep forks.
     """
 
-    def __init__(self, config: RunConfig, index: _TaskIndex):
+    def __init__(self, config: RunConfig, tasks: list[list[int]],
+                 threads: int | None = None):
         self.config = config
         self.plans = config.sweep_plans()
-        self.index = index
-        self.pool = ReductionPool(None if index._shared is None else 1)
+        self.tasks = tasks
+        self.pool = ReductionPool(threads)
         self.cells = list(itertools.product(*config.sweep.values()))
         self.grid = PriorGrid(config.prior, cdf_spaced_grid(
             config.prior, config.grid_shape))
@@ -217,7 +194,7 @@ class _TaskEvaluator:
         """Task ``number`` with its analyses queued.  An error raised on
         the way is kept for its cells to report: each fails at the first
         field whose analysis failed."""
-        cells = [self.cells[cell] for cell in self.index.tasks[number]]
+        cells = [self.cells[cell] for cell in self.tasks[number]]
         point = dict(zip(self.config.sweep, cells[0]))
         analyses = {}
         try:
@@ -273,36 +250,22 @@ class _TaskEvaluator:
 _evaluator: _TaskEvaluator | None = None
 
 
-def _install(config: RunConfig, index: _TaskIndex) -> None:
+def _install(config: RunConfig, tasks: list, threads: int | None) -> None:
     """Set this process's sweep context: the sweep's own set-up, and the
     pool initializer.  A worker forked from the sweep's process keeps the
     context it inherits, so it builds no second prior grid."""
     global _evaluator
-    if _evaluator is None or _evaluator.index is not index:
-        _evaluator = _TaskEvaluator(config, index)
+    if _evaluator is None or _evaluator.tasks is not tasks:
+        _evaluator = _TaskEvaluator(config, tasks, threads)
 
 
 def _evaluate_task(task: _Task) -> list[SweepResult]:
     return _evaluator(task)
 
 
-def _prepare_next() -> tuple[int, _Task] | None:
-    """Claim the next task of the sweep and queue its analyses: the task
-    number and the task, or None once every task is claimed."""
-    number = _evaluator.index.claim()
-    if number is None:
-        return None
-    return number, _evaluator.prepare(number)
-
-
-def _evaluate_next() -> tuple[int, list[SweepResult]] | None:
-    """Claim the next task of the sweep and evaluate it: the task number
-    and its cells' results, or None once every task is claimed."""
-    claimed = _prepare_next()
-    if claimed is None:
-        return None
-    number, task = claimed
-    return number, _evaluate_task(task)
+def _evaluate(number: int) -> tuple[int, list[SweepResult]]:
+    """Evaluate task ``number``: the number and its cells' results."""
+    return number, _evaluate_task(_evaluator.prepare(number))
 
 
 def run_riig_sweep(config: RunConfig, workers: int = 1,
@@ -310,22 +273,21 @@ def run_riig_sweep(config: RunConfig, workers: int = 1,
     """Evaluate the relative information-gain increase on every cell.
 
     Runs on ``min(workers, tasks)`` processes (see :func:`sweep_tasks`),
-    this one included.  With more than one, it forks a pool of the
-    others and sends the pool one claim per task; a claim carries no cell
-    values, and one made once all tasks are claimed does nothing.  Every
-    process claims its next task from one shared :class:`_TaskIndex`
-    whenever it is free, so none idles while a task is unclaimed.  This
-    process looks one task ahead: it claims the next task, and queues its
-    misfit reductions, before it evaluates this one, then records the
-    pool's finished claims.  Progress is reported once per cell as its
-    task's results arrive.  Results come back in cell order, the first
-    axis varying slowest, and are identical for any worker count.  A task
-    that raises, or a pool that breaks, stops the sweep with that error.
+    this one included.  With more than one, it forks a pool of the others
+    and submits every task to it by number.  This process walks the task
+    numbers in order and takes each task whose future it can still cancel,
+    that is, each one the pool has not handed to a worker; alone, it takes
+    every task.  It looks one task ahead: it takes its next task, and
+    queues its misfit reductions, before it evaluates this one, then
+    records the pool's finished tasks.  Progress is reported once per cell
+    as its task's results arrive.  Results come back in cell order, the
+    first axis varying slowest, and are identical for any worker count.  A
+    task that raises, or a pool that breaks, stops the sweep with that
+    error; no task that the pool has not handed to a worker starts then.
     """
     global _evaluator
     tasks = sweep_tasks(config)
     processes = min(workers, len(tasks))
-    index = _TaskIndex(tasks, processes)
     collected = [None] * sum(len(task) for task in tasks)
     done = 0
 
@@ -337,32 +299,47 @@ def run_riig_sweep(config: RunConfig, workers: int = 1,
             if progress is not None:
                 progress(done, len(collected))
 
-    pool, pending = None, set()
+    pool, futures, numbers = None, [], iter(range(len(tasks)))
+
+    def take() -> tuple[int, _Task] | None:
+        """The next task no pool worker has started, prepared, or None."""
+        for number in numbers:
+            if pool is not None:
+                future = futures[number]
+                if not future.cancel():
+                    continue
+                # wait() counts a cancelled future as done only once the
+                # pool has seen it; a pool that breaks before then raises
+                # on it in set_exception() on Python before 3.12.1
+                pending.remove(future)
+                future.set_exception = lambda exception: None
+            return number, _evaluator.prepare(number)
+        return None
+
     try:
-        _install(config, index)
+        _install(config, tasks, None if processes == 1 else 1)
         if processes > 1:
             pool = ProcessPoolExecutor(processes - 1, initializer=_install,
-                                       initargs=(config, index))
-            pending = {pool.submit(_evaluate_next) for _ in tasks}
-        ahead = _prepare_next()
+                                       initargs=(config, tasks, 1))
+            futures = [pool.submit(_evaluate, number)
+                       for number in range(len(tasks))]
+        pending = set(futures)
+        ahead = take()
         while ahead is not None or pending:
             if ahead is None:
                 finished, pending = wait(pending, return_when=FIRST_COMPLETED)
             else:
                 number, task = ahead
-                ahead = _prepare_next()
+                ahead = take()
                 record(number, _evaluate_task(task))
                 finished, pending = wait(pending, timeout=0)
-            for claim in finished:
-                if (claimed := claim.result()) is not None:
-                    record(*claimed)
+            for future in finished:
+                record(*future.result())
         return collected
     finally:
         # a sweep that failed leaves no task for its pool to start
-        while index.claim() is not None:
-            pass
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
         # the grid, the reduction threads and the last field-1 analysis
         # end with the sweep
         if _evaluator is not None:
@@ -386,12 +363,10 @@ def export_sweep_csv(results, path) -> None:
     results = list(results)
     if not results:
         raise ValueError("results must be non-empty")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([*results[0].point, *SWEEP_METRICS])
-        for res in results:
-            writer.writerow([*res.point.values(), *(
-                getattr(res, metric) for metric in SWEEP_METRICS)])
+    write_csv(path, [*results[0].point, *SWEEP_METRICS],
+              ([*res.point.values(),
+                *(getattr(res, metric) for metric in SWEEP_METRICS)]
+               for res in results))
 
 
 def _spec_payload(config: RunConfig) -> dict:

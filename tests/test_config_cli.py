@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import mfbia.cli as cli
 from mfbia.cli import build_parser, main
 from mfbia.config import (
     ConfigError,
+    FieldSpec,
     _parse_axis,
     default_config,
     load_config,
@@ -187,6 +189,19 @@ class TestConfigParsing:
         assert len(counts) == 42
         assert counts[0] == 2 and counts[-1] == 256
         assert all(b > a for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("build,key", [
+        (lambda: replace(default_config(), workers=2.5), "workers"),
+        (lambda: replace(default_config(), workers=True), "workers"),
+        (lambda: FieldSpec(field_id=True, count=16, snr=50.0,
+                           coord_range=(0.0, 0.4)), "id"),
+        (lambda: replace(default_config(), grid_shape=(20.9, 20),
+                         sweep=None), r"grid\[0\]"),
+    ], ids=["workers-2.5", "workers-bool", "field-id-bool", "grid-20.9"])
+    def test_python_api_integers_checked(self, build, key):
+        # the rule that parse_config applies to the same YAML keys
+        with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+            build()
 
 
 class TestCliSynthesize:

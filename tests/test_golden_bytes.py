@@ -59,6 +59,13 @@ GOLDEN = {
         "sweep.csv":
             "a932de1ce56019fafa9f112db13b0108790334ff6c804a77aa26c67ae7aec6fb",
     }),
+    # two pool workers race the calling process for the 25 tasks
+    "toyfull-coupling-workers3": (["sweep", "--config",
+                                   str(CONFIG_DIR / "toyfull_coupling.yaml"),
+                                   "--workers", "3"], {
+        "sweep.csv":
+            "a932de1ce56019fafa9f112db13b0108790334ff6c804a77aa26c67ae7aec6fb",
+    }),
     "toyfull-synthesize": (["synthesize", "--config",
                             str(CONFIG_DIR / "toyfull_coupling.yaml")], {
         "observations_field1.csv":

@@ -23,6 +23,7 @@ from mfbia.probabilistic import (
     _ndtri,
     _sobol_1d,
     MISFIT_BLOCK_ELEMENTS,
+    OBSERVATION_CSV_HEADER,
     DegenerateSignalError,
     FieldObservations,
     MisfitMoments,
@@ -38,7 +39,7 @@ from mfbia.probabilistic import (
     snr_from_sigma,
     sobol_standard_normal,
     synthesize_observations,
-    write_empty_observations_csv,
+    write_csv,
 )
 
 
@@ -906,7 +907,7 @@ class TestObservationCsv:
 
     def test_header_only_reads_as_none(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_empty_observations_csv(path)
+        write_csv(path, OBSERVATION_CSV_HEADER, [])
         assert observations_from_csv(path) is None
 
     def test_vector_values_flatten_to_component_rows(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import multiprocessing
 import os
 import subprocess
@@ -20,6 +21,7 @@ from mfbia.inference import (
     cdf_spaced_grid,
     evaluate_posterior,
     information_gain,
+    kl_gaussians,
     riig,
 )
 from mfbia.models import ToyFullModel, build_model
@@ -28,6 +30,7 @@ from mfbia.probabilistic import (
     TruncatedNormalPrior,
     log_likelihood,
     misfit_moments,
+    sigma_from_snr,
     sobol_standard_normal,
     synthesize_observations,
 )
@@ -392,7 +395,7 @@ def _task_threads(task):
 def _in_worker() -> bool:
     """Whether this is a pool worker.  The calling process sleeps 100 ms
     each time it asks, so that a worker has started before the caller has
-    claimed every task of a test sweep."""
+    taken every task of a test sweep."""
     if multiprocessing.parent_process() is not None:
         return True
     time.sleep(0.1)
@@ -413,9 +416,29 @@ def _fail_in_worker(task):
     return sweep_module._evaluator(task)
 
 
+def _fail_in_caller(task):
+    """Stands in for ``sweep._evaluate_task``: raises in the calling
+    process.  A pool worker takes 50 ms per task, so that the calling
+    process is left tasks to take."""
+    if multiprocessing.parent_process() is None:
+        raise LookupError("task failed in the calling process")
+    time.sleep(0.05)
+    return sweep_module._evaluator(task)
+
+
 def _exit_in_worker(task):
     """Stands in for ``sweep._evaluate_task``: a pool worker dies."""
     if _in_worker():
+        os._exit(3)
+    return sweep_module._evaluator(task)
+
+
+def _exit_in_worker_later(task):
+    """Stands in for ``sweep._evaluate_task``: a pool worker dies 200 ms
+    into its task.  By then the calling process has taken a task whose
+    cancelled future the pool still holds queued."""
+    if _in_worker():
+        time.sleep(0.2)
         os._exit(3)
     return sweep_module._evaluator(task)
 
@@ -512,8 +535,7 @@ class TestMisfitThreads:
         export_sweep_csv(run_riig_sweep(spec), tmp_path / "ahead.csv")
         # each task evaluated right after its reductions are queued
         tasks = sweep_tasks(spec)
-        evaluator = sweep_module._TaskEvaluator(
-            spec, sweep_module._TaskIndex(tasks))
+        evaluator = sweep_module._TaskEvaluator(spec, tasks)
         try:
             results = [None] * len(evaluator.cells)
             for number, cells in enumerate(tasks):
@@ -581,9 +603,9 @@ class TestMisfitThreads:
 
 
 class TestDispatch:
-    """The calling process claims tasks from the task index that feeds
-    the pool; no bit depends on the worker count or on which process ran
-    a task."""
+    """The pool gets every task as a future, and the calling process
+    takes each one it can still cancel; no bit depends on the worker count
+    or on which process ran a task."""
 
     def test_sweep_csv_same_bytes_for_any_worker_count(self, tmp_path):
         # eight tasks, whose cost grows with n_obs2
@@ -609,7 +631,7 @@ class TestDispatch:
                    for task in sweep_tasks(spec))
         assert sweep_module._evaluator is None
 
-    def test_pool_gets_one_empty_claim_per_task(self, monkeypatch):
+    def test_pool_gets_one_submit_per_task(self, monkeypatch):
         # so the bytes dispatched do not depend on who runs which task
         submitted = []
 
@@ -621,7 +643,8 @@ class TestDispatch:
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Recording)
         spec = toy_sweep_config(grid_shape=(5, 5))
         assert run_riig_sweep(spec, workers=2) == run_riig_sweep(spec)
-        assert submitted == [(sweep_module._evaluate_next, (), {})] * 3
+        assert submitted == [(sweep_module._evaluate, (n,), {})
+                             for n in range(3)]
 
     def test_progress_is_reported_as_tasks_finish(self, monkeypatch):
         spec = toy_sweep_config(grid_shape=(5, 5))
@@ -657,21 +680,20 @@ class TestDispatch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_calling_process_looks_one_task_ahead(self, monkeypatch, workers):
-        # the calling process claims its next task, and queues its
+        # the calling process takes its next task, and queues its
         # reductions, before it evaluates a task's cells, on any number of
-        # processes; its claim after the last finds none
-        claims, evaluated = [], []   # in the calling process
-        claim = sweep_module._TaskIndex.claim
+        # processes
+        prepared, evaluated = [], []   # in the calling process
+        prepare = sweep_module._TaskEvaluator.prepare
 
-        def recorded(index):
-            number = claim(index)
+        def recorded(evaluator, number):
             if multiprocessing.parent_process() is None:
-                claims.append(number)
-            return number
+                prepared.append(number)
+            return prepare(evaluator, number)
 
         def evaluate(task):
             if multiprocessing.parent_process() is None:
-                evaluated.append((task.cells, len(claims)))
+                evaluated.append((task.cells, len(prepared)))
             else:
                 time.sleep(0.05)
             return sweep_module._evaluator(task)
@@ -679,28 +701,37 @@ class TestDispatch:
         spec = toy_sweep_config(n_obs2_axis=(2, 4, 8, 16),
                                 grid_shape=(5, 5))
         serial = run_riig_sweep(spec)
-        monkeypatch.setattr(sweep_module._TaskIndex, "claim", recorded)
+        monkeypatch.setattr(sweep_module._TaskEvaluator, "prepare", recorded)
         monkeypatch.setattr(sweep_module, "_evaluate_task", evaluate)
         assert run_riig_sweep(spec, workers=workers) == serial
-        # its k-th task is its k-th claim, evaluated once it has made
-        # claim k + 1
+        # its k-th task is the k-th it prepared, evaluated once it has
+        # prepared task k + 1, if it takes one more; the numbers it
+        # prepared increase
+        assert len(evaluated) == len(prepared)
         assert [made for _, made in evaluated] == \
-            list(range(2, len(evaluated) + 2))
+            [*range(2, len(evaluated) + 1), len(evaluated)]
+        assert prepared == sorted(set(prepared))
         tasks = sweep_tasks(spec)
         cells = list(itertools.product(*spec.sweep.values()))
         assert [task for task, _ in evaluated] == \
-            [[cells[cell] for cell in tasks[number]]
-             for number in claims[:len(evaluated)]]
+            [[cells[cell] for cell in tasks[number]] for number in prepared]
 
     @pytest.mark.parametrize("stand_in,error", [
         (_fail_in_worker, LookupError),
         (_exit_in_worker, BrokenProcessPool),
+        (_exit_in_worker_later, BrokenProcessPool),
+        (_fail_in_caller, LookupError),
     ])
     def test_pool_failure_propagates(self, monkeypatch, stand_in, error):
         monkeypatch.setattr(sweep_module, "_evaluate_task", stand_in)
+        # eight tasks: more than the pool's worker holds, running or
+        # queued, so that the calling process still takes one after 100 ms
+        spec = toy_sweep_config(n_obs2_axis=(2, 4, 8, 16, 32, 64, 128, 256),
+                                grid_shape=(5, 5))
         with pytest.raises(error):
-            run_riig_sweep(toy_sweep_config(grid_shape=(5, 5)), workers=2)
+            run_riig_sweep(spec, workers=2)
         assert sweep_module._evaluator is None
+        assert not multiprocessing.active_children()
 
 
 class TestCouplingSweep:
@@ -771,6 +802,61 @@ class TestCouplingSweep:
 
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
         assert run_riig_sweep(spec, workers=2) == serial
+
+    def test_multi_field_gain_matches_the_exact_gain(self):
+        # The toy model is linear, so under the untruncated prior each
+        # cell's two-field posterior is the Gaussian N(m, C).  Where N(m, C)
+        # lies well inside the prior box, the exact gain is its KL
+        # divergence from the untruncated prior plus log(prior box mass).
+        # ig_single has no such oracle here: over all 125 cells of the
+        # committed study, the single-field mode lies only 1.16-1.49
+        # posterior SDs from the bound x2 >= 0.  At snr1 = 10 the
+        # concentrated cells (snr2 >= 56234) still err by up to 5.1% at
+        # 200x200, and by up to 8.4% over all snr1 (ROADMAP item 2); the
+        # cells below err by -0.40% at worst, every one low.
+        config = replace(load_config(CONFIGS / "toyfull_coupling.yaml"),
+                         sweep={"snr1": [10],
+                                "snr2": [10, 177.827941, 3162.27766],
+                                "coupling": [0.3, 0.7]},
+                         grid_shape=(200, 200))
+        prior, truth = config.prior, np.array(config.truth)
+
+        def cdf(bound, k):
+            z = (bound - prior.mean[k]) / prior.sd[k]
+            return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+        box_mass = math.prod(cdf(prior.upper[k], k) - cdf(prior.lower[k], k)
+                             for k in range(prior.dim))
+        cells = run_riig_sweep(config)
+        assert len(cells) == 6
+        for cell in cells:
+            model = build_model(config.model,
+                                {"coupling": cell.point["coupling"]})
+            precision = np.diag(1.0 / prior.variance)
+            shift = prior.mean / prior.variance
+            for plan in config.sweep_plans():
+                coords = plan.coordinates()
+                centre = model.outputs(truth, plan.field_id, coords)
+                variance = sigma_from_snr(
+                    centre, cell.point[f"snr{plan.field_id}"])
+                data = centre + math.sqrt(variance) \
+                    * sobol_standard_normal(centre.size)
+                # the outputs are linear in the parameters
+                jacobian = np.stack([model.outputs(unit, plan.field_id,
+                                                   coords)
+                                     for unit in np.eye(2)], axis=-1)
+                precision = precision + jacobian.T @ jacobian / variance
+                shift = shift + jacobian.T @ data / variance
+            cov = np.linalg.inv(precision)
+            mean = cov @ shift
+            sd = np.sqrt(np.diag(cov))
+            # the oracle holds only well inside the box (measured 5.7-9.3)
+            assert np.all((mean - prior.lower) / sd >= 4.0)
+            assert np.all((prior.upper - mean) / sd >= 4.0)
+            exact = kl_gaussians(prior.mean, np.diag(prior.variance), mean,
+                                 cov) + math.log(box_mass)
+            assert cell.ok
+            assert abs(cell.ig_multi - exact) <= 5e-3 * exact, cell.point
 
     def test_export(self, tmp_path):
         results = run_riig_sweep(self.spec())

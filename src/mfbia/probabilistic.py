@@ -388,7 +388,7 @@ class _Reduction:
         self.blocks = [slice(start, start + step)
                        for start in range(0, self.rows.shape[0], step)]
         self.left = len(self.blocks)   # blocks not yet reduced or skipped
-        self.failure = None   # message of the first block that raised
+        self.errors = {}   # first row of a block -> what the block raised
         self.moments = None
 
     def reduce(self, block: slice, work: _Workspace) -> None:
@@ -406,16 +406,14 @@ class _Reduction:
 
     def result(self) -> MisfitMoments:
         """The moments, once every block is reduced; the calling thread
-        reduces queued blocks, of any reduction, until then."""
+        reduces queued blocks, of any reduction, until then.  Raises what
+        its first block in row order to raise raised: every block before
+        that one runs, so it is the same block on any thread count."""
         if self.moments is None:
             self.pool._reduce(lambda: self.left == 0)
-            if self.pool._error is not None:
-                raise self.pool._error
+            if self.errors:
+                raise self.errors[min(self.errors)]
             a, b = self.a, self.b
-            if self.failure is not None:
-                logger.warning("model evaluation failed for field %d: %s",
-                               self.field_id, self.failure)
-                a[:] = np.inf
             bad = ~(np.isfinite(a) & np.isfinite(b))
             a[bad] = np.inf
             b[bad] = 0.0
@@ -440,11 +438,11 @@ class ReductionPool:
     ``result()`` has the calling thread reduce queued blocks, of any
     reduction, until none of its own is left.  Each thread keeps one
     workspace while it reduces: a helper for its life, the calling thread
-    for one wait, so none is held between results.  A block that raises a
-    ValueError, ArithmeticError or RuntimeError fails its own reduction
-    only: its blocks not yet started are skipped.  Any other exception
-    stops the pool: no queued block starts after it, the helpers end, and
-    every later ``result()`` raises it.
+    for one wait, so none is held between results.  A block that raises
+    fails its own reduction only: its blocks not yet started are skipped,
+    and its ``result()`` raises the exception.  One that is not an
+    ``Exception`` (Ctrl-C) also ends the calling thread's wait at once,
+    whichever reduction it waits for.
     """
 
     def __init__(self, threads: int | None = None):
@@ -453,7 +451,6 @@ class ReductionPool:
         self._queue = collections.deque()   # (reduction, context, block)
         self._changed = threading.Condition()
         self._helpers = []
-        self._error = None
         self._closed = False
 
     def __enter__(self) -> ReductionPool:
@@ -493,38 +490,26 @@ class ReductionPool:
         return reduction
 
     def _reduce(self, done) -> None:
-        """Reduce queued blocks in one workspace until ``done()`` holds or
-        the pool has stopped."""
+        """Reduce queued blocks in one workspace until ``done()`` holds.
+        What a block raises is kept on its reduction."""
         work = _Workspace()
         while True:
             with self._changed:
-                while not (self._queue or done() or self._error is not None):
-                    self._changed.wait()
-                if done() or self._error is not None:
+                self._changed.wait_for(lambda: self._queue or done())
+                if done():
                     return
-                item = self._queue.popleft()
-            self._run(item, work)
-
-    def _run(self, item, work: _Workspace) -> None:
-        """Reduce one dequeued block in ``work``; a model failure is kept
-        on its reduction, any other exception on the pool."""
-        reduction, context, block = item
-        failure = None
-        try:
-            if reduction.failure is None:
-                context.run(reduction.reduce, block, work)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            failure = str(exc)
-        except BaseException as exc:
-            with self._changed:
-                if self._error is None:
-                    self._error = exc
-                self._queue.clear()
-        with self._changed:
-            if reduction.failure is None:
-                reduction.failure = failure
-            reduction.left -= 1
-            self._changed.notify_all()
+                reduction, context, block = self._queue.popleft()
+            try:
+                if not reduction.errors:
+                    context.run(reduction.reduce, block, work)
+            except BaseException as exc:
+                reduction.errors[block.start] = exc
+                if not isinstance(exc, Exception):
+                    raise
+            finally:
+                with self._changed:
+                    reduction.left -= 1
+                    self._changed.notify_all()
 
 
 def misfit_moments(model, x, field_id: int, coords, centre,
@@ -543,8 +528,7 @@ def misfit_moments(model, x, field_id: int, coords, centre,
     coordinate array.  Each node's sums are taken along its own row, so
     they depend neither on the block size nor on the thread that computed
     them.  A node with a non-finite output or sum gets ``a = inf`` and
-    ``b = 0``; a model that raises a ValueError, ArithmeticError or
-    RuntimeError in any block gives that at every node, with one warning.
+    ``b = 0``; an exception the model raises in any block is raised.
     """
     with ReductionPool() as pool:
         return pool.submit(model, x, field_id, coords, centre,
@@ -558,9 +542,9 @@ def log_likelihood(terms) -> np.ndarray | float:
 
     Each of ``terms`` is one field's ``(moments, noise_variance)``: its
     :class:`MisfitMoments` on the nodes and sigma_j^2.  A 0-d sum, as for
-    no terms, comes back as a float.  Failed model evaluations make the
-    affected nodes -inf instead of raising, so a pathological grid node
-    cannot abort a scan; the count of such nodes is logged at DEBUG level.
+    no terms, comes back as a float.  A node whose model outputs are not
+    finite is -inf (see :func:`misfit_moments`); the count of such nodes
+    is logged at DEBUG level.
     """
     total = 0.0
     for moments, noise_variance in terms:
@@ -608,10 +592,24 @@ def _column(path, rows, name: str, cast=float) -> list:
         try:
             values.append(cast(row[index]))
         except ValueError:
+            kind = "an integer" if cast is int else "a number"
             raise ObservationFileError(
-                f"{path}: line {line}, column {name!r}: expected a number, "
+                f"{path}: line {line}, column {name!r}: expected {kind}, "
                 f"got {row[index]!r}") from None
     return values
+
+
+def _shared(path, rows, name: str, cast=float):
+    """The one value that every row holds in column ``name``, converted
+    by ``cast``; NaN matches NaN."""
+    index = OBSERVATION_CSV_HEADER.index(name)
+    values = _column(path, rows, name, cast)
+    for (line, row), value in zip(rows, values):
+        if value != values[0] and (value == value or values[0] == values[0]):
+            raise ObservationFileError(
+                f"{path}: line {line}, column {name!r}: got {row[index]!r}, "
+                f"but line {rows[0][0]} has {rows[0][1][index]!r}")
+    return values[0]
 
 
 def observations_from_csv(path) -> FieldObservations | None:
@@ -639,22 +637,17 @@ def observations_from_csv(path) -> FieldObservations | None:
             raise ObservationFileError(
                 f"{path}: line {line}: expected "
                 f"{len(OBSERVATION_CSV_HEADER)} columns, got {len(row)}")
-    field_ids = set(_column(path, rows, "field_id", int))
-    sigmas = {row[3] for _, row in rows}
-    snrs = {row[4] for _, row in rows}
-    if len(field_ids) != 1 or len(sigmas) != 1 or len(snrs) != 1:
-        raise ObservationFileError(
-            f"{path}: mixed field_id/sigma2/snr in one file")
-    (sigma2,) = _column(path, rows[:1], "sigma2")
+    field_id = _shared(path, rows, "field_id", int)
+    sigma2 = _shared(path, rows, "sigma2")
     if not 0 < sigma2 < math.inf:
         raise ObservationFileError(
             f"{path}: column 'sigma2' must be finite and > 0, got {sigma2!r}")
-    snr_text = snrs.pop()
+    snr = _shared(path, rows, "snr",
+                  lambda text: None if text == "" else float(text))
     coordinates = np.array(_column(path, rows, "coordinate"))
     values = np.array(_column(path, rows, "value"))
-    snr = None if snr_text == "" else _column(path, rows[:1], "snr")[0]
     try:
-        return FieldObservations(field_id=field_ids.pop(),
+        return FieldObservations(field_id=field_id,
                                  coordinates=coordinates, values=values,
                                  noise_variance=sigma2, snr=snr)
     except ValueError as exc:

@@ -62,6 +62,9 @@ from .probabilistic import (
 
 SWEEP_METRICS = ("ig_single", "ig_multi", "riig", "boundary_mass", "status")
 
+#: The errors that fail a cell (``failed:<message>``), not the sweep.
+CELL_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -205,7 +208,7 @@ class _TaskEvaluator:
                 self.field1 = (key, self.analysis(model, 1, point))
             analyses[1] = self.field1[1]
             analyses[2] = self.analysis(model, 2, point)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
+        except CELL_ERRORS as exc:
             analyses.setdefault(1, exc)
             analyses[2] = exc
         return _Task(cells, analyses)
@@ -239,7 +242,7 @@ class _TaskEvaluator:
                                ig_multi=ig_multi,
                                riig=riig(ig_single, ig_multi),
                                boundary_mass=posterior.boundary_mass)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
+        except CELL_ERRORS as exc:
             return SweepResult(point=point, ig_single=None, ig_multi=None,
                                riig=None, boundary_mass=None,
                                status=f"failed:{exc}")

@@ -285,15 +285,15 @@ class TestLogLikelihood:
                 if r.levelno == logging.DEBUG] == \
             ["log-likelihood is -inf at 1 of 3 points"]
 
-    def test_raising_model_yields_sentinel(self):
+    def test_raising_model_error_is_raised(self):
         class Raising:
             def outputs(self, x, field_id, coords, work=None):
                 raise RuntimeError("solver blew up")
 
         obs = FieldObservations(field_id=1, coordinates=np.array([0.1]),
                                 values=np.array([1.0]), noise_variance=1.0)
-        assert log_likelihood(obs_terms(Raising(), self.truth, [obs])) \
-            == -np.inf
+        with pytest.raises(RuntimeError, match="solver blew up"):
+            obs_terms(Raising(), self.truth, [obs])
 
 
 class TestMisfitMoments:
@@ -569,7 +569,7 @@ class TestMisfitThreads:
         assert full in [set(work._buffers) for work in made]
         assert all(set(work._buffers) in (set(), full) for work in made)
 
-    def test_raise_in_one_block_fails_every_node(self, monkeypatch, caplog):
+    def test_raise_in_one_block_is_raised(self, monkeypatch, caplog):
         class FailsInOneBlock:
             """Zero outputs; raises on the batch that holds node 25."""
 
@@ -582,12 +582,32 @@ class TestMisfitThreads:
         monkeypatch.setattr(probabilistic, "usable_cpus", lambda: 2)
         nodes = np.arange(100.0)[:, None]
         with caplog.at_level(logging.WARNING, logger="mfbia.probabilistic"):
-            moments = misfit_moments(FailsInOneBlock(), nodes, 1,
-                                     np.arange(4.0), np.ones(4), np.ones(4))
-        np.testing.assert_array_equal(moments.a, np.inf)
-        np.testing.assert_array_equal(moments.b, 0.0)
-        assert [r.getMessage() for r in caplog.records] == \
-            ["model evaluation failed for field 1: solver diverged"]
+            with pytest.raises(ValueError, match="solver diverged"):
+                misfit_moments(FailsInOneBlock(), nodes, 1, np.arange(4.0),
+                               np.ones(4), np.ones(4))
+        assert not caplog.records
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_first_raising_block_in_row_order_is_raised(self, monkeypatch,
+                                                        threads):
+        class FailsFromNode20:
+            """Zero outputs, with a 1 ms pause; each block from node 20 on
+            raises, naming its first node, the first of them 5 ms late."""
+
+            def outputs(self, x, field_id, coords, work=None):
+                if x[0, 0] == 20:
+                    time.sleep(5e-3)   # so that a later block raises first
+                if x[0, 0] >= 20:
+                    raise ValueError(f"block from node {x[0, 0]:g}")
+                time.sleep(1e-3)
+                return np.zeros(x.shape[:-1] + (len(coords),))
+
+        # ten row blocks of ten nodes x four coordinates
+        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr(probabilistic, "usable_cpus", lambda: threads)
+        with pytest.raises(ValueError, match="^block from node 20$"):
+            misfit_moments(FailsFromNode20(), np.arange(100.0)[:, None], 1,
+                           np.arange(4.0), np.ones(4))
 
     def test_blocks_run_under_the_callers_errstate(self, monkeypatch):
         class DividesByZero:
@@ -606,9 +626,9 @@ class TestMisfitThreads:
                                          np.arange(4.0), np.zeros(4))
         assert moments.a[0] == np.inf and np.isfinite(moments.a[1:]).all()
         with np.errstate(divide="raise"):
-            moments = misfit_moments(DividesByZero(), nodes, 1,
-                                     np.arange(4.0), np.zeros(4))
-        np.testing.assert_array_equal(moments.a, np.inf)
+            with pytest.raises(FloatingPointError):
+                misfit_moments(DividesByZero(), nodes, 1, np.arange(4.0),
+                               np.zeros(4))
 
 
 class FailsAtNode:
@@ -651,10 +671,11 @@ class TestReductionPool:
                 sobol_standard_normal(centre.size))
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_raise_in_one_reduction_fails_only_its_nodes(self, toy, threads,
-                                                         caplog):
+    @pytest.mark.parametrize("error", [ValueError, LookupError])
+    def test_raise_in_one_reduction_fails_only_it(self, toy, threads, error,
+                                                  caplog):
         alone = reduced_alone(*toy)
-        failing = FailsAtNode(ValueError("solver diverged"))
+        failing = FailsAtNode(error("solver diverged"))
         before = set(threading.enumerate())
         with caplog.at_level(logging.WARNING, logger="mfbia.probabilistic"):
             with ReductionPool(threads) as pool:
@@ -664,18 +685,20 @@ class TestReductionPool:
                 broken = pool.submit(failing, np.arange(100.0)[:, None], 1,
                                      np.arange(64.0), np.ones(64))
                 last = pool.submit(*toy)
-                moments = [r.result() for r in (last, broken, first)]
+                moments = [last.result()]
+                with pytest.raises(error, match="solver diverged"):
+                    broken.result()
+                moments.append(first.result())
         assert set(threading.enumerate()) == before
-        np.testing.assert_array_equal(moments[1].a, np.inf)
-        np.testing.assert_array_equal(moments[1].b, 0.0)
-        for good in (moments[0], moments[2]):
+        for good in moments:
             for want, have in ((alone.a, good.a), (alone.b, good.b)):
                 np.testing.assert_array_equal(have.view(np.int64),
                                               want.view(np.int64))
             assert good.zz == alone.zz
-        assert [r.getMessage() for r in caplog.records] == \
-            ["model evaluation failed for field 1: solver diverged"]
-        # the blocks after the failed one are skipped
+        assert not caplog.records
+        # the blocks after the failed one are skipped; a helper thread may
+        # have been in one of its own when the error was kept
+        assert failing.calls.count(True) <= threads - 1
         assert len(failing.calls) < 10
 
     def test_reductions_sharing_the_queue_keep_their_bits(self, toy):
@@ -704,43 +727,31 @@ class TestReductionPool:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_other_exception_stops_the_pool(self, monkeypatch, threads):
-        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 640)
-        model = FailsAtNode(LookupError("not a model failure"))
-        before = set(threading.enumerate())
-        with ReductionPool(threads) as pool:
-            # 100 nodes x 64 coordinates each, ten blocks of ten rows
-            nodes = np.arange(100.0)[:, None]
-            reductions = [pool.submit(model, nodes, 1, np.arange(64.0),
-                                      np.ones(64))
-                          for _ in range(2)]
-            # every later result raises it too
-            for reduction in reversed(reductions):
-                with pytest.raises(LookupError, match="not a model failure"):
-                    reduction.result()
-            # long enough for a helper thread to take the ~17 blocks left
-            time.sleep(0.05)
-        assert set(threading.enumerate()) == before
-        # no queued block starts once the error is recorded; a helper
-        # thread may have been between two blocks of its own
-        assert model.calls.count(True) <= 2 * (threads - 1)
-        assert len(model.calls) < 20
-        if threads == 1:
-            assert model.calls == [False] * 3
+    def test_interrupt_leaves_result_at_once(self, toy, threads):
+        caller = threading.get_ident()
+        ran_on = []
 
-    def test_helpers_end_after_a_fatal_error(self, monkeypatch):
-        # before the pool closes: no helper idles on a stopped pool
-        monkeypatch.setattr(probabilistic, "MISFIT_BLOCK_ELEMENTS", 640)
-        model = FailsAtNode(LookupError("not a model failure"))
-        with ReductionPool(3) as pool:
-            reduction = pool.submit(model, np.arange(100.0)[:, None], 1,
-                                    np.arange(64.0), np.ones(64))
-            assert len(pool._helpers) == 2
-            with pytest.raises(LookupError, match="not a model failure"):
-                reduction.result()
-            for helper in pool._helpers:
-                helper.join(timeout=5.0)
-                assert not helper.is_alive()
+        class Interrupted:
+            """Zero outputs, with a 1 ms pause; Ctrl-C on the calling
+            thread."""
+
+            def outputs(self, x, field_id, coords, work=None):
+                ran_on.append(threading.get_ident())
+                if threading.get_ident() == caller:
+                    raise KeyboardInterrupt
+                time.sleep(1e-3)
+                return np.zeros(x.shape[:-1] + (len(coords),))
+
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            with ReductionPool(threads) as pool:
+                # ten blocks, queued before those of the reduction waited
+                # for
+                pool.submit(Interrupted(), np.arange(100.0)[:, None], 1,
+                            np.arange(64.0), np.ones(64))
+                pool.submit(*toy).result()
+        assert set(threading.enumerate()) == before
+        assert ran_on.count(caller) == 1
 
 
 class TestPrior:
@@ -929,7 +940,9 @@ class TestObservationCsv:
             observations_from_csv(path)
 
     @pytest.mark.parametrize("row,message", [
-        ("x,0.0,1.0,1.0,", "line 2, column 'field_id': expected a number"),
+        ("x,0.0,1.0,1.0,", "line 2, column 'field_id': expected an integer"),
+        ("1.0,0.0,1.0,1.0,",
+         "line 2, column 'field_id': expected an integer, got '1.0'"),
         ("1,0.0,1.0,1.0,high", "line 2, column 'snr': expected a number"),
         ("1,0.0,1.0,nan,", "column 'sigma2' must be finite and > 0, got nan"),
         ("1,0.0,1.0,inf,", "column 'sigma2' must be finite and > 0, got inf"),
@@ -944,12 +957,36 @@ class TestObservationCsv:
         assert str(raised.value).startswith(f"{path}: ")
         assert message in str(raised.value)
 
-    def test_mixed_fields_rejected(self, tmp_path):
+    @pytest.mark.parametrize("rows,message", [
+        ("1,0.0,1.0,1.0,\n2,0.1,1.0,1.0,",
+         "line 3, column 'field_id': got '2', but line 2 has '1'"),
+        ("1,0.0,1.0,1e-12,\n1,0.1,1.0,2e-12,",
+         "line 3, column 'sigma2': got '2e-12', but line 2 has '1e-12'"),
+        ("1,0.0,1.0,1.0,5\n1,0.1,1.0,1.0,",
+         "line 3, column 'snr': got '', but line 2 has '5'"),
+        ("1,0.0,1.0,1.0,nan\n1,0.1,1.0,1.0,5",
+         "line 3, column 'snr': got '5', but line 2 has 'nan'"),
+    ])
+    def test_mixed_values_rejected(self, tmp_path, rows, message):
         path = tmp_path / "mixed.csv"
-        path.write_text("field_id,coordinate,value,sigma2,snr\n"
-                        "1,0.0,1.0,1.0,\n2,0.1,1.0,1.0,\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"field_id,coordinate,value,sigma2,snr\n{rows}\n")
+        with pytest.raises(ObservationFileError) as raised:
             observations_from_csv(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("cells,sigma2,snr", [
+        (("1e-12,", "1.0e-12,"), 1e-12, None),
+        (("1,5", "1.0,5.0"), 1.0, 5.0),
+        (("1,nan", "1,NaN"), 1.0, math.nan),
+    ])
+    def test_one_value_in_any_spelling(self, tmp_path, cells, sigma2, snr):
+        path = tmp_path / "obs.csv"
+        path.write_text("field_id,coordinate,value,sigma2,snr\n"
+                        f"1,0.0,1.0,{cells[0]}\n1,0.1,2.0,{cells[1]}\n")
+        obs = observations_from_csv(path)
+        assert obs.noise_variance == sigma2
+        assert repr(obs.snr) == repr(snr)   # None and NaN included
+        np.testing.assert_array_equal(obs.values, [1.0, 2.0])
 
 
 class TestFieldObservationsValidation:

@@ -360,6 +360,30 @@ class TestSharedFieldOne:
         assert {r.status for r in failed} == {f"failed:{raised.value}"}
         assert all(r.ig_single is None and r.riig is None for r in failed)
 
+    def test_raising_model_fails_its_group_with_its_message(self):
+        # field 2's model raises on the grid at coupling12 = 0.5 only
+        spec = toy_sweep_config(sweep={"n_obs2": (2, 4), "snr2": (5.0, 50.0),
+                                       "coupling12": (0.0, 0.5)})
+        healthy = run_riig_sweep(
+            replace(spec, sweep={**spec.sweep, "coupling12": (0.0,)}))
+        assert all(r.ok for r in healthy)
+        original = ToyFullModel.outputs
+
+        def outputs(self, x, field_id, coords, work=None):
+            if field_id == 2 and np.ndim(x) > 1 and self.coupling12 == 0.5:
+                raise ValueError("solver diverged")
+            return original(self, x, field_id, coords, work)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ToyFullModel, "outputs", outputs)
+            for workers in (1, 2):
+                results = run_riig_sweep(spec, workers=workers)
+                assert [r for r in results
+                        if r.point["coupling12"] == 0.0] == healthy
+                assert [r.status for r in results
+                        if r.point["coupling12"] == 0.5] == \
+                    ["failed:solver diverged"] * 4
+
     def test_serial_sweep_keeps_no_evaluator(self, monkeypatch):
         # the prior grid and the last field-1 moments end with the sweep,
         # also when it is interrupted

@@ -56,6 +56,7 @@ from .probabilistic import (
     observations_to_csv,
     synthesize_observations,
     write_csv,
+    write_json,
 )
 from .sweep import (
     export_sweep_csv,
@@ -132,8 +133,7 @@ def _posterior_bundle(model, prior_grid: PriorGrid, terms, observations,
                     "first_field_hash": _observations_hash(first),
                     "model": model.name,
                     "model_constants": model.constants},
-        extra={"fields": sorted(o.field_id for o in observations),
-               "grid_shape": [len(axis) for axis in prior_grid]})
+        fields=sorted(o.field_id for o in observations))
     return gain, json_path
 
 
@@ -256,12 +256,10 @@ def cmd_riig(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "riig.json"
-        with open(path, "w") as handle:
-            json.dump({"ig_single": ig_single, "ig_multi": ig_multi,
-                       "riig": value,
-                       "inputs": [str(args.single_run), str(args.multi_run)]},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, {"ig_single": ig_single, "ig_multi": ig_multi,
+                          "riig": value,
+                          "inputs": [str(args.single_run),
+                                     str(args.multi_run)]})
         print(path)
     return 0
 
@@ -368,8 +366,8 @@ def _reproduce_fig9(out_dir: Path) -> int:
                                             out_dir, f"multi_{case}")
             value = riig(ig_single, ig_multi)
             reference = REFERENCE_RIIG[f"fig9_{case}"]
-            rows.append([case, len(obs2), obs2.snr, repr(ig_single),
-                         repr(ig_multi), repr(value), reference])
+            rows.append([case, len(obs2), obs2.snr, ig_single, ig_multi,
+                         value, reference])
             print(f"{case + ':':7} riig = {value:.4f} "
                   f"(reference {reference})")
     write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, rows)
@@ -390,14 +388,12 @@ def _reproduce_fig10(out_dir: Path, progress, full: bool, workers: int) -> int:
     ]
     rows = []
     for name, n_obs2, snr2, reference in anchors:
-        res = by_cell.get((n_obs2, snr2))
-        if res is None or not res.ok:
-            rows.append([name, n_obs2, repr(snr2), "", "", "", reference])
-            continue
-        rows.append([name, n_obs2, repr(snr2), repr(res.ig_single),
-                     repr(res.ig_multi), repr(res.riig), reference])
-        print(f"{name}: n_obs2={n_obs2} snr2={snr2:g} "
-              f"riig={res.riig:.4f} (reference {reference})")
+        res = by_cell[n_obs2, snr2]
+        rows.append([name, n_obs2, snr2, res.ig_single, res.ig_multi,
+                     res.riig, reference])
+        if res.ok:
+            print(f"{name}: n_obs2={n_obs2} snr2={snr2:g} "
+                  f"riig={res.riig:.4f} (reference {reference})")
     write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, rows)
     print(out_dir / "sweep.csv")
     return 0

@@ -129,6 +129,9 @@ class FieldSpec:
             raise ConfigError(f"count: must be >= 0, got {self.count}")
         if self.count > 0 and not 0 < self.snr < math.inf:
             raise ConfigError(f"snr: must be finite and > 0, got {self.snr}")
+        if len(self.coord_range) != 2:
+            raise ConfigError(f"range: expected [low, high], got "
+                              f"{len(self.coord_range)} values")
         if not self.coord_range[1] >= self.coord_range[0]:
             raise ConfigError("range: must be increasing")
 
@@ -153,6 +156,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir: expected a string, got "
+                              f"{self.output_dir!r}")
         object.__setattr__(self, "workers", _integer(self.workers, "workers"))
         object.__setattr__(self, "grid_shape", tuple(
             _integer(n, f"grid[{i}]") for i, n in enumerate(self.grid_shape)))
@@ -337,9 +343,6 @@ def _parse_field(section, index: int) -> FieldSpec:
     snr = parse_quantity(section["snr"], f"{where}.snr")
     coord_range = _quantity_list(section.get("range", [0.0, 1.0]),
                                  f"{where}.range")
-    if len(coord_range) != 2:
-        raise ConfigError(f"{where}.range: expected [low, high], got "
-                          f"{len(coord_range)} values")
     try:
         return FieldSpec(field_id=section["id"], count=section["count"],
                          snr=snr, coord_range=tuple(coord_range))
@@ -373,16 +376,13 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(grid, list):
         grid = [grid] * prior.dim
     sweep = data.get("sweep")
-    output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
 
     try:
         return RunConfig(model=data["model"], constants=constants,
                          truth=truth, prior=prior, fields=fields,
                          grid_shape=tuple(grid),
                          sweep=None if sweep is None else _parse_sweep(sweep),
-                         output_dir=output_dir,
+                         output_dir=data.get("output_dir", "out"),
                          workers=data.get("workers", 1))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

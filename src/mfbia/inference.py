@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilistic import TruncatedNormalPrior
+from .probabilistic import TruncatedNormalPrior, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -323,23 +322,20 @@ def posterior_to_csv(grid: PosteriorGrid, path) -> None:
         handle.writelines(f"{','.join(row)}\n" for row in zip(*columns))
 
 
-def posterior_to_json(grid: PosteriorGrid, path, *, information_gain=None,
-                      provenance=None, extra=None) -> None:
-    """Sidecar with axes, normalization, diagnostics, and optional provenance."""
-    payload = {
+def posterior_to_json(grid: PosteriorGrid, path, *, information_gain: float,
+                      provenance: dict, fields) -> None:
+    """Sidecar with axes, normalization, diagnostics, the gain, its
+    provenance and the observed field ids."""
+    write_json(path, {
         "axis_names": list(grid.grid.axis_names),
         "axes": [axis.tolist() for axis in grid.grid],
+        "grid_shape": [len(axis) for axis in grid.grid],
         "log_normalization": grid.log_normalization,
         "normalization": (math.exp(grid.log_normalization)
                           if grid.log_normalization < 709 else None),
         "boundary_mass": grid.boundary_mass,
         "boundary_warning": grid.boundary_mass > BOUNDARY_MASS_THRESHOLD,
         "information_gain": information_gain,
-    }
-    if provenance is not None:
-        payload["provenance"] = provenance
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        "provenance": provenance,
+        "fields": list(fields),
+    })

@@ -20,6 +20,7 @@ from __future__ import annotations
 import collections
 import contextvars
 import csv
+import json
 import logging
 import math
 import os
@@ -460,10 +461,10 @@ class ReductionPool:
         self.close()
 
     def close(self) -> None:
-        """Drop the queued blocks and join the helper threads."""
+        """Join the helper threads.  Blocks still queued stay queued: a
+        later ``result()`` reduces them on its calling thread."""
         with self._changed:
             self._closed = True
-            self._queue.clear()
             self._changed.notify_all()
         for helper in self._helpers:
             helper.join()
@@ -565,6 +566,15 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON with sorted keys, indented by
+    2 and ended by ``\\n``; an inf or NaN in it raises ValueError before
+    the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w") as handle:
+        handle.write(text + "\n")
 
 
 def observations_to_csv(obs: FieldObservations, path) -> None:

@@ -13,27 +13,27 @@ belong to :mod:`mfbia.config`; this module only runs the cells.
 Cells are pure functions of the run configuration.  They run in tasks: a
 task is every cell that shares all axis values but ``snr1`` and ``snr2``,
 so all its cells share the observation counts and the model constants.  A
-task computes field 2's misfit moments on the posterior grid once, and the
-single-field gain once per ``snr1`` value; an SNR value then costs one
-pass over the nodes.  Field 1's moments depend only on the model constants
-and ``n_obs1``: tasks that share them are listed next to each other, and
-each process keeps the last field-1 analysis it computed.  On several
+task computes field 2's misfit moments on the posterior grid once; an SNR
+value then costs one pass over the nodes.  Field 1's moments depend only
+on the model constants and ``n_obs1``: tasks that share them are listed
+next to each other, and each process keeps the last field-1 analysis it
+computed, with its single-field gain for each ``snr1`` value.  On several
 processes, every task goes to a process pool as a future, and the calling
 process takes each one the pool has not handed to a worker.  Each process
 reduces its misfits on one :class:`~mfbia.probabilistic.ReductionPool`.
 The calling process looks one task ahead: it queues the next task's
 reductions before it evaluates a task's cells, so at most two tasks'
 moments are alive in it.  Alone, it reduces them on helper threads while
-its calling thread evaluates posteriors; beside other processes, every
-process reduces on its calling thread only.  Tasks can run on any number
-of processes and threads without changing a single bit of the output;
-failures are recorded per cell and never abort the sweep.
+its calling thread evaluates posteriors; beside other processes, which
+share the CPUs, every process reduces on its calling thread only.  Tasks
+can run on any number of processes and threads without changing a single
+bit of the output; failures are recorded per cell and never abort the
+sweep.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -58,6 +58,7 @@ from .probabilistic import (
     sobol_standard_normal,
     synthesize_observations,
     write_csv,
+    write_json,
 )
 
 SWEEP_METRICS = ("ig_single", "ig_multi", "riig", "boundary_mass", "status")
@@ -137,12 +138,14 @@ def _field1_key(point: dict) -> tuple:
 
 @dataclass(frozen=True)
 class _Task:
-    """A task ready to evaluate: its cells' axis values and, per field
+    """A task ready to evaluate: its cells' axis values; per field
     number, the truth outputs and the queued misfit reduction, or the
-    error that preparing them raised."""
+    error that preparing them raised; and the single-field gains of its
+    field-1 analysis, by field-1 noise variance."""
 
     cells: list[tuple]
     analyses: dict
+    gains: dict
 
 
 class _TaskEvaluator:
@@ -151,16 +154,15 @@ class _TaskEvaluator:
     All cells of a task share the observation counts and the model
     constants, so :meth:`prepare` synthesizes each field's observations
     and queues its misfit reduction on the grid once per task; a cell
-    composes the moments at its own noise variances, and the single-field
-    gain is computed once per field-1 noise variance.  The evaluator also
-    keeps the last field-1 analysis it prepared, so consecutive tasks that
-    share its key compute it once.  On several processes, each one that
-    runs one of those tasks computes it: the work done depends on
-    scheduling, the bits of a cell do not.  ``tasks`` are the sweep's
-    tasks (see :func:`sweep_tasks`).  The reductions run on one
+    composes the moments at its own noise variances.  The evaluator also
+    keeps the last field-1 analysis it prepared, with its single-field
+    gain per field-1 noise variance, so consecutive tasks that share its
+    key compute both once.  On several processes, each one that runs one
+    of those tasks computes them: the work done depends on scheduling, the
+    bits of a cell do not.  ``tasks`` are the sweep's tasks (see
+    :func:`sweep_tasks`).  The reductions run on one
     :class:`~mfbia.probabilistic.ReductionPool` of ``threads`` threads:
-    the default, or 1 beside other processes, so that no helper thread is
-    alive when the sweep forks.
+    the default, or 1 beside other processes, since those share the CPUs.
     """
 
     def __init__(self, config: RunConfig, tasks: list[list[int]],
@@ -172,25 +174,21 @@ class _TaskEvaluator:
         self.cells = list(itertools.product(*config.sweep.values()))
         self.grid = PriorGrid(config.prior, cdf_spaced_grid(
             config.prior, config.grid_shape))
-        self.field1 = (None, None)   # last field-1 key, (centre, reduction)
+        # the last field-1 key, its (centre, reduction) and its gains
+        self.field1 = (None, None, None)
 
     def __call__(self, task: _Task) -> list[SweepResult]:
         # (field number, SNR) -> (moments, that SNR's noise variance)
         memo = {}
-        gains = {}   # field-1 noise variance -> single-field gain
-        return [self._cell(values, task, memo, gains)
-                for values in task.cells]
-
-    def _plan(self, k: int, point: dict) -> FieldSpec:
-        """Field ``k``'s observation plan at the cell's axis values."""
-        plan = self.plans[k - 1]
-        return replace(plan, count=point.get(f"n_obs{k}", plan.count),
-                       snr=point.get(f"snr{k}", plan.snr))
+        return [self._cell(values, task, memo) for values in task.cells]
 
     def analysis(self, model, k: int, point: dict) -> tuple:
         """Field ``k``'s truth outputs and queued misfit reduction at the
         cell's observation count."""
-        return field_moments(model, self.config.truth, self._plan(k, point),
+        plan = self.plans[k - 1]
+        plan = replace(plan, count=point.get(f"n_obs{k}", plan.count),
+                       snr=point.get(f"snr{k}", plan.snr))
+        return field_moments(model, self.config.truth, plan,
                              self.grid.nodes, self.pool)[1:]
 
     def prepare(self, number: int) -> _Task:
@@ -199,24 +197,24 @@ class _TaskEvaluator:
         field whose analysis failed."""
         cells = [self.cells[cell] for cell in self.tasks[number]]
         point = dict(zip(self.config.sweep, cells[0]))
-        analyses = {}
+        analyses, gains = {}, {}
         try:
             key = _field1_key(point)
             model = build_model(self.config.model,
                                 {**self.config.constants, **dict(key[0])})
             if self.field1[0] != key:
-                self.field1 = (key, self.analysis(model, 1, point))
-            analyses[1] = self.field1[1]
+                self.field1 = (key, self.analysis(model, 1, point), {})
+            _, analyses[1], gains = self.field1
             analyses[2] = self.analysis(model, 2, point)
         except CELL_ERRORS as exc:
             analyses.setdefault(1, exc)
             analyses[2] = exc
-        return _Task(cells, analyses)
+        return _Task(cells, analyses, gains)
 
     def _moments(self, k: int, point: dict, task: _Task, memo: dict):
         """Field ``k``'s likelihood term: its misfit moments on the grid
         and the cell's noise variance."""
-        snr = self._plan(k, point).snr
+        snr = point.get(f"snr{k}", self.plans[k - 1].snr)
         if (k, snr) not in memo:
             analysis = task.analyses[k]
             if isinstance(analysis, Exception):
@@ -225,15 +223,14 @@ class _TaskEvaluator:
             memo[k, snr] = (reduction.result(), sigma_from_snr(centre, snr))
         return memo[k, snr]
 
-    def _cell(self, values: tuple, task: _Task, memo: dict,
-              gains: dict) -> SweepResult:
+    def _cell(self, values: tuple, task: _Task, memo: dict) -> SweepResult:
         point = dict(zip(self.config.sweep, values))
         try:
             term1 = self._moments(1, point, task, memo)
-            if term1[1] not in gains:
-                gains[term1[1]] = information_gain(
+            if term1[1] not in task.gains:
+                task.gains[term1[1]] = information_gain(
                     evaluate_posterior(log_likelihood([term1]), self.grid))
-            ig_single = gains[term1[1]]
+            ig_single = task.gains[term1[1]]
             term2 = self._moments(2, point, task, memo)
             posterior = evaluate_posterior(log_likelihood([term1, term2]),
                                            self.grid)
@@ -398,7 +395,7 @@ def write_run_manifest(path, config: RunConfig, results, *, workers: int,
                        runtime_seconds: float | None = None) -> None:
     """JSON record of what ran: spec echo, tool version, timing, outcome."""
     results = list(results)
-    payload = {
+    write_json(path, {
         "tool": "mfbia",
         "version": __version__,
         "spec": _spec_payload(config),
@@ -407,7 +404,4 @@ def write_run_manifest(path, config: RunConfig, results, *, workers: int,
         "failed_cells": sum(0 if r.ok else 1 for r in results),
         "runtime_seconds": runtime_seconds,
         "written_at_unix": time.time() if runtime_seconds is not None else None,
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+    })

@@ -22,7 +22,9 @@ since it only takes its noise variance from its SNRs.  A 20x20 grid at a
 few coordinates fits in one row block of ``MISFIT_BLOCK_ELEMENTS``.
 
 The posterior and gain counts are pinned as well, so that the sweep keeps
-reaching the inference layer through the names the tracer wraps.
+reaching the inference layer through the names the tracer wraps.  Each
+process evaluates one single-field posterior per field-1 analysis and
+SNR, so tasks that share field 1 in one process share it too.
 """
 
 import importlib.util
@@ -51,12 +53,12 @@ TOY_CONFIG = (
 
 
 #: Posteriors each case evaluates: one per cell, and one single-field
-#: posterior per field-1 SNR in each task.
+#: posterior per field-1 analysis and SNR in each process.
 POSTERIORS = {
-    "{n_obs2: [2, 4], snr2: [5.0, 50.0]}": 2 * (1 + 2),
+    "{n_obs2: [2, 4], snr2: [5.0, 50.0]}": 1 + 2 * 2,
     "{snr1: [5.0, 50.0], snr2: [10.0], coupling: [0.1, 0.4, 0.7]}":
         3 * (2 + 2),
-    "{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}": 2 * (1 + 3),
+    "{n_obs2: [2, 4], snr2: [5.0, 50.0, 500.0]}": 1 + 2 * 3,
     "{snr2: [5.0, 50.0, 500.0]}": 1 + 3,
     "{snr2: [5.0, 50.0], coupling: [0.1, 0.4]}": 2 * (1 + 2),
 }

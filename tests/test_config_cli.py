@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -32,6 +33,7 @@ from mfbia.config import (
 )
 from mfbia.models import build_model
 from mfbia.probabilistic import observations_from_csv, synthesize_observations
+from mfbia.sweep import SweepResult
 
 
 class TestQuantities:
@@ -190,17 +192,28 @@ class TestConfigParsing:
         assert counts[0] == 2 and counts[-1] == 256
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
-    @pytest.mark.parametrize("build,key", [
-        (lambda: replace(default_config(), workers=2.5), "workers"),
-        (lambda: replace(default_config(), workers=True), "workers"),
+    @pytest.mark.parametrize("build,message", [
+        (lambda: replace(default_config(), workers=2.5),
+         "workers: expected an integer"),
+        (lambda: replace(default_config(), workers=True),
+         "workers: expected an integer"),
         (lambda: FieldSpec(field_id=True, count=16, snr=50.0,
-                           coord_range=(0.0, 0.4)), "id"),
+                           coord_range=(0.0, 0.4)), "id: expected an integer"),
         (lambda: replace(default_config(), grid_shape=(20.9, 20),
-                         sweep=None), r"grid\[0\]"),
-    ], ids=["workers-2.5", "workers-bool", "field-id-bool", "grid-20.9"])
-    def test_python_api_integers_checked(self, build, key):
-        # the rule that parse_config applies to the same YAML keys
-        with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+                         sweep=None), r"grid\[0\]: expected an integer"),
+        (lambda: FieldSpec(field_id=1, count=16, snr=50.0,
+                           coord_range=(0.0, 0.4, 9.0)),
+         r"range: expected \[low, high\], got 3 values$"),
+        (lambda: FieldSpec(field_id=1, count=16, snr=50.0,
+                           coord_range=(0.4,)),
+         r"range: expected \[low, high\], got 1 values$"),
+        (lambda: replace(default_config(), output_dir=None),
+         "output_dir: expected a string, got None$"),
+    ], ids=["workers-2.5", "workers-bool", "field-id-bool", "grid-20.9",
+            "range-3", "range-1", "output-dir-none"])
+    def test_python_api_integers_checked(self, build, message):
+        # the rules that parse_config applies to the same YAML keys
+        with pytest.raises(ConfigError, match=f"^{message}"):
             build()
 
 
@@ -800,6 +813,27 @@ class TestCliSweep:
             "\rfig10: 1/4 cells\nerror: worker died\n"
 
 
+def test_fig10_summary_leaves_a_failed_anchor_empty(tmp_path, monkeypatch):
+    def sweep(config, workers, progress):
+        return [SweepResult(point=dict(zip(config.sweep, values)),
+                            ig_single=None, ig_multi=None, riig=None,
+                            boundary_mass=None, status="failed:diverged")
+                if values == (256, 12000.0) else
+                SweepResult(point=dict(zip(config.sweep, values)),
+                            ig_single=0.5, ig_multi=1.5, riig=2.0,
+                            boundary_mass=0.0)
+                for values in itertools.product(*config.sweep.values())]
+
+    monkeypatch.setattr(cli, "run_riig_sweep", sweep)
+    assert main(["reproduce", "fig10", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fig10" / "summary.csv").read_text().splitlines() == [
+        "case,n_obs2,snr2,ig_single,ig_multi,riig,reference_riig",
+        "point1,2,12000.0,0.5,1.5,2.0,1.23",
+        "point2,256,80.0,0.5,1.5,2.0,1.22",
+        "point3,256,12000.0,,,,3.65",
+    ]
+
+
 def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     # no real allocation: one this large could succeed on a machine that
     # overcommits memory, and then exhaust it
@@ -1154,6 +1188,38 @@ class TestConfigValueRules:
         assert capsys.readouterr().err.startswith(
             f"error: {config}: output_dir: expected a string")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("truth",), 1.2, "truth: expected a list"),
+        (("prior",), [1], "prior: expected a mapping"),
+        (("prior",), {"mean": [10e3, 0.3], "lower": [0.0, 0.0],
+                      "upper": [math.inf, 0.5]}, "prior.sd: missing"),
+        (("fields",), [3], "fields[0]: expected a mapping"),
+        (("fields", 0), {"id": 1, "count": 16}, "fields[0].snr: missing"),
+        (("fields", 0, "range"), [0.0, 0.4, 9.0],
+         "fields[0].range: expected [low, high], got 3 values"),
+        ((), [1], "top level: expected a mapping"),
+        (("constants",), [1], "constants: expected a mapping"),
+        (("constants", "voltage"), "x kPa",
+         "constants.voltage: 'x' is not a number"),
+        (("sweep", "snr2", "step"), 2, "sweep.snr2: unknown keys ['step']"),
+        (("sweep", "snr2"), {"start": 80, "stop": 1.2e4},
+         "sweep.snr2.num: missing"),
+    ], ids=["truth-scalar", "prior-list", "prior-no-sd", "field-scalar",
+            "field-no-snr", "range-3", "top-level-list", "constants-list",
+            "quantity-not-a-number", "axis-unknown-key", "axis-no-num"])
+    def test_malformed_section_exits_2(self, tmp_path, capsys, path, value,
+                                       message):
+        if path:
+            config = _mutated_fig9(tmp_path, path, value)
+        else:
+            config = tmp_path / "config.yaml"
+            config.write_text(yaml.safe_dump(value))
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fields,ids", [([], "[]"), ([1], "[2]")])
     @pytest.mark.parametrize("command", ["sweep", "synthesize", "posterior"])

@@ -444,8 +444,10 @@ class TestSerialization:
         grid = evaluate_posterior(np.zeros(axes.nodes.shape[:-1]), axes)
         path = tmp_path / "posterior.json"
         posterior_to_json(grid, path, information_gain=0.0,
-                          provenance={"prior_hash": "abc"})
+                          provenance={"prior_hash": "abc"}, fields=(1,))
         data = json.loads(path.read_text())
+        assert data["fields"] == [1]
+        assert data["grid_shape"] == [5, 5]
         assert data["information_gain"] == 0.0
         assert data["provenance"]["prior_hash"] == "abc"
         assert len(data["axes"]) == 2

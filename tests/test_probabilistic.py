@@ -40,6 +40,7 @@ from mfbia.probabilistic import (
     sobol_standard_normal,
     synthesize_observations,
     write_csv,
+    write_json,
 )
 
 
@@ -727,6 +728,27 @@ class TestReductionPool:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_result_after_close_reduces_the_queued_blocks(self, toy,
+                                                          threads):
+        want = misfit_moments(*toy)
+        pool = ReductionPool(threads)
+        reduction = pool.submit(*toy)
+        pool.close()
+        # on a daemon thread, so that a result() that never returns fails
+        # this test instead of hanging the suite
+        have = []
+        waiter = threading.Thread(
+            target=lambda: have.append(reduction.result()), daemon=True)
+        waiter.start()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive(), "result() still waits after close()"
+        for name in ("a", "b"):
+            np.testing.assert_array_equal(
+                getattr(have[0], name).view(np.int64),
+                getattr(want, name).view(np.int64))
+        assert have[0].zz == want.zz
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_interrupt_leaves_result_at_once(self, toy, threads):
         caller = threading.get_ident()
         ran_on = []
@@ -920,6 +942,17 @@ class TestObservationCsv:
         path = tmp_path / "empty.csv"
         write_csv(path, OBSERVATION_CSV_HEADER, [])
         assert observations_from_csv(path) is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_json_refuses_a_non_finite_value_before_writing(self, tmp_path,
+                                                            value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"a": 1.0, "b": [value]})
+        assert not path.exists()
+        write_json(path, {"b": [0.5], "a": None})
+        assert path.read_text() == (
+            '{\n  "a": null,\n  "b": [\n    0.5\n  ]\n}\n')
 
     def test_vector_values_flatten_to_component_rows(self, tmp_path):
         obs = FieldObservations(field_id=1, coordinates=np.array([0.1, 0.2]),
